@@ -508,14 +508,22 @@ type service_result = {
   sv_warm_wall_ms : float;
 }
 
+let scratch_dir name =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "fj-bench-%s.%d" name (Unix.getpid ()))
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
 (* Write the bench corpus out as .fj files (the service compiles
-   files, not in-memory sources) under a fresh scratch directory. *)
-let service_sources () =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fj-bench-service.%d" (Unix.getpid ()))
-  in
+   files, not in-memory sources) under [dir]. *)
+let service_sources dir =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   List.map
     (fun (pr : Bench_programs.program) ->
@@ -548,15 +556,30 @@ let service_batch ?cache ~jobs sources =
   b
 
 let service_table () =
-  let sources = service_sources () in
+  let src_dir = scratch_dir "service" and cache_dir = scratch_dir "cache" in
+  Fun.protect ~finally:(fun () -> rm_rf src_dir; rm_rf cache_dir) @@ fun () ->
+  let sources = service_sources src_dir in
   let n = List.length sources in
   Fmt.pr "@.%s@." (String.make 64 '-');
   Fmt.pr "Compile service: batch throughput (%d programs)@." n;
   Fmt.pr "%s@." (String.make 64 '-');
+  let batches =
+    List.map (fun jobs -> (jobs, service_batch ~jobs sources)) [ 1; 2; 4 ]
+  in
+  (* Every jobs level must produce exactly the jobs 1 outputs. *)
+  let b1 = List.assoc 1 batches in
+  List.iter
+    (fun (jobs, b) ->
+      List.iter2
+        (fun (o1 : Service.outcome) (o : Service.outcome) ->
+          if o.Service.status <> o1.Service.status then
+            fail "service batch: %s at --jobs %d differs from --jobs 1"
+              o.Service.id jobs)
+        b1.Service.b_outcomes b.Service.b_outcomes)
+    batches;
   let runs =
     List.map
-      (fun jobs ->
-        let b = service_batch ~jobs sources in
+      (fun (jobs, b) ->
         let per_sec =
           if b.Service.b_wall_ms > 0.0 then
             float_of_int n /. (b.Service.b_wall_ms /. 1000.0)
@@ -565,15 +588,10 @@ let service_table () =
         Fmt.pr "--jobs %d %24.0f ms %17.1f programs/s@." jobs
           b.Service.b_wall_ms per_sec;
         { sr_jobs = jobs; sr_wall_ms = b.Service.b_wall_ms; sr_per_sec = per_sec })
-      [ 1; 2; 4 ]
+      batches
   in
   (* Cold, then warm, against the same on-disk cache: the warm run
      must replay from the cache (hit rate is the headline number). *)
-  let cache_dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fj-bench-cache.%d" (Unix.getpid ()))
-  in
   let cold_cache = Svc_cache.create ~dir:cache_dir () in
   let cold = service_batch ~cache:cold_cache ~jobs:1 sources in
   let warm_cache = Svc_cache.create ~dir:cache_dir () in

@@ -38,8 +38,9 @@ let () =
 
   (* Stage 1: Float In narrows f's scope into the scrutinee — now every
      call to f is a tail call OF ITS SCOPE. *)
-  let e1, moved = Float_in.run e0 in
-  assert moved;
+  let ticks = Telemetry.create () in
+  let e1 = Telemetry.with_counters ticks (fun () -> Float_in.run e0) in
+  assert (Telemetry.get ticks Telemetry.Float_in_moved > 0);
   show "after Float In (float axiom, right to left)" e1;
 
   (* Stage 2: contify — f becomes a join point, the call a jump. *)

@@ -23,99 +23,97 @@ let rec ok_for_speculation = function
   | Lam _ | TyLam _ -> true
   | _ -> false
 
-let changed = ref false
-
-let rec go (e : expr) : expr =
-  match e with
-  | Var _ | Lit _ -> e
-  | Con (dc, phis, es) -> Con (dc, phis, List.map go es)
-  | Prim (op, es) -> Prim (op, List.map go es)
-  | App (f, a) -> App (go f, go a)
-  | TyApp (f, t) -> TyApp (go f, t)
-  | Lam (x, b) -> Lam (x, go b)
-  | TyLam (a, b) -> TyLam (a, go b)
-  | Let (NonRec (x, rhs), body) ->
-      let body = go body in
-      if occurs x.v_name body then Let (NonRec (x, go rhs), body)
-      else begin
-        changed := true;
-        Telemetry.tick Telemetry.Drop;
-        body
-      end
-  | Let (Strict (x, rhs), body) ->
-      let body = go body in
-      let rhs = go rhs in
-      (* A dead strict binding may only be dropped when its right-hand
-         side is certainly terminating. *)
-      if occurs x.v_name body then Let (Strict (x, rhs), body)
-      else if ok_for_speculation rhs then begin
-        changed := true;
-        Telemetry.tick Telemetry.Drop;
-        body
-      end
-      else Let (Strict (x, rhs), body)
-  | Let (Rec pairs, body) ->
-      let body = go body in
-      let pairs = List.map (fun (x, rhs) -> (x, go rhs)) pairs in
-      let dead =
-        List.for_all
-          (fun ((x : var), _) ->
-            (not (occurs x.v_name body))
-            && List.for_all (fun (_, rhs) -> not (occurs x.v_name rhs)) pairs)
-          pairs
-      in
-      if dead then begin
-        changed := true;
-        Telemetry.tick Telemetry.Drop;
-        body
-      end
-      else Let (Rec pairs, body)
-  | Case (scrut, alts) ->
-      Case (go scrut, List.map (fun a -> { a with alt_rhs = go a.alt_rhs }) alts)
-  | Jump (j, phis, es, ty) -> Jump (j, phis, List.map go es, ty)
-  | Join (JNonRec d, body) ->
-      let body = go body in
-      let d = { d with j_rhs = go d.j_rhs } in
-      let usage = Occur.lookup (Occur.of_expr body) d.j_var in
-      if usage.count = 0 then begin
-        (* jdrop *)
-        changed := true;
-        Telemetry.tick Telemetry.Jdrop;
-        body
-      end
-      else if usage.count = 1 then begin
-        match Axioms.substitute_jumps ~defn:d body with
-        | Some body' ->
-            (* jinline + jdrop *)
-            changed := true;
-            Telemetry.tick Telemetry.Jinline;
-            Telemetry.tick Telemetry.Jdrop;
-            go body'
-        | None -> Join (JNonRec d, body)
-      end
-      else Join (JNonRec d, body)
-  | Join (JRec ds, body) ->
-      let body = go body in
-      let ds = List.map (fun d -> { d with j_rhs = go d.j_rhs }) ds in
-      let dead =
-        List.for_all
-          (fun (d : join_defn) ->
-            (not (occurs d.j_var.v_name body))
-            && List.for_all
-                 (fun (d' : join_defn) -> not (occurs d.j_var.v_name d'.j_rhs))
-                 ds)
-          ds
-      in
-      if dead then begin
-        changed := true;
-        Telemetry.tick Telemetry.Jdrop;
-        body
-      end
-      else Join (JRec ds, body)
-
 (** One bottom-up cleanup pass; returns the new term and whether
     anything changed. *)
 let cleanup (e : expr) : expr * bool =
-  changed := false;
+  let changed = ref false in
+  let rec go (e : expr) : expr =
+    match e with
+    | Var _ | Lit _ -> e
+    | Con (dc, phis, es) -> Con (dc, phis, List.map go es)
+    | Prim (op, es) -> Prim (op, List.map go es)
+    | App (f, a) -> App (go f, go a)
+    | TyApp (f, t) -> TyApp (go f, t)
+    | Lam (x, b) -> Lam (x, go b)
+    | TyLam (a, b) -> TyLam (a, go b)
+    | Let (NonRec (x, rhs), body) ->
+        let body = go body in
+        if occurs x.v_name body then Let (NonRec (x, go rhs), body)
+        else begin
+          changed := true;
+          Telemetry.tick Telemetry.Drop;
+          body
+        end
+    | Let (Strict (x, rhs), body) ->
+        let body = go body in
+        let rhs = go rhs in
+        (* A dead strict binding may only be dropped when its right-hand
+           side is certainly terminating. *)
+        if occurs x.v_name body then Let (Strict (x, rhs), body)
+        else if ok_for_speculation rhs then begin
+          changed := true;
+          Telemetry.tick Telemetry.Drop;
+          body
+        end
+        else Let (Strict (x, rhs), body)
+    | Let (Rec pairs, body) ->
+        let body = go body in
+        let pairs = List.map (fun (x, rhs) -> (x, go rhs)) pairs in
+        let dead =
+          List.for_all
+            (fun ((x : var), _) ->
+              (not (occurs x.v_name body))
+              && List.for_all (fun (_, rhs) -> not (occurs x.v_name rhs)) pairs)
+            pairs
+        in
+        if dead then begin
+          changed := true;
+          Telemetry.tick Telemetry.Drop;
+          body
+        end
+        else Let (Rec pairs, body)
+    | Case (scrut, alts) ->
+        Case (go scrut, List.map (fun a -> { a with alt_rhs = go a.alt_rhs }) alts)
+    | Jump (j, phis, es, ty) -> Jump (j, phis, List.map go es, ty)
+    | Join (JNonRec d, body) ->
+        let body = go body in
+        let d = { d with j_rhs = go d.j_rhs } in
+        let usage = Occur.lookup (Occur.of_expr body) d.j_var in
+        if usage.count = 0 then begin
+          (* jdrop *)
+          changed := true;
+          Telemetry.tick Telemetry.Jdrop;
+          body
+        end
+        else if usage.count = 1 then begin
+          match Axioms.substitute_jumps ~defn:d body with
+          | Some body' ->
+              (* jinline + jdrop *)
+              changed := true;
+              Telemetry.tick Telemetry.Jinline;
+              Telemetry.tick Telemetry.Jdrop;
+              go body'
+          | None -> Join (JNonRec d, body)
+        end
+        else Join (JNonRec d, body)
+    | Join (JRec ds, body) ->
+        let body = go body in
+        let ds = List.map (fun d -> { d with j_rhs = go d.j_rhs }) ds in
+        let dead =
+          List.for_all
+            (fun (d : join_defn) ->
+              (not (occurs d.j_var.v_name body))
+              && List.for_all
+                   (fun (d' : join_defn) -> not (occurs d.j_var.v_name d'.j_rhs))
+                   ds)
+            ds
+        in
+        if dead then begin
+          changed := true;
+          Telemetry.tick Telemetry.Jdrop;
+          body
+        end
+        else Join (JRec ds, body)
+  in
   let e' = go e in
   (e', !changed)

@@ -1,8 +1,3 @@
 (** Per-compilation context — see the interface for the design. *)
 
-type t = { supply : Ident.supply }
-
-let create ?(from = 0) () = { supply = Ident.new_supply ~from () }
-let supply t = t.supply
-let with_ctx t f = Ident.with_supply t.supply f
-let with_fresh f = with_ctx (create ()) f
+let with_fresh f = Ident.with_supply (Ident.new_supply ()) f

@@ -1,38 +1,26 @@
 (** The per-compilation context.
 
-    Historically the compiler kept one piece of process-global mutable
-    state: the {!Ident} unique supply. Every other collector
-    (telemetry counters, the decision ledger, span collectors, metrics
-    registries) was already per-invocation, but the supply was a bare
-    global [ref] — harmless for a one-shot CLI, fatal for a parallel
-    compile service: two workers interleaving [fresh] calls make
-    unique allocation (and therefore every binder name in the output)
-    depend on scheduling.
+    A compilation's implicit state lives in six domain-local slots,
+    each installed for the dynamic extent of one compile: the
+    {!Ident} unique supply, the {!Telemetry} tick counters and tick
+    observer, the {!Span} collector, the {!Metrics} registry and the
+    {!Decision} ledger. The passes themselves keep no module-level
+    state. {!Pipeline.run_report} installs the collectors, and
+    {!Guard}'s fuel meter and the service's deadline watchdog install
+    observers; the supply is installed here, because parsing and
+    elaboration allocate uniques before the pipeline runs.
 
-    A {!t} makes the remaining implicit state explicit. Each compile
-    request runs inside {!with_ctx} (or {!with_fresh}), which installs
-    the context's own supply for the request's dynamic extent — on the
-    worker domain that happens to execute it. Identical source then
-    compiles to byte-identical Core under any [--jobs] level, because
-    every request starts from the same supply state and nothing leaks
+    Two workers interleaving [fresh] calls on one shared supply would
+    make unique allocation (and therefore every binder name in the
+    output) depend on scheduling. Each compile request instead runs
+    inside {!with_fresh}, which installs a fresh supply on the worker
+    domain that happens to execute it. Identical source then compiles
+    to byte-identical Core under any [--jobs] level, because every
+    request starts from the same supply state and nothing leaks
     between requests. *)
 
-type t
-
-(** A fresh context whose supply starts at [from] (default 0 — the
-    state of a newly started process, which is what makes runs
-    reproducible). *)
-val create : ?from:int -> unit -> t
-
-(** The context's supply (to snapshot or restore around cache hits). *)
-val supply : t -> Ident.supply
-
-(** [with_ctx ctx f] runs [f] with [ctx]'s unique supply installed as
-    the current domain's supply (nesting saves and restores). Reusing
-    a context resumes its supply where the last extent left off. *)
-val with_ctx : t -> (unit -> 'a) -> 'a
-
-(** [with_fresh f] = [with_ctx (create ()) f]: run one compilation in
-    a fresh, reproducible context — the per-request entry point of the
-    compile service. *)
+(** [with_fresh f] runs one compilation under a fresh unique supply
+    (the state of a newly started process, which is what makes runs
+    reproducible) — the per-request entry point of the compile
+    service. *)
 val with_fresh : (unit -> 'a) -> 'a

@@ -10,8 +10,9 @@
     - [Raise]: the pass throws;
     - [Ill_typed]: the pass returns a tree that breaks the Fig. 2
       typing rules (caught by the lint gate);
-    - [Burn_fuel]: the pass spins, spending {!Guard.spend} fuel until
-      the budget cuts it off (a "runaway simplifier");
+    - [Burn_fuel]: the pass spins, spending fuel through
+      {!Telemetry.notify} until the budget cuts it off (a "runaway
+      simplifier");
     - [Grow]: the pass returns a well-typed but size-exploded tree
       (caught by the size ceiling).
 

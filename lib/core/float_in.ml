@@ -19,11 +19,7 @@
 
 open Syntax
 
-let changed = ref false
-
-let moved () =
-  changed := true;
-  Telemetry.tick Telemetry.Float_in_moved
+let moved () = Telemetry.tick Telemetry.Float_in_moved
 
 (* Number of sink targets in [body] that mention [x]: used to require a
    unique home. *)
@@ -134,8 +130,5 @@ let rec float_in (e : expr) : expr =
       Join (jb', float_in body)
   | Jump (j, phis, es, ty) -> Jump (j, phis, List.map float_in es, ty)
 
-(** Entry point: returns the floated term and whether anything moved. *)
-let run (e : expr) : expr * bool =
-  changed := false;
-  let e' = float_in e in
-  (Fault.point "float-in/result" e', !changed)
+(** Entry point: the floated term. *)
+let run (e : expr) : expr = Fault.point "float-in/result" (float_in e)

@@ -3,5 +3,4 @@
     pushes under a lambda, into join/letrec right-hand sides, or into
     the head of a call (un-saturation, Sec. 7). *)
 
-(** Returns the floated term and whether anything moved. *)
-val run : Syntax.expr -> Syntax.expr * bool
+val run : Syntax.expr -> Syntax.expr

@@ -13,10 +13,7 @@
 
 open Syntax
 
-let changed = ref false
-
 let moved floats =
-  changed := true;
   Telemetry.tick ~n:(List.length floats) Telemetry.Float_out_moved;
   List.iter
     (fun ((x : var), _) ->
@@ -116,8 +113,5 @@ let rec float_out (e : expr) : expr =
       Join (jb', float_out body)
   | Jump (j, phis, es, ty) -> Jump (j, phis, List.map float_out es, ty)
 
-(** Entry point: returns the floated term and whether anything moved. *)
-let run (e : expr) : expr * bool =
-  changed := false;
-  let e' = float_out e in
-  (Fault.point "float-out/result" e', !changed)
+(** Entry point: the floated term. *)
+let run (e : expr) : expr = Fault.point "float-out/result" (float_out e)

@@ -1,5 +1,4 @@
 (** The Float Out pass (light full laziness): move closed let bindings
     out of lambdas. Join bindings are never moved (Sec. 7). *)
 
-(** Returns the floated term and whether anything moved. *)
-val run : Syntax.expr -> Syntax.expr * bool
+val run : Syntax.expr -> Syntax.expr

@@ -105,28 +105,19 @@ let incident_of_json (j : Telemetry.Json.t) : incident option =
    escapes to callers. *)
 exception Cutoff of int
 
-(* The innermost installed budget: remaining fuel and the original
-   budget (for the incident report). Dynamically scoped by [protect];
-   [spend] is a no-op outside any budget. *)
-let budget : (int ref * int) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let spend n =
-  match Domain.DLS.get budget with
-  | None -> ()
-  | Some (remaining, total) ->
-      remaining := !remaining - n;
-      if !remaining < 0 then raise (Cutoff total)
-
+(* Fuel is metered off the tick stream: the observer [with_budget]
+   installs owns the remaining fuel, so a budget lives exactly as long
+   as the pass it meters. Unlimited fuel installs nothing. *)
 let with_budget b f =
   match b with
-  | None -> Telemetry.with_observer spend f
+  | None -> f ()
   | Some total ->
-      let saved = Domain.DLS.get budget in
-      Domain.DLS.set budget (Some (ref total, total));
-      Fun.protect
-        ~finally:(fun () -> Domain.DLS.set budget saved)
-        (fun () -> Telemetry.with_observer spend f)
+      let remaining = ref total in
+      Telemetry.with_observer
+        (fun n ->
+          remaining := !remaining - n;
+          if !remaining < 0 then raise (Cutoff total))
+        f
 
 (* ------------------------------------------------------------------ *)
 (* The harness                                                         *)
@@ -140,9 +131,8 @@ let truncate_detail s =
   if String.length s <= cap then s
   else String.sub s 0 cap ^ Fmt.str " ... [%d more bytes]" (String.length s - cap)
 
-let protect ~limits ~datacons ~pass ~restored f (e : Syntax.expr) :
-    (Syntax.expr * float, incident) result =
-  let size_before = Syntax.size e in
+let protect ~limits ~datacons ~pass ~restored ~size_before f (e : Syntax.expr)
+    : (Syntax.expr * Syntax.measure * float, incident) result =
   (* A rollback is a structural decision, not timed work, but marking
      it as a (near-zero) span puts the guard's verdict on the same
      Perfetto track as the phases it judged; the cause counters feed
@@ -162,7 +152,8 @@ let protect ~limits ~datacons ~pass ~restored f (e : Syntax.expr) :
   | exception Stack_overflow -> fail (Exn "stack overflow")
   | exception exn -> fail (Exn (Printexc.to_string exn))
   | e' -> (
-      let size_after = Syntax.size e' in
+      let m = Syntax.measure e' in
+      let size_after = m.Syntax.m_size in
       let limit =
         (limits.max_growth_factor * size_before) + limits.max_growth_slack
       in
@@ -177,7 +168,7 @@ let protect ~limits ~datacons ~pass ~restored f (e : Syntax.expr) :
         in
         Metrics.observe "guard.lint_ms" lint_ms;
         match result with
-        | Ok (Ok _) -> Ok (e', lint_ms)
+        | Ok (Ok _) -> Ok (e', m, lint_ms)
         | Ok (Error err) ->
             fail (Lint_failed (truncate_detail (Fmt.str "%a" Lint.pp_error err)))
         | Error exn ->

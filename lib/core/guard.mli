@@ -70,24 +70,21 @@ val incident_json : incident -> Telemetry.Json.t
     trace consumers); [None] when the shape is wrong. *)
 val incident_of_json : Telemetry.Json.t -> incident option
 
-(** [spend n] burns [n] units of the innermost installed pass-fuel
-    budget, raising the internal cutoff exception when it runs out; a
-    no-op when no budget is installed (so passes and fault points may
-    call it unconditionally). *)
-val spend : int -> unit
-
-(** [protect ~limits ~datacons ~pass ~restored f e] runs [f e] under
-    the [Recover] policy: exceptions captured, tick fuel metered,
-    result linted and size-checked. On success returns
-    [Ok (e', lint_ms)]; on any failure returns [Error incident] with
-    the incident's [i_restored] set to [restored] — the caller keeps
-    [e]. Never raises (save for truly asynchronous exceptions like
-    [Stack_overflow] escaping the heuristics, or [Out_of_memory]). *)
+(** [protect ~limits ~datacons ~pass ~restored ~size_before f e] runs
+    [f e] under the [Recover] policy: exceptions captured, tick fuel
+    metered, result linted and size-checked against the ceiling over
+    [size_before] (the {!Syntax.size} of [e]). On success returns
+    [Ok (e', Syntax.measure e', lint_ms)]; on any failure returns
+    [Error incident] with the incident's [i_restored] set to
+    [restored] — the caller keeps [e]. Never raises (save for truly
+    asynchronous exceptions like [Stack_overflow] escaping the
+    heuristics, or [Out_of_memory]). *)
 val protect :
   limits:limits ->
   datacons:Datacon.env ->
   pass:string ->
   restored:string ->
+  size_before:int ->
   (Syntax.expr -> Syntax.expr) ->
   Syntax.expr ->
-  (Syntax.expr * float, incident) result
+  (Syntax.expr * Syntax.measure * float, incident) result

@@ -37,8 +37,8 @@ module Tbl : Hashtbl.S with type key = t
 (** An explicit unique supply, installable per compilation. *)
 type supply
 
-(** A fresh supply whose next key is [from + 1] (default: 1). *)
-val new_supply : ?from:int -> unit -> supply
+(** A fresh supply whose next key is 1. *)
+val new_supply : unit -> supply
 
 (** [with_supply s f] makes [s] the current domain's supply for the
     dynamic extent of [f] (nesting saves and restores). Two runs of

@@ -75,54 +75,47 @@ let non_tail (m : t) : t = Ident.Map.map (fun i -> { i with all_tail = false }) 
     contified. *)
 let work_dup (m : t) : t = Ident.Map.map (fun i -> { i with under_lam = true }) m
 
-(* When enabled (see [with_binder_info]), records the usage of each
-   binder at the moment its scope is closed. *)
-let recorder : info Ident.Map.t ref option ref = ref None
+(** Usage of [x] within [e] ([e] regarded as being in tail position). *)
+let lookup (m : t) (x : var) =
+  Option.value ~default:no_info (Ident.Map.find_opt x.v_name m)
 
-let record (x : var) (m : t) =
-  match !recorder with
-  | None -> ()
-  | Some acc ->
-      let i =
-        Option.value ~default:no_info (Ident.Map.find_opt x.v_name m)
-      in
-      acc := Ident.Map.add x.v_name i !acc
-
-let remove_binders xs (m : t) =
-  List.fold_left
-    (fun m (x : var) ->
-      record x m;
-      Ident.Map.remove x.v_name m)
-    m xs
+(* The binder accumulator [acc], when given (see [with_binder_info]),
+   receives the usage of each binder at the moment its scope closes. *)
+let rec remove_binders (acc : info Ident.Map.t ref option) xs (m : t) =
+  match xs with
+  | [] -> m
+  | (x : var) :: xs ->
+      (match acc with
+      | None -> ()
+      | Some acc -> acc := Ident.Map.add x.v_name (lookup m x) !acc);
+      remove_binders acc xs (Ident.Map.remove x.v_name m)
 
 let remove_tyvars _tvs (m : t) = m
 
-(** [analyze ~tail e] returns usage info for the free variables of [e].
-    [tail] says whether [e] itself sits in tail position. *)
-let rec analyze ~tail (e : expr) : t =
+let rec go acc ~tail (e : expr) : t =
   match e with
-  | Var _ | App _ | TyApp _ -> analyze_spine ~tail e
+  | Var _ | App _ | TyApp _ -> go_spine acc ~tail e
   | Lit _ -> Ident.Map.empty
   | Con (_, _, es) | Prim (_, es) ->
-      non_tail (unions (List.map (analyze ~tail:false) es))
-  | Lam (x, b) -> under_lambda (remove_binders [ x ] (analyze ~tail:false b))
-  | TyLam (a, b) -> under_lambda (remove_tyvars [ a ] (analyze ~tail:false b))
+      non_tail (unions (List.map (go acc ~tail:false) es))
+  | Lam (x, b) -> under_lambda (remove_binders acc [ x ] (go acc ~tail:false b))
+  | TyLam (a, b) -> under_lambda (remove_tyvars [ a ] (go acc ~tail:false b))
   | Let ((NonRec (x, rhs) | Strict (x, rhs)), body) ->
       union
-        (non_tail (analyze ~tail:false rhs))
-        (remove_binders [ x ] (analyze ~tail body))
+        (non_tail (go acc ~tail:false rhs))
+        (remove_binders acc [ x ] (go acc ~tail body))
   | Let (Rec pairs, body) ->
       let xs = List.map fst pairs in
       let rhss =
-        unions (List.map (fun (_, rhs) -> analyze ~tail:false rhs) pairs)
+        unions (List.map (fun (_, rhs) -> go acc ~tail:false rhs) pairs)
       in
-      remove_binders xs (union (non_tail rhss) (analyze ~tail body))
+      remove_binders acc xs (union (non_tail rhss) (go acc ~tail body))
   | Case (scrut, alts) ->
-      let s = non_tail (analyze ~tail:false scrut) in
+      let s = non_tail (go acc ~tail:false scrut) in
       let bs =
         List.map
           (fun { alt_pat; alt_rhs } ->
-            remove_binders (pat_binders alt_pat) (analyze ~tail alt_rhs))
+            remove_binders acc (pat_binders alt_pat) (go acc ~tail alt_rhs))
           alts
       in
       union s (unions bs)
@@ -134,20 +127,20 @@ let rec analyze ~tail (e : expr) : t =
       let rhss =
         List.map
           (fun d ->
-            let m = analyze ~tail d.j_rhs in
-            let m = remove_binders d.j_params m in
+            let m = go acc ~tail d.j_rhs in
+            let m = remove_binders acc d.j_params m in
             match jb with
             | JNonRec _ -> m
             | JRec _ ->
                 (* A recursive rhs executes once per jump: inlining an
                    outer binding into it duplicates work. *)
-                work_dup (remove_binders jvs m))
+                work_dup (remove_binders acc jvs m))
           ds
       in
       let body_use =
         match jb with
-        | JNonRec d -> remove_binders [ d.j_var ] (analyze ~tail body)
-        | JRec _ -> remove_binders jvs (analyze ~tail body)
+        | JNonRec d -> remove_binders acc [ d.j_var ] (go acc ~tail body)
+        | JRec _ -> remove_binders acc jvs (go acc ~tail body)
       in
       union (unions rhss) body_use
   | Jump (j, phis, es, _) ->
@@ -160,13 +153,13 @@ let rec analyze ~tail (e : expr) : t =
             shape = Some { n_ty = List.length phis; n_val = List.length es };
           }
       in
-      union self (non_tail (unions (List.map (analyze ~tail:false) es)))
+      union self (non_tail (unions (List.map (go acc ~tail:false) es)))
 
 (* An application spine [f @t1 .. @tm a1 .. an]: the head variable is a
    call with the spine's shape; tail-ness is inherited. Mixed spines
    (type args after value args, or non-variable heads) are analyzed
    structurally. *)
-and analyze_spine ~tail e : t =
+and go_spine acc ~tail e : t =
   let head, args = collect_args e in
   match head with
   | Var v ->
@@ -195,24 +188,20 @@ and analyze_spine ~tail e : t =
             shape = (if canonical then Some { n_ty; n_val } else None);
           }
       in
-      let arg_uses =
-        List.filter_map
-          (function `Val a -> Some (analyze ~tail:false a) | `Ty _ -> None)
-          args
-      in
-      union self (non_tail (unions arg_uses))
+      union self (non_tail (unions (go_args acc args)))
   | _ ->
-      let head_use = non_tail (analyze ~tail:false head) in
-      let arg_uses =
-        List.filter_map
-          (function `Val a -> Some (analyze ~tail:false a) | `Ty _ -> None)
-          args
-      in
-      union head_use (non_tail (unions arg_uses))
+      let head_use = non_tail (go acc ~tail:false head) in
+      union head_use (non_tail (unions (go_args acc args)))
 
-(** Usage of [x] within [e] ([e] regarded as being in tail position). *)
-let lookup (m : t) (x : var) =
-  Option.value ~default:no_info (Ident.Map.find_opt x.v_name m)
+(* The uses of a spine's value arguments, in order. *)
+and go_args acc = function
+  | [] -> []
+  | `Val a :: args -> go acc ~tail:false a :: go_args acc args
+  | `Ty _ :: args -> go_args acc args
+
+(** [analyze ~tail e] returns usage info for the free variables of [e].
+    [tail] says whether [e] itself sits in tail position. *)
+let analyze ~tail e = go None ~tail e
 
 (** Convenience: analysis of a complete (tail-position) expression. *)
 let of_expr e = analyze ~tail:true e
@@ -232,9 +221,5 @@ let occurs_once_safely m (x : var) =
     consumes this to make dead-code and inline-once decisions. *)
 let with_binder_info e : t * info Ident.Map.t =
   let acc = ref Ident.Map.empty in
-  recorder := Some acc;
-  Fun.protect
-    ~finally:(fun () -> recorder := None)
-    (fun () ->
-      let free = analyze ~tail:true e in
-      (free, !acc))
+  let free = go (Some acc) ~tail:true e in
+  (free, !acc)

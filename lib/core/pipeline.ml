@@ -139,12 +139,12 @@ type report = {
   metrics : Metrics.t;  (** Counters/gauges/histograms of the run. *)
 }
 
-let fresh_report (c : config) e =
+let fresh_report (c : config) ~input_size =
   {
     mode = mode_name c.mode;
     policy = Guard.policy_name c.policy;
-    input_size = size e;
-    output_size = size e;
+    input_size;
+    output_size = input_size;
     total_ms = 0.0;
     total_gc = Gcstats.zero;
     passes_rev = [];
@@ -359,7 +359,18 @@ let simplify_config (c : config) : Simplify.config =
 (** Run the configured pipeline. Returns the optimised term and the
     structured trace of the passes run. *)
 let run_report (c : config) (e : expr) : expr * report =
-  let report = fresh_report c e in
+  (* The one walk over each pass boundary's tree: a pass's output
+     measure is the next pass's "before", keyed by physical identity. *)
+  let measured = ref (e, measure e) in
+  let measure_of e =
+    match !measured with
+    | e0, m when e0 == e -> m
+    | _ ->
+        let m = measure e in
+        measured := (e, m);
+        m
+  in
+  let report = fresh_report c ~input_size:(measure_of e).m_size in
   let t_run0 = Telemetry.now_ms () in
   (* The label of the last pass whose output survived: under [Recover]
      it is the provenance a rollback restores to. *)
@@ -370,7 +381,7 @@ let run_report (c : config) (e : expr) : expr * report =
      inside {!Guard.protect}: on failure the pre-pass tree is kept and
      the incident lands in the pass record. *)
   let step pass f e =
-    let size_before = size e in
+    let size_before = (measure_of e).m_size in
     let snap = Telemetry.snapshot report.counters in
     let dsnap = Decision.snapshot report.ledger in
     (* Pass cache: consult before running. A hit replays the pass
@@ -387,6 +398,7 @@ let run_report (c : config) (e : expr) : expr * report =
     in
     match hit with
     | Some cp ->
+        let after = measure_of cp.cp_output in
         let (), duration_ms, gc =
           Span.with_span_stats ~cat:"pass" pass (fun () ->
               List.iter
@@ -399,8 +411,7 @@ let run_report (c : config) (e : expr) : expr * report =
               Ident.restore_counter cp.cp_ident_after;
               Span.annotate "cached" (Telemetry.Json.Bool true);
               Span.annotate "size_before" (Telemetry.Json.Int size_before);
-              Span.annotate "size_after"
-                (Telemetry.Json.Int (size cp.cp_output)))
+              Span.annotate "size_after" (Telemetry.Json.Int after.m_size))
         in
         last_good := pass;
         Metrics.incr "pipeline.passes";
@@ -411,9 +422,9 @@ let run_report (c : config) (e : expr) : expr * report =
             duration_ms;
             lint_ms = 0.0;
             size_before;
-            size_after = size cp.cp_output;
-            joins_after = count_joins cp.cp_output;
-            shape_after = measure cp.cp_output;
+            size_after = after.m_size;
+            joins_after = after.m_joins;
+            shape_after = after;
             gc;
             ticks = Telemetry.delta_since snap report.counters;
             decisions = Decision.events_since dsnap report.ledger;
@@ -427,7 +438,7 @@ let run_report (c : config) (e : expr) : expr * report =
        record's [duration_ms] — the exported Perfetto event and the
        trace-JSON field come from the same two clock reads, so they
        can never drift apart. *)
-    let (e', lint_ms, incident), duration_ms, gc =
+    let (e', after, lint_ms, incident), duration_ms, gc =
       Span.with_span_stats ~cat:"pass" pass (fun () ->
           let result =
             match c.policy with
@@ -442,18 +453,18 @@ let run_report (c : config) (e : expr) : expr * report =
                            | Ok _ -> ()
                            | Error err -> raise (Pass_broke_lint (pass, err))))
                 in
-                (e', lint_ms, None)
+                (e', measure_of e', lint_ms, None)
             | Guard.Recover -> (
                 match
                   Guard.protect ~limits:c.limits ~datacons:c.datacons ~pass
-                    ~restored:!last_good f e
+                    ~restored:!last_good ~size_before f e
                 with
-                | Ok (e', lint_ms) -> (e', lint_ms, None)
-                | Error incident -> (e, 0.0, Some incident))
+                | Ok (e', after, lint_ms) -> (e', after, lint_ms, None)
+                | Error incident -> (e, measure_of e, 0.0, Some incident))
           in
-          let e', _, incident = result in
+          let _, after, _, incident = result in
           Span.annotate "size_before" (Telemetry.Json.Int size_before);
-          Span.annotate "size_after" (Telemetry.Json.Int (size e'));
+          Span.annotate "size_after" (Telemetry.Json.Int after.m_size);
           (match incident with
           | None -> ()
           | Some i ->
@@ -461,6 +472,7 @@ let run_report (c : config) (e : expr) : expr * report =
                 (Telemetry.Json.Str (Guard.cause_name i.Guard.i_cause)));
           result)
     in
+    measured := (e', after);
     if incident = None then last_good := pass;
     (* The histogram family strips the round index: every "simplify
        (i)" lands in one "pass.simplify.ms" distribution. *)
@@ -494,11 +506,9 @@ let run_report (c : config) (e : expr) : expr * report =
         duration_ms;
         lint_ms;
         size_before;
-        size_after = size e';
-        joins_after = count_joins e';
-        (* Measured outside the span on purpose: the measurement's own
-           allocation must not pollute the pass's GC delta. *)
-        shape_after = measure e';
+        size_after = after.m_size;
+        joins_after = after.m_joins;
+        shape_after = after;
         gc;
         ticks = ticks_delta;
         decisions = decisions_delta;
@@ -514,7 +524,7 @@ let run_report (c : config) (e : expr) : expr * report =
     let rec rounds i e =
       if i >= c.iterations then e
       else
-        let e = step (Fmt.str "float-in (%d)" i) (fun e -> fst (Float_in.run e)) e in
+        let e = step (Fmt.str "float-in (%d)" i) Float_in.run e in
         let e =
           if c.mode = Join_points then
             step (Fmt.str "contify (%d)" i) Contify.contify e
@@ -571,7 +581,7 @@ let run_report (c : config) (e : expr) : expr * report =
         rounds (i + 1) e
     in
     let e = rounds 0 e in
-    let e = step "float-out" (fun e -> fst (Float_out.run e)) e in
+    let e = step "float-out" Float_out.run e in
     let e = step "simplify (final)" (Simplify.simplify ~max_iters:4 scfg) e in
     e
   in
@@ -586,13 +596,13 @@ let run_report (c : config) (e : expr) : expr * report =
             Telemetry.with_counters report.counters (fun () ->
                 Decision.with_ledger report.ledger body)
           in
-          Span.annotate "output_size" (Telemetry.Json.Int (size e));
+          Span.annotate "output_size" (Telemetry.Json.Int (measure_of e).m_size);
           Span.annotate "total_ticks"
             (Telemetry.Json.Int (Telemetry.total report.counters));
           e)
     in
     report.total_gc <- total_gc;
-    report.output_size <- size e;
+    report.output_size <- (measure_of e).m_size;
     report.total_ms <- Telemetry.now_ms () -. t_run0;
     Metrics.incr "pipeline.runs";
     Metrics.set_gauge "pipeline.output_size" (float_of_int report.output_size);

@@ -175,115 +175,117 @@ let rec size e =
   | Jump (_, _, es, _) ->
       1 + List.fold_left (fun n e -> n + size e) 0 es
 
-(** Number of join-point definitions in the term (each member of a
-    recursive group counts once) — a telemetry measure. *)
-let rec count_joins e =
-  match e with
-  | Var _ | Lit _ -> 0
-  | Con (_, _, es) | Prim (_, es) | Jump (_, _, es, _) ->
-      List.fold_left (fun n e -> n + count_joins e) 0 es
-  | App (f, a) -> count_joins f + count_joins a
-  | TyApp (f, _) -> count_joins f
-  | Lam (_, b) | TyLam (_, b) -> count_joins b
-  | Let (b, body) ->
-      count_joins body
-      + List.fold_left (fun n (_, e) -> n + count_joins e) 0 (bind_pairs b)
-  | Case (scrut, alts) ->
-      count_joins scrut
-      + List.fold_left (fun n a -> n + count_joins a.alt_rhs) 0 alts
-  | Join (jb, body) ->
-      let ds = join_defns jb in
-      List.length ds + count_joins body
-      + List.fold_left (fun n d -> n + count_joins d.j_rhs) 0 ds
-
 (* ------------------------------------------------------------------ *)
-(* Tree-shape measure                                                  *)
+(* Pass-boundary measure                                               *)
 (* ------------------------------------------------------------------ *)
 
-type measure = { m_nodes : int; m_depth : int; m_heap_words : int }
+type measure = {
+  m_size : int;
+  m_joins : int;
+  m_nodes : int;
+  m_depth : int;
+  m_heap_words : int;
+}
 
-(** One traversal computing node count, maximum nesting depth, and an
-    estimate of the OCaml heap words the tree occupies. The word model
-    is the runtime's: a block with [k] fields costs [k + 1] words
-    (header included), a list of [n] elements adds [n] 3-word cons
-    cells, a binder ({!var} record) is a 3-word block. Types hanging
-    off the tree are counted as the single pointer word their field
-    occupies (they are heavily shared); the estimate is consistent
-    across passes, which is what pass-boundary deltas need. *)
+(** One traversal computing {!size}, the number of join-point
+    definitions (each member of a recursive group counts once), node
+    count, maximum nesting depth, and an estimate of the OCaml heap
+    words the tree occupies. The word model is the runtime's: a block
+    with [k] fields costs [k + 1] words (header included), a list of
+    [n] elements adds [n] 3-word cons cells, a binder ({!var} record)
+    is a 3-word block. Types hanging off the tree are counted as the
+    single pointer word their field occupies (they are heavily shared);
+    the estimate is consistent across passes, which is what
+    pass-boundary deltas need. The walk allocates only its counters and
+    result, so it can run inside a pass's GC span. *)
 let measure e =
+  let size = ref 0 and joins = ref 0 and nodes = ref 0 and depth = ref 0 in
+  let words = ref 0 in
   let block k = 1 + k in
   let conses n = 3 * n in
   let var_w = block 2 in
-  let max_d = List.fold_left (fun acc (_, d, _) -> max acc d) 0 in
-  let sum_n = List.fold_left (fun acc (n, _, _) -> acc + n) 0 in
-  let sum_w = List.fold_left (fun acc (_, _, w) -> acc + w) 0 in
-  let rec go e =
-    match e with
-    | Var _ -> (1, 1, block 1 + var_w)
-    | Lit _ -> (1, 1, block 1 + block 1)
-    | Con (_, tys, es) ->
-        let ms = List.map go es in
-        ( 1 + sum_n ms,
-          1 + max_d ms,
-          block 3 + conses (List.length tys + List.length es) + sum_w ms )
-    | Prim (_, es) ->
-        let ms = List.map go es in
-        (1 + sum_n ms, 1 + max_d ms, block 2 + conses (List.length es) + sum_w ms)
-    | App (f, a) ->
-        let ms = [ go f; go a ] in
-        (1 + sum_n ms, 1 + max_d ms, block 2 + sum_w ms)
-    | TyApp (f, _) ->
-        let n, d, w = go f in
-        (1 + n, 1 + d, block 2 + w)
-    | Lam (_, b) ->
-        let n, d, w = go b in
-        (1 + n, 1 + d, block 2 + var_w + w)
-    | TyLam (_, b) ->
-        let n, d, w = go b in
-        (1 + n, 1 + d, block 2 + w)
-    | Let (b, body) ->
-        let pairs = bind_pairs b in
-        let ms = go body :: List.map (fun (_, rhs) -> go rhs) pairs in
-        ( 1 + sum_n ms,
-          1 + max_d ms,
-          block 2
-          + (List.length pairs * (var_w + conses 1 + block 2))
-          + sum_w ms )
-    | Case (scrut, alts) ->
-        let pat_w = function
-          | PCon (_, xs) -> block 2 + List.length xs * (var_w + conses 1)
-          | PLit _ -> block 1 + block 1
-          | PDefault -> 0
-        in
-        let ms = go scrut :: List.map (fun a -> go a.alt_rhs) alts in
-        let alts_w =
-          List.fold_left
-            (fun acc a -> acc + conses 1 + block 2 + pat_w a.alt_pat)
-            0 alts
-        in
-        (1 + sum_n ms, 1 + max_d ms, block 2 + alts_w + sum_w ms)
-    | Join (jb, body) ->
-        let ds = join_defns jb in
-        let ms = go body :: List.map (fun d -> go d.j_rhs) ds in
-        let defn_w =
-          List.fold_left
-            (fun acc d ->
-              acc + block 4 + var_w
-              + conses (List.length d.j_tyvars)
-              + (List.length d.j_params * (var_w + conses 1)))
-            0 ds
-        in
-        (1 + sum_n ms, 1 + max_d ms, block 2 + defn_w + sum_w ms)
-    | Jump (_, tys, es, _) ->
-        let ms = List.map go es in
-        ( 1 + sum_n ms,
-          1 + max_d ms,
-          block 4 + var_w
-          + conses (List.length tys + List.length es)
-          + sum_w ms )
+  (* One constructor at depth [d], contributing [s] to {!size} and [w]
+     heap words of its own. *)
+  let node d s w =
+    incr nodes;
+    size := !size + s;
+    words := !words + w;
+    if d > !depth then depth := d
   in
-  let m_nodes, m_depth, m_heap_words = go e in
-  { m_nodes; m_depth; m_heap_words }
+  let pat_w = function
+    | PCon (_, xs) -> block 2 + (List.length xs * (var_w + conses 1))
+    | PLit _ -> block 1 + block 1
+    | PDefault -> 0
+  in
+  let rec go d e =
+    match e with
+    | Var _ -> node d 1 (block 1 + var_w)
+    | Lit _ -> node d 1 (block 1 + block 1)
+    | Con (_, tys, es) ->
+        node d 1 (block 3 + conses (List.length tys + List.length es));
+        go_list (d + 1) es
+    | Prim (_, es) ->
+        node d 1 (block 2 + conses (List.length es));
+        go_list (d + 1) es
+    | App (f, a) ->
+        node d 0 (block 2);
+        go (d + 1) f;
+        go (d + 1) a
+    | TyApp (f, _) ->
+        node d 0 (block 2);
+        go (d + 1) f
+    | Lam (_, b) ->
+        node d 1 (block 2 + var_w);
+        go (d + 1) b
+    | TyLam (_, b) ->
+        node d 0 (block 2);
+        go (d + 1) b
+    | Let ((NonRec (_, rhs) | Strict (_, rhs)), body) ->
+        node d 1 (block 2 + var_w + conses 1 + block 2);
+        go (d + 1) rhs;
+        go (d + 1) body
+    | Let (Rec pairs, body) ->
+        node d 1 (block 2 + (List.length pairs * (var_w + conses 1 + block 2)));
+        List.iter (fun (_, rhs) -> go (d + 1) rhs) pairs;
+        go (d + 1) body
+    | Case (scrut, alts) ->
+        node d 1 (block 2);
+        go (d + 1) scrut;
+        go_alts (d + 1) alts
+    | Join (jb, body) ->
+        node d 1 (block 2);
+        (match jb with
+        | JNonRec j -> go_defn (d + 1) j
+        | JRec ds -> List.iter (go_defn (d + 1)) ds);
+        go (d + 1) body
+    | Jump (_, tys, es, _) ->
+        node d 1
+          (block 4 + var_w + conses (List.length tys + List.length es));
+        go_list (d + 1) es
+  and go_list d = function
+    | [] -> ()
+    | e :: es ->
+        go d e;
+        go_list d es
+  (* An alternative is not a node, but counts 1 toward {!size}. *)
+  and go_alts d = function
+    | [] -> ()
+    | a :: alts ->
+        incr size;
+        words := !words + conses 1 + block 2 + pat_w a.alt_pat;
+        go d a.alt_rhs;
+        go_alts d alts
+  and go_defn d j =
+    incr joins;
+    words :=
+      !words + block 4 + var_w
+      + conses (List.length j.j_tyvars)
+      + (List.length j.j_params * (var_w + conses 1));
+    go d j.j_rhs
+  in
+  go 1 e;
+  { m_size = !size; m_joins = !joins; m_nodes = !nodes; m_depth = !depth;
+    m_heap_words = !words }
 
 (* ------------------------------------------------------------------ *)
 (* Free variables                                                      *)

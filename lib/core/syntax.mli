@@ -100,14 +100,16 @@ val is_trivial : expr -> bool
 (** Syntax-node count (inlining heuristics). *)
 val size : expr -> int
 
-(** Number of join-point definitions in the term (telemetry). *)
-val count_joins : expr -> int
-
-(** Tree-shape statistics at a pass boundary: how big the term is, how
-    deep it nests, and roughly what it costs to {e hold} in the OCaml
-    heap — the denominator behind "which pass allocates" (a pass whose
-    GC delta dwarfs the tree it returned is churning, not building). *)
+(** Statistics of the term at a pass boundary: how big it is, how
+    many join points it binds, how deep it nests, and roughly what it
+    costs to {e hold} in the OCaml heap — the denominator behind "which
+    pass allocates" (a pass whose GC delta dwarfs the tree it returned
+    is churning, not building). *)
 type measure = {
+  m_size : int;  (** {!size}. *)
+  m_joins : int;
+      (** Join-point definitions (each member of a recursive group
+          counts once). *)
   m_nodes : int;
       (** Every AST constructor, including the type-level ones that
           {!size} ignores (TyApp/TyLam) — the true node count. *)
@@ -120,7 +122,8 @@ type measure = {
           a pass are meaningful. *)
 }
 
-(** One traversal computing all three components. *)
+(** One traversal computing every component; it allocates only its
+    result and a constant-size accumulator. *)
 val measure : expr -> measure
 
 (** Free term variables, including free labels. *)

@@ -140,8 +140,10 @@ let with_observer h f =
   Domain.DLS.set observer (Some chained);
   Fun.protect ~finally:(fun () -> Domain.DLS.set observer saved) f
 
+let notify n = match Domain.DLS.get observer with None -> () | Some h -> h n
+
 let tick ?(n = 1) t =
-  (match Domain.DLS.get observer with None -> () | Some h -> h n);
+  notify n;
   match Domain.DLS.get current with
   | None -> ()
   | Some c ->

@@ -83,6 +83,10 @@ val tick : ?n:int -> tick -> unit
     point); unwinding restores the enclosing chain. *)
 val with_observer : (int -> unit) -> (unit -> 'a) -> 'a
 
+(** [notify n] runs the installed observers as a tick of weight [n]
+    would, without counting any tick; a no-op when none is installed. *)
+val notify : int -> unit
+
 val get : counters -> tick -> int
 
 (** Sum over all ticks. *)

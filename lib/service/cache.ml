@@ -151,22 +151,18 @@ let quarantine t path =
 
 (* Serializing the input tree is the dominant cost of a cache probe,
    and every probe is followed by a store of the *same* tree on a
-   miss — memoize the last serialization per domain (physical
-   equality, so a rewritten tree never reuses a stale string). *)
-let last_input_sexp : (Syntax.expr * string) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let input_sexp_of input =
-  let slot = Domain.DLS.get last_input_sexp in
-  match !slot with
+   miss — memoize the last serialization (physical equality, so a
+   rewritten tree never reuses a stale string). The memo belongs to
+   one [pass_cache] hook, i.e. to one compile attempt. *)
+let input_sexp_of last input =
+  match !last with
   | Some (e, s) when e == input -> s
   | _ ->
       let s = Sexp.write input in
-      slot := Some (input, s);
+      last := Some (input, s);
       s
 
-let lookup t ~fingerprint ~datacons ~pass ~supply ~input =
-  let input_sexp = input_sexp_of input in
+let lookup t ~fingerprint ~datacons ~pass ~supply ~input_sexp =
   let k = key ~fingerprint ~pass ~supply ~input_sexp in
   let path = entry_path t k in
   let miss () = Mutex.protect t.lock (fun () -> t.misses <- t.misses + 1) in
@@ -198,8 +194,7 @@ let lookup t ~fingerprint ~datacons ~pass ~supply ~input =
           Mutex.protect t.lock (fun () -> t.hits <- t.hits + 1);
           Some cp)
 
-let store t ~fingerprint ~pass ~supply ~input cp =
-  let input_sexp = input_sexp_of input in
+let store t ~fingerprint ~pass ~supply ~input_sexp cp =
   let k = key ~fingerprint ~pass ~supply ~input_sexp in
   let path = entry_path t k in
   if not (Sys.file_exists path) then begin
@@ -224,11 +219,16 @@ let store t ~fingerprint ~pass ~supply ~input cp =
   end
 
 let pass_cache t ~fingerprint ~datacons =
+  let last = ref None in
   {
     Pipeline.cache_lookup =
-      (fun ~pass ~supply ~input -> lookup t ~fingerprint ~datacons ~pass ~supply ~input);
+      (fun ~pass ~supply ~input ->
+        lookup t ~fingerprint ~datacons ~pass ~supply
+          ~input_sexp:(input_sexp_of last input));
     cache_store =
-      (fun ~pass ~supply ~input cp -> store t ~fingerprint ~pass ~supply ~input cp);
+      (fun ~pass ~supply ~input cp ->
+        store t ~fingerprint ~pass ~supply
+          ~input_sexp:(input_sexp_of last input) cp);
   }
 
 (* --- stats -------------------------------------------------------- *)

@@ -36,7 +36,9 @@ val create : dir:string -> unit -> t
 
 (** The {!Fj_core.Pipeline.pass_cache} hook for one compilation, keyed under
     [fingerprint] (the caller's encoding of every behaviour-affecting
-    flag) and decoding trees under [datacons]. *)
+    flag) and decoding trees under [datacons]. The hook memoizes the
+    serialization of the last input it saw, so build one per
+    compilation and use it on one domain. *)
 val pass_cache : t -> fingerprint:string -> datacons:Fj_core.Datacon.env -> Fj_core.Pipeline.pass_cache
 
 type stats = {

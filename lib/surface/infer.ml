@@ -27,14 +27,11 @@ let err pos fmt = Fmt.kstr (fun m -> raise (Type_error (m, pos))) fmt
 (* Internal types                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* A unification variable is known by the identity of its cell. *)
 type ity = IVar of tv ref | IArrow of ity * ity | ICon of string * ity list
-and tv = Unbound of int | Link of ity
+and tv = Unbound | Link of ity
 
-let tv_counter = ref 0
-
-let fresh_tv () =
-  incr tv_counter;
-  IVar (ref (Unbound !tv_counter))
+let fresh_tv () = IVar (ref Unbound)
 
 let i_int = ICon ("Int", [])
 let i_char = ICon ("Char", [])
@@ -44,20 +41,29 @@ let i_list t = ICon ("List", [ t ])
 let i_pair a b = ICon ("Pair", [ a; b ])
 
 let rec repr = function
-  | IVar r as t -> ( match !r with Link t' -> repr t' | Unbound _ -> t)
+  | IVar r as t -> ( match !r with Link t' -> repr t' | Unbound -> t)
   | t -> t
 
-let rec pp_ity ppf t =
+(* Unbound variables print as t1, t2, ... in order of first appearance
+   among the types [names] has printed, so one message numbers its
+   variables consistently and independently of earlier inference. *)
+let rec pp_ity names ppf t =
   match repr t with
-  | IVar r -> (
-      match !r with
-      | Unbound n -> Fmt.pf ppf "t%d" n
-      | Link _ -> assert false)
-  | IArrow (a, b) -> Fmt.pf ppf "(%a -> %a)" pp_ity a pp_ity b
+  | IVar r ->
+      let n =
+        match List.assq_opt r !names with
+        | Some n -> n
+        | None ->
+            let n = List.length !names + 1 in
+            names := (r, n) :: !names;
+            n
+      in
+      Fmt.pf ppf "t%d" n
+  | IArrow (a, b) -> Fmt.pf ppf "(%a -> %a)" (pp_ity names) a (pp_ity names) b
   | ICon (c, []) -> Fmt.string ppf c
   | ICon (c, args) ->
       Fmt.pf ppf "(%s%a)" c
-        Fmt.(list ~sep:nop (fun ppf t -> Fmt.pf ppf " %a" pp_ity t))
+        Fmt.(list ~sep:nop (fun ppf t -> Fmt.pf ppf " %a" (pp_ity names) t))
         args
 
 let rec occurs_tv (r : tv ref) t =
@@ -66,14 +72,19 @@ let rec occurs_tv (r : tv ref) t =
   | IArrow (a, b) -> occurs_tv r a || occurs_tv r b
   | ICon (_, args) -> List.exists (occurs_tv r) args
 
+(* A type error quoting [t1] and [t2], which share one variable naming. *)
+let type_error pos fmt t1 t2 =
+  let pp = pp_ity (ref []) in
+  err pos fmt pp t1 pp t2
+
 let rec unify pos t1 t2 =
   let t1 = repr t1 and t2 = repr t2 in
   match (t1, t2) with
   | IVar r1, IVar r2 when r1 == r2 -> ()
   | IVar r, t | t, IVar r ->
       if occurs_tv r t then
-        err pos "occurs check: cannot construct the infinite type %a ~ %a"
-          pp_ity t1 pp_ity t2;
+        type_error pos
+          "occurs check: cannot construct the infinite type %a ~ %a" t1 t2;
       r := Link t
   | IArrow (a1, b1), IArrow (a2, b2) ->
       unify pos a1 a2;
@@ -81,7 +92,7 @@ let rec unify pos t1 t2 =
   | ICon (c1, args1), ICon (c2, args2)
     when String.equal c1 c2 && List.length args1 = List.length args2 ->
       List.iter2 (unify pos) args1 args2
-  | _ -> err pos "type mismatch: %a does not unify with %a" pp_ity t1 pp_ity t2
+  | _ -> type_error pos "type mismatch: %a does not unify with %a" t1 t2
 
 (* ------------------------------------------------------------------ *)
 (* Schemes and environments                                            *)

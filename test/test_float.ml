@@ -9,14 +9,14 @@ module B = Builder
 
 let float_in e =
   let _ = lints e in
-  let e', _ = Float_in.run e in
+  let e' = Float_in.run e in
   let _ = lints e' in
   same_result e e';
   e'
 
 let float_out e =
   let _ = lints e in
-  let e', _ = Float_out.run e in
+  let e' = Float_out.run e in
   let _ = lints e' in
   same_result e e';
   e'

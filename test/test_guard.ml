@@ -213,9 +213,9 @@ let protect_passes_healthy () =
   let _, core = compile "def main = 1 + 2" in
   match
     Guard.protect ~limits:Guard.default_limits ~datacons:Datacon.builtins
-      ~pass:"id" ~restored:"input" Fun.id core
+      ~pass:"id" ~restored:"input" ~size_before:(Syntax.size core) Fun.id core
   with
-  | Ok (e, _) -> Alcotest.(check bool) "identity" true (e == core)
+  | Ok (e, _, _) -> Alcotest.(check bool) "identity" true (e == core)
   | Error i -> Alcotest.failf "unexpected incident: %a" Guard.pp_incident i
 
 let protect_meters_fuel () =
@@ -223,7 +223,7 @@ let protect_meters_fuel () =
   let limits = { Guard.default_limits with Guard.pass_fuel = Some 10 } in
   match
     Guard.protect ~limits ~datacons:Datacon.builtins ~pass:"spin"
-      ~restored:"input"
+      ~restored:"input" ~size_before:(Syntax.size core)
       (fun e ->
         for _ = 1 to 100 do
           Telemetry.tick Telemetry.Beta
@@ -237,9 +237,9 @@ let protect_meters_fuel () =
         (Guard.cause_name i.Guard.i_cause)
 
 let spend_is_safe_outside_budget () =
-  (* Passes call Guard.spend via the telemetry observer
-     unconditionally; outside [protect] it must be a no-op. *)
-  Guard.spend 1_000_000;
+  (* The burn-fuel fault spends fuel through the observer stream
+     unconditionally; outside [protect] that must be a no-op. *)
+  Telemetry.notify 1_000_000;
   Telemetry.tick Telemetry.Beta
 
 let tests =

@@ -102,10 +102,10 @@ let simplify_baseline_preserves =
 let contify_preserves = pass_preserves "contify" Contify.contify
 
 let float_in_preserves =
-  pass_preserves "float-in" (fun e -> fst (Float_in.run e))
+  pass_preserves "float-in" Float_in.run
 
 let float_out_preserves =
-  pass_preserves "float-out" (fun e -> fst (Float_out.run e))
+  pass_preserves "float-out" Float_out.run
 
 let cleanup_preserves =
   pass_preserves "cleanup (jinline/jdrop)" (fun e -> fst (Cleanup.cleanup e))

@@ -93,6 +93,21 @@ let corpus ?(with_bad = false) () =
   if with_bad then sources @ [ add "d_bad.fj" "def main = 1 + true\n" ]
   else sources
 
+(* The bench corpus on disk, with the stream library prepended where a
+   program uses it (as bench/main.ml writes it): 27 programs with
+   enough pass work that any compile state shared between worker
+   domains shows up in the artifacts. *)
+let bench_corpus () =
+  let dir = fresh_dir "bench" in
+  List.map
+    (fun (pr : Bench_programs.program) ->
+      let p = Filename.concat dir (pr.name ^ ".fj") in
+      write_file p
+        ((if pr.uses_streams then Fj_fusion.Streams.source ^ "\n" else "")
+        ^ pr.source);
+      (Service.sanitize_id p, p))
+    Bench_programs.all
+
 (* The deterministic signature of an outcome: everything the .meta.json
    carries, nothing wall-clock. Two runs agree iff these agree. *)
 let sig_of (o : Service.outcome) =
@@ -385,11 +400,15 @@ let retry_same_rung_absorbs_transient () =
 (* --- batch determinism (the acceptance criterion) ------------------ *)
 
 let batch_deterministic_across_jobs () =
-  let sources = corpus ~with_bad:true () in
+  let sources = corpus ~with_bad:true () @ bench_corpus () in
   let b1 = Service.run_batch (config ~jobs:1 ()) sources in
-  let b8 = Service.run_batch (config ~jobs:8 ()) sources in
-  Alcotest.(check string)
-    "jobs 1 and jobs 8 agree byte-for-byte" (batch_sig b1) (batch_sig b8)
+  List.iter
+    (fun jobs ->
+      let b = Service.run_batch (config ~jobs ()) sources in
+      Alcotest.(check string)
+        (Printf.sprintf "jobs 1 and jobs %d agree byte-for-byte" jobs)
+        (batch_sig b1) (batch_sig b))
+    [ 2; 8 ]
 
 let batch_deterministic_cold_vs_warm () =
   let sources = corpus () in

@@ -141,6 +141,19 @@ let no_main () =
       Alcotest.(check bool) "mentions main" true (contains m "main")
   | _ -> Alcotest.fail "expected an error about main"
 
+(* Type variables are named per message, so the text of a type error
+   does not depend on what the process inferred before. *)
+let type_error_text_is_stable () =
+  let message () =
+    match compile "def main = (\\x -> x x) 1" with
+    | exception Fj_surface.Infer.Type_error (m, _) -> m
+    | _ -> Alcotest.fail "expected a type error"
+  in
+  let first = message () in
+  ignore (compile "def main = let f x = x in f 1 + f 2");
+  Alcotest.(check string) "same text" first (message ());
+  Alcotest.(check bool) "numbered from t1" true (contains first "t1")
+
 (* ---------------- parse errors ---------------- *)
 
 let missing_brace () = parse_errors "def main = case 1 of { 1 -> 2"
@@ -205,6 +218,7 @@ let tests =
     test "constructor partial application" constructor_partial_application;
     test "char equality" char_equality;
     test "occurs check" occurs_check;
+    test "type-error text is stable" type_error_text_is_stable;
     test "branch type mismatch" branch_type_mismatch;
     test "unbound variable" unbound_variable;
     test "unknown constructor" unknown_constructor;
