@@ -44,7 +44,7 @@ let () =
   show "after Float In (float axiom, right to left)" e1;
 
   (* Stage 2: contify — f becomes a join point, the call a jump. *)
-  let e2 = Contify.contify e1 in
+  let e2, _ = Contify.contify e1 in
   show "after contification (Fig. 5)" e2;
 
   (* Stage 3: the simplifier's jfloat pushes E into the join's rhs, and

@@ -78,14 +78,14 @@ let cleanup (e : expr) : expr * bool =
     | Join (JNonRec d, body) ->
         let body = go body in
         let d = { d with j_rhs = go d.j_rhs } in
-        let usage = Occur.lookup (Occur.of_expr body) d.j_var in
-        if usage.count = 0 then begin
+        let uses = occurrences ~upto:2 d.j_var.v_name body in
+        if uses = 0 then begin
           (* jdrop *)
           changed := true;
           Telemetry.tick Telemetry.Jdrop;
           body
         end
-        else if usage.count = 1 then begin
+        else if uses = 1 then begin
           match Axioms.substitute_jumps ~defn:d body with
           | Some body' ->
               (* jinline + jdrop *)

@@ -6,7 +6,8 @@
     changing the meaning of the program: when such a call runs, the
     evaluation context to discard is empty.
 
-    Implementation: run {!Occur} on the scope of each binding; if every
+    Implementation: build {!Occur}'s usage of each scope bottom-up,
+    alongside the contified scope itself; if every
     occurrence is a tail call of shape [(n_ty, n_val)], the right-hand
     side decomposes as [/\a_1..a_nty. \x_1..x_nval. body], and [body]
     has the same type as the binding's scope (the proviso of Fig. 5),
@@ -164,37 +165,75 @@ let body_ty_matches body scope_ty =
   | ty -> Types.equal ty scope_ty
   | exception _ -> false
 
-(** One bottom-up pass turning every eligible [let] into a [join].
-    Idempotent; cheap enough to run "whenever the occurrence analyzer
-    runs" (Sec. 7). *)
-let rec contify (e : expr) : expr =
+(* Contify [e], returning the new tree and its usage: {!Occur.of_expr}
+   of the new tree, built bottom-up from the children's usages with
+   {!Occur}'s per-node rules. A binding reads its binder's usage off its
+   contified scope; only a freshly contified join's stripped right-hand
+   side is analysed afresh. The decision ledger's order depends on the
+   order children are visited in: body before right-hand side for
+   [join] and strict [let], alternatives before scrutinee for [case],
+   and right to left along an application spine. *)
+let rec go (e : expr) : expr * Occur.t =
   match e with
-  | Var _ | Lit _ -> e
-  | Con (dc, phis, es) -> Con (dc, phis, List.map contify es)
-  | Prim (op, es) -> Prim (op, List.map contify es)
-  | App (f, a) -> App (contify f, contify a)
-  | TyApp (f, t) -> TyApp (contify f, t)
-  | Lam (x, b) -> Lam (x, contify b)
-  | TyLam (a, b) -> TyLam (a, contify b)
+  | Var _ | App _ | TyApp _ -> spine e
+  | Lit _ -> (e, Ident.Map.empty)
+  | Con (dc, phis, es) ->
+      let es, ms = go_list es in
+      (Con (dc, phis, es), Occur.of_args ms)
+  | Prim (op, es) ->
+      let es, ms = go_list es in
+      (Prim (op, es), Occur.of_args ms)
+  | Lam (x, b) ->
+      let b, m = go b in
+      (Lam (x, b), Occur.of_lam [ x ] m)
+  | TyLam (a, b) ->
+      let b, m = go b in
+      (TyLam (a, b), Occur.of_lam [] m)
   | Case (scrut, alts) ->
-      Case
-        ( contify scrut,
-          List.map (fun a -> { a with alt_rhs = contify a.alt_rhs }) alts )
-  | Join (JNonRec d, body) ->
-      Join (JNonRec { d with j_rhs = contify d.j_rhs }, contify body)
-  | Join (JRec ds, body) ->
-      Join
-        ( JRec (List.map (fun d -> { d with j_rhs = contify d.j_rhs }) ds),
-          contify body )
-  | Jump (j, phis, es, ty) -> Jump (j, phis, List.map contify es, ty)
+      let alts =
+        List.map
+          (fun a ->
+            let rhs, m = go a.alt_rhs in
+            ({ a with alt_rhs = rhs }, Occur.of_alt a.alt_pat m))
+          alts
+      in
+      let scrut, s = go scrut in
+      ( Case (scrut, List.map fst alts),
+        Occur.of_case ~scrut:s ~alts:(List.map snd alts) )
+  | Join (jb, body) ->
+      let body, mb = go body in
+      let ds =
+        List.map
+          (fun d ->
+            let rhs, m = go d.j_rhs in
+            ({ d with j_rhs = rhs }, m))
+          (join_defns jb)
+      in
+      let jb =
+        match jb with
+        | JNonRec _ -> JNonRec (fst (List.hd ds))
+        | JRec _ -> JRec (List.map fst ds)
+      in
+      ( Join (jb, body),
+        Occur.of_join jb
+          ~rhss:(List.map (fun (d, m) -> Occur.of_join_rhs jb d m) ds)
+          ~body:mb )
+  | Jump (j, phis, es, ty) ->
+      let es, ms = go_list es in
+      (Jump (j, phis, es, ty), Occur.of_jump j phis ms)
   | Let (Strict (x, rhs), body) ->
-      Let (Strict (x, contify rhs), contify body)
+      let body, mb = go body in
+      let rhs, mr = go rhs in
+      ( Let (Strict (x, rhs), body),
+        Occur.of_let ~rhs:mr ~body:(Occur.close [ x ] mb) )
   | Let (NonRec (x, rhs), body) -> (
-      let rhs = contify rhs in
-      let body = contify body in
-      let usage = Occur.of_expr body in
-      let info = Occur.lookup usage x in
-      let keep () = Let (NonRec (x, rhs), body) in
+      let rhs, mr = go rhs in
+      let body, mb = go body in
+      let info = Occur.lookup mb x in
+      let keep () =
+        ( Let (NonRec (x, rhs), body),
+          Occur.of_let ~rhs:mr ~body:(Occur.close [ x ] mb) )
+      in
       let reject reason =
         record_verdict x (Decision.Rejected reason);
         keep ()
@@ -221,15 +260,31 @@ let rec contify (e : expr) : expr =
                 Telemetry.tick Telemetry.Contified;
                 record_verdict x Decision.Fired;
                 let targets = Ident.Map.singleton x.v_name (jvar, shape) in
-                Join (JNonRec defn, rewrite_calls targets body)
+                let jb = JNonRec defn in
+                (* A call turned jump keeps its usage, so [mb] still
+                   describes the rewritten body. *)
+                let rhs_usage = Occur.of_expr defn.j_rhs in
+                ( Join (jb, rewrite_calls targets body),
+                  Occur.of_join jb
+                    ~rhss:[ Occur.of_join_rhs jb defn rhs_usage ]
+                    ~body:mb )
               end
               else reject Decision.Scope_type_mismatch))
   | Let (Rec pairs, body) -> (
-      let pairs = List.map (fun (x, rhs) -> (x, contify rhs)) pairs in
-      let body = contify body in
-      let fallback () = Let (Rec pairs, body) in
-      (* Usage across the scope and every right-hand side. *)
-      let body_usage = Occur.of_expr body in
+      let pairs, rhs_uses =
+        List.split
+          (List.map
+             (fun (x, rhs) ->
+               let rhs, m = go rhs in
+               ((x, rhs), m))
+             pairs)
+      in
+      let body, body_usage = go body in
+      let fallback () =
+        ( Let (Rec pairs, body),
+          Occur.of_letrec (List.map fst pairs) ~rhss:rhs_uses
+            ~body:body_usage )
+      in
       let scope_ty =
         match Syntax.ty_of body with ty -> Some ty | exception _ -> None
       in
@@ -246,9 +301,7 @@ let rec contify (e : expr) : expr =
              rhss; each rhs must strip to that shape; recursive calls
              must be tail calls of the stripped bodies. *)
           let shapes =
-            List.map
-              (fun (x, _) -> (x, Occur.lookup body_usage x))
-              pairs
+            List.map (fun (x, _) -> (x, Occur.lookup body_usage x)) pairs
           in
           (* First guess shapes from the body usage; occurrences may
              also be only in rhss, so merge rhs usages (computed on
@@ -256,15 +309,12 @@ let rec contify (e : expr) : expr =
              usable shape to be visible from the merged usage of body
              and raw rhss-in-tail-position-after-stripping. We iterate:
              strip with the body shape. *)
-          let try_with_shapes
-              (chosen : (var * Occur.call_shape) list) =
+          let try_with_shapes (chosen : (var * Occur.call_shape) list) =
             let defns =
               List.map
                 (fun ((x : var), shape) ->
                   match
-                    List.find_opt
-                      (fun ((y : var), _) -> var_equal x y)
-                      pairs
+                    List.find_opt (fun ((y : var), _) -> var_equal x y) pairs
                   with
                   | None -> None
                   | Some (_, rhs) ->
@@ -311,9 +361,7 @@ let rec contify (e : expr) : expr =
                 let bad_shapes =
                   List.filter
                     (fun ((x : var), shape, _, _) ->
-                      match
-                        shape_of_usage (Occur.lookup total_usage x)
-                      with
+                      match shape_of_usage (Occur.lookup total_usage x) with
                       | Some s -> s <> shape
                       | None -> true)
                     defns
@@ -324,8 +372,7 @@ let rec contify (e : expr) : expr =
                       let i = Occur.lookup total_usage x in
                       record_verdict x
                         (Decision.Rejected
-                           (Option.value
-                              ~default:Decision.Shape_mismatch
+                           (Option.value ~default:Decision.Shape_mismatch
                               (usage_rejection i))))
                     bad_shapes;
                   None
@@ -343,7 +390,14 @@ let rec contify (e : expr) : expr =
                         { d with j_rhs = rewrite_calls targets d.j_rhs })
                       defns
                   in
-                  Some (Join (JRec ds, rewrite_calls targets body))
+                  (* As for a single binding, rewriting calls into jumps
+                     leaves every usage as it was. *)
+                  let jb = JRec ds in
+                  Some
+                    ( Join (jb, rewrite_calls targets body),
+                      Occur.of_join jb
+                        ~rhss:(List.map2 (Occur.of_join_rhs jb) ds rhs_usages)
+                        ~body:body_usage )
           in
           let chosen =
             List.filter_map
@@ -356,9 +410,7 @@ let rec contify (e : expr) : expr =
                     if i.count > 0 then None
                     else
                       match
-                        List.find_opt
-                          (fun ((y : var), _) -> var_equal x y)
-                          pairs
+                        List.find_opt (fun ((y : var), _) -> var_equal x y) pairs
                       with
                       | None -> None
                       | Some (_, rhs) ->
@@ -383,10 +435,7 @@ let rec contify (e : expr) : expr =
             List.iter
               (fun ((x : var), i) ->
                 if
-                  not
-                    (List.exists
-                       (fun ((y : var), _) -> var_equal x y)
-                       chosen)
+                  not (List.exists (fun ((y : var), _) -> var_equal x y) chosen)
                 then
                   match usage_rejection i with
                   | Some r -> record_verdict x (Decision.Rejected r)
@@ -398,16 +447,50 @@ let rec contify (e : expr) : expr =
           end
           else
             match try_with_shapes chosen with
-            | Some e' ->
+            | Some result ->
                 Telemetry.tick Telemetry.Contified_group;
                 Telemetry.tick ~n:(List.length pairs) Telemetry.Contified;
                 List.iter (fun (x, _) -> record_verdict x Decision.Fired) pairs;
-                e'
+                result
             | None -> fallback ()))
 
-(* Injection point for the {!Guard} recovery tests (identity unless
-   armed). *)
-let contify e = Fault.point "contify/result" (contify e)
+(* An application spine. Value arguments are contified right to left,
+   then the head. *)
+and spine e =
+  let head, args = collect_args e in
+  let rec go_args = function
+    | [] -> ([], [])
+    | arg :: rest -> (
+        let rest, ms = go_args rest in
+        match arg with
+        | `Ty _ -> (arg :: rest, ms)
+        | `Val a ->
+            let a, m = go a in
+            (`Val a :: rest, m :: ms))
+  in
+  let args, ms = go_args args in
+  let rebuild head =
+    List.fold_left
+      (fun f -> function `Ty t -> TyApp (f, t) | `Val a -> App (f, a))
+      head args
+  in
+  match head with
+  | Var v -> (rebuild head, Occur.of_call ~tail:true v args ms)
+  | _ ->
+      let head, m = go head in
+      (rebuild head, Occur.of_apply ~head:m ms)
+
+and go_list es = List.split (List.map go es)
+
+(** One bottom-up pass turning every eligible [let] into a [join],
+    returning the new tree and its usage ({!Occur.of_expr} of it).
+    Idempotent; cheap enough to run "whenever the occurrence analyzer
+    runs" (Sec. 7). The usage describes the tree before the
+    ["contify/result"] fault point (identity unless armed, for the
+    {!Guard} recovery tests). *)
+let contify (e : expr) : expr * Occur.t =
+  let e, usage = go e in
+  (Fault.point "contify/result" e, usage)
 
 (** [contify] under a private collector; returns the term and this
     invocation's contified-binding count. The ticks are re-emitted into
@@ -415,7 +498,7 @@ let contify e = Fault.point "contify/result" (contify e)
     still observes them. *)
 let contify_counted (e : expr) : expr * int =
   let c = Telemetry.create () in
-  let e' = Telemetry.with_counters c (fun () -> contify e) in
+  let e', _ = Telemetry.with_counters c (fun () -> contify e) in
   let n = Telemetry.get c Telemetry.Contified in
   let groups = Telemetry.get c Telemetry.Contified_group in
   if n > 0 then Telemetry.tick ~n Telemetry.Contified;

@@ -11,8 +11,11 @@
     every occurrence must be a saturated tail call of consistent shape,
     the right-hand side must supply matching binders, and the stripped
     body must have the scope's type (the Fig. 5 proviso). Idempotent,
-    typing- and meaning-preserving. *)
-val contify : Syntax.expr -> Syntax.expr
+    typing- and meaning-preserving. Also returns the new tree's usage,
+    {!Occur.of_expr} of it, built alongside the tree: each binding
+    reads its binder's usage off its scope's rather than re-analysing
+    the scope. *)
+val contify : Syntax.expr -> Syntax.expr * Occur.t
 
 (** [contify] plus this invocation's count of contified bindings — a
     convenience for callers that are not running under a pipeline

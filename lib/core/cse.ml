@@ -16,8 +16,9 @@
       — but may diverge, so we only share when a {e syntactically
       equal} computation is already bound in scope: replacing work with
       a variable reference can only reduce work);
-    - candidate keys are alpha-insensitive prints of the expression
-      with free variables resolved to their unique names;
+    - candidates are keyed by {!Syntax.compare_expr}: two are the
+      same exactly when they print the same, binders and free
+      variables by their unique names;
     - [let]- and [case]-introduced bindings extend the environment;
       lambda/join boundaries keep it (sharing across a lambda is safe:
       the binding is forced at most once under call-by-need).
@@ -32,34 +33,31 @@ open Syntax
    ([Cse_shared] ticks); see [run_counted] for a self-contained
    wrapper. *)
 
-(* A scope-safe key: the printed form mentions binder uniques, so two
-   prints are equal only if the expressions are syntactically equal up
-   to (nothing — uniques are global). *)
-let key_of (e : expr) : string option =
-  (* Only consider interesting, non-trivial candidates. *)
-  match e with
-  | App _ | Prim _ | Con (_, _, _ :: _) -> Some (Pretty.to_string e)
-  | _ -> None
+(* Only interesting, non-trivial candidates are shared. *)
+let is_candidate = function
+  | App _ | Prim _ | Con (_, _, _ :: _) -> true
+  | _ -> false
 
 (* Candidates must not capture: every free variable of the candidate
    must be bound at the point where the earlier binding lives. Because
    we only record bindings on the current spine (the environment is
    threaded downward and never across), any hit is in scope. *)
 
-type env = { seen : var Stringmap.t }
+module Seen = Map.Make (struct
+  type t = expr
 
-let empty = { seen = Stringmap.empty }
+  let compare = Syntax.compare_expr
+end)
 
-let remember env (x : var) (rhs : expr) =
-  match key_of rhs with
-  | Some k when not (Stringmap.mem k env.seen) ->
-      { seen = Stringmap.add k x env.seen }
-  | _ -> env
+type env = var Seen.t
 
-let lookup env e =
-  match key_of e with
-  | Some k -> Stringmap.find_opt k env.seen
-  | None -> None
+let empty : env = Seen.empty
+
+let remember (env : env) (x : var) (rhs : expr) =
+  if is_candidate rhs && not (Seen.mem rhs env) then Seen.add rhs x env
+  else env
+
+let lookup (env : env) e = if is_candidate e then Seen.find_opt e env else None
 
 let rec cse_expr (env : env) (e : expr) : expr =
   match lookup env e with

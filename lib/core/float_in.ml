@@ -22,13 +22,14 @@ open Syntax
 let moved () = Telemetry.tick Telemetry.Float_in_moved
 
 (* Number of sink targets in [body] that mention [x]: used to require a
-   unique home. *)
+   unique home. [occurs] is called directly, not through a local
+   closure: [sink] recurses once per enclosing [let], and a closure per
+   level made a chain of lets allocate quadratically. *)
 let rec sink (x : var) rhs body : expr option =
-  let free_in e = occurs x.v_name e in
   match body with
   | Case (scrut, alts) ->
-      let in_scrut = free_in scrut in
-      let live_alts = List.filter (fun a -> free_in a.alt_rhs) alts in
+      let in_scrut = occurs x.v_name scrut in
+      let live_alts = List.filter (fun a -> occurs x.v_name a.alt_rhs) alts in
       if in_scrut && live_alts = [] then (
         moved ();
         Some (Case (push x rhs scrut, alts)))
@@ -39,24 +40,30 @@ let rec sink (x : var) rhs body : expr option =
              ( scrut,
                List.map
                  (fun a ->
-                   if free_in a.alt_rhs then
+                   if occurs x.v_name a.alt_rhs then
                      { a with alt_rhs = push x rhs a.alt_rhs }
                    else a)
                  alts )))
       else None
   | Let (Strict _, _) -> None
-  | Let (NonRec (y, yrhs), body') ->
-      if free_in yrhs then None
-      else if free_in body' then
-        Option.map (fun b -> Let (NonRec (y, yrhs), b)) (sink x rhs body')
-      else None
+  | Let (NonRec (y, yrhs), body') -> (
+      (* No need to ask whether [x] occurs in [body']: if it does not,
+         the sink below finds no home for it either. *)
+      if occurs x.v_name yrhs then None
+      else
+        match sink x rhs body' with
+        | Some b -> Some (Let (NonRec (y, yrhs), b))
+        | None -> None)
   | Join (jb, body') ->
       (* Never disturb join right-hand sides; sink into the body only. *)
       let rhss_free =
         List.exists (fun d -> occurs x.v_name d.j_rhs) (join_defns jb)
       in
       if rhss_free then None
-      else Option.map (fun b -> Join (jb, b)) (sink x rhs body')
+      else (
+        match sink x rhs body' with
+        | Some b -> Some (Join (jb, b))
+        | None -> None)
   | App (f, a) ->
       (* Never separate a bound variable from its arguments: pushing
          [let x = ...] into the head of a call [x a1 .. an] would
@@ -68,15 +75,15 @@ let rec sink (x : var) rhs body : expr option =
         | _ -> false
       in
       if head_is_x then None
-      else if free_in f && not (free_in a) then (
+      else if occurs x.v_name f && not (occurs x.v_name a) then (
         moved ();
         Some (App (push x rhs f, a)))
-      else if free_in a && not (free_in f) then (
+      else if occurs x.v_name a && not (occurs x.v_name f) then (
         moved ();
         Some (App (f, push x rhs a)))
       else None
   | TyApp (f, t) ->
-      if free_in f then (
+      if occurs x.v_name f then (
         moved ();
         Some (TyApp (push x rhs f, t)))
       else None

@@ -527,7 +527,9 @@ let run_report (c : config) (e : expr) : expr * report =
         let e = step (Fmt.str "float-in (%d)" i) Float_in.run e in
         let e =
           if c.mode = Join_points then
-            step (Fmt.str "contify (%d)" i) Contify.contify e
+            step (Fmt.str "contify (%d)" i)
+              (fun e -> fst (Contify.contify e))
+              e
           else e
         in
         let e =

@@ -11,9 +11,9 @@
     A rule is a pair of templates over {e pattern variables} (term
     holes) and {e pattern type variables} (type holes). Matching is
     purely structural on application spines; a hole matches any
-    subterm, consistently across repeated holes (alpha-respecting
-    first-order matching — the same design point as GHC's rule
-    matcher). *)
+    subterm, consistently across repeated holes (first-order matching,
+    the same design point as GHC's rule matcher; repeated holes must
+    match the same expression, see {!match_rule}). *)
 
 open Syntax
 
@@ -38,11 +38,11 @@ type binding = {
 let empty_binding = { terms = Ident.Map.empty; types = Ident.Map.empty }
 
 (* First-order matching of [pat] against [e]. Pattern variables match
-   any term; repeated pattern variables require alpha-equal matches.
-   Binders inside patterns are matched up to alpha (we keep patterns
-   binder-free in practice; binder matching requires exact structure
-   after consistent renaming, which we approximate by alpha equality of
-   the whole subterm for non-spine forms). *)
+   any term; a repeated pattern variable requires its matches to be the
+   same expression under {!Syntax.compare_expr} — they would print the
+   same, binders included, so this is stricter than alpha-equality.
+   Patterns are binder-free in practice; any non-spine form in a
+   pattern simply fails to match. *)
 let match_rule (r : rule) (e : expr) : binding option =
   let is_term_hole v =
     List.exists (fun (h : var) -> Ident.equal h.v_name v.v_name) r.term_holes
@@ -52,8 +52,8 @@ let match_rule (r : rule) (e : expr) : binding option =
   let bind_term b (v : var) e =
     match Ident.Map.find_opt v.v_name b.terms with
     | Some e' ->
-        (* Repeated hole: require syntactic alpha-equality. *)
-        if Pretty.to_string e = Pretty.to_string e' then b else raise No_match
+        (* Repeated hole: the same expression, binders and all. *)
+        if Syntax.compare_expr e e' = 0 then b else raise No_match
     | None -> { b with terms = Ident.Map.add v.v_name e b.terms }
   in
   let bind_ty b a t =

@@ -411,8 +411,216 @@ let free_ty_vars e =
   in
   go Ident.Set.empty Ident.Set.empty e
 
-(** Does variable [x] occur free in [e]? *)
-let occurs x e = Ident.Set.mem x (free_vars e)
+(* [n] plus the free occurrences of [x] in [e] (as a variable or a jump
+   label), the walk stopping once the count reaches [upto]. Scoping is
+   exactly that of {!free_vars}. Top-level functions with no closures,
+   so a query allocates nothing. *)
+let rec count_free x upto n e =
+  if n >= upto then n
+  else
+    match e with
+    | Var v -> if Ident.equal v.v_name x then n + 1 else n
+    | Lit _ -> n
+    | Jump (j, _, es, _) ->
+        count_list x upto (if Ident.equal j.v_name x then n + 1 else n) es
+    | Con (_, _, es) | Prim (_, es) -> count_list x upto n es
+    | App (f, a) -> count_free x upto (count_free x upto n f) a
+    | TyApp (f, _) | TyLam (_, f) -> count_free x upto n f
+    | Lam (y, b) -> if Ident.equal y.v_name x then n else count_free x upto n b
+    | Let ((NonRec (y, rhs) | Strict (y, rhs)), body) ->
+        let n = count_free x upto n rhs in
+        if Ident.equal y.v_name x then n else count_free x upto n body
+    | Let (Rec pairs, body) ->
+        if binds_pair x pairs then n
+        else count_free x upto (count_pairs x upto n pairs) body
+    | Case (scrut, alts) -> count_alts x upto (count_free x upto n scrut) alts
+    | Join (JNonRec d, body) ->
+        let n = count_defn x upto n d in
+        if Ident.equal d.j_var.v_name x then n else count_free x upto n body
+    | Join (JRec ds, body) ->
+        if binds_label x ds then n
+        else count_free x upto (count_defns x upto n ds) body
+
+and count_list x upto n = function
+  | [] -> n
+  | e :: es -> count_list x upto (count_free x upto n e) es
+
+and count_pairs x upto n = function
+  | [] -> n
+  | (_, rhs) :: pairs -> count_pairs x upto (count_free x upto n rhs) pairs
+
+and count_alts x upto n = function
+  | [] -> n
+  | a :: alts ->
+      let n =
+        if binds x (pat_binders a.alt_pat) then n
+        else count_free x upto n a.alt_rhs
+      in
+      count_alts x upto n alts
+
+and count_defn x upto n d =
+  if binds x d.j_params then n else count_free x upto n d.j_rhs
+
+and count_defns x upto n = function
+  | [] -> n
+  | d :: ds -> count_defns x upto (count_defn x upto n d) ds
+
+and binds x = function
+  | [] -> false
+  | (y : var) :: ys -> Ident.equal y.v_name x || binds x ys
+
+and binds_pair x = function
+  | [] -> false
+  | ((y : var), _) :: pairs -> Ident.equal y.v_name x || binds_pair x pairs
+
+and binds_label x = function
+  | [] -> false
+  | d :: ds -> Ident.equal d.j_var.v_name x || binds_label x ds
+
+(** Does variable [x] occur free in [e]? The answer of
+    [Ident.Set.mem x (free_vars e)], but the walk stops at the first
+    free occurrence and allocates nothing. *)
+let occurs x e = count_free x 1 0 e > 0
+
+(** [occurrences ~upto x e]: how many times [x] occurs free in [e]
+    (the [count] of {!Occur}), counted no further than [upto]. *)
+let occurrences ~upto x e = count_free x upto 0 e
+
+(* ------------------------------------------------------------------ *)
+(* Syntactic order                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let rec compare_list cmp xs ys =
+  match (xs, ys) with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | x :: xs, y :: ys ->
+      let c = cmp x y in
+      if c <> 0 then c else compare_list cmp xs ys
+
+(* A binder whose type the printer shows: [(x : ty)]. *)
+let compare_binder (x : var) (y : var) =
+  let c = Ident.compare x.v_name y.v_name in
+  if c <> 0 then c else Types.compare x.v_ty y.v_ty
+
+(* An occurrence, or a binder printed without its type. *)
+let compare_occ (x : var) (y : var) = Ident.compare x.v_name y.v_name
+
+let expr_tag = function
+  | Var _ -> 0
+  | Lit _ -> 1
+  | Con _ -> 2
+  | Prim _ -> 3
+  | App _ -> 4
+  | TyApp _ -> 5
+  | Lam _ -> 6
+  | TyLam _ -> 7
+  | Let _ -> 8
+  | Case _ -> 9
+  | Join _ -> 10
+  | Jump _ -> 11
+
+(** A total order on expressions whose equality is exactly that of
+    their {!Pretty} printouts: variables and type variables compare by
+    {!Ident} key, types, literals, constructors (by name) and primops
+    structurally; what the printer leaves out — the types of
+    occurrences, of case-pattern binders and of join labels — is left
+    out here too. CSE keys on it, and a rule's repeated hole uses it
+    for "the same expression". *)
+let rec compare_expr a b =
+  if a == b then 0
+  else
+    match (a, b) with
+    | Var x, Var y -> compare_occ x y
+    | Lit l, Lit l' -> Literal.compare l l'
+    | Con (dc, tys, es), Con (dc', tys', es') ->
+        let c = String.compare dc.Datacon.name dc'.Datacon.name in
+        if c <> 0 then c
+        else
+          let c = compare_list Types.compare tys tys' in
+          if c <> 0 then c else compare_list compare_expr es es'
+    | Prim (op, es), Prim (op', es') ->
+        let c = Stdlib.compare (op : Primop.t) op' in
+        if c <> 0 then c else compare_list compare_expr es es'
+    | App (f, x), App (f', x') ->
+        let c = compare_expr f f' in
+        if c <> 0 then c else compare_expr x x'
+    | TyApp (f, t), TyApp (f', t') ->
+        let c = compare_expr f f' in
+        if c <> 0 then c else Types.compare t t'
+    | Lam (x, e), Lam (x', e') ->
+        let c = compare_binder x x' in
+        if c <> 0 then c else compare_expr e e'
+    | TyLam (a, e), TyLam (a', e') ->
+        let c = Ident.compare a a' in
+        if c <> 0 then c else compare_expr e e'
+    | Let (bind, e), Let (bind', e') ->
+        let c = compare_bind bind bind' in
+        if c <> 0 then c else compare_expr e e'
+    | Case (s, alts), Case (s', alts') ->
+        let c = compare_expr s s' in
+        if c <> 0 then c else compare_list compare_alt alts alts'
+    | Join (jb, e), Join (jb', e') ->
+        let c = compare_jbind jb jb' in
+        if c <> 0 then c else compare_expr e e'
+    | Jump (j, tys, es, ty), Jump (j', tys', es', ty') ->
+        let c = compare_occ j j' in
+        if c <> 0 then c
+        else
+          let c = compare_list Types.compare tys tys' in
+          if c <> 0 then c
+          else
+            let c = compare_list compare_expr es es' in
+            if c <> 0 then c else Types.compare ty ty'
+    | _ -> Int.compare (expr_tag a) (expr_tag b)
+
+and compare_pair (x, e) (x', e') =
+  let c = compare_binder x x' in
+  if c <> 0 then c else compare_expr e e'
+
+and compare_bind b b' =
+  match (b, b') with
+  | NonRec (x, e), NonRec (x', e') | Strict (x, e), Strict (x', e') ->
+      let c = compare_binder x x' in
+      if c <> 0 then c else compare_expr e e'
+  | Rec pairs, Rec pairs' -> compare_list compare_pair pairs pairs'
+  | NonRec _, _ -> -1
+  | _, NonRec _ -> 1
+  | Strict _, _ -> -1
+  | _, Strict _ -> 1
+
+and compare_alt a a' =
+  let c =
+    match (a.alt_pat, a'.alt_pat) with
+    | PCon (dc, xs), PCon (dc', xs') ->
+        let c = String.compare dc.Datacon.name dc'.Datacon.name in
+        if c <> 0 then c else compare_list compare_occ xs xs'
+    | PLit l, PLit l' -> Literal.compare l l'
+    | PDefault, PDefault -> 0
+    | PCon _, _ -> -1
+    | _, PCon _ -> 1
+    | PLit _, _ -> -1
+    | _, PLit _ -> 1
+  in
+  if c <> 0 then c else compare_expr a.alt_rhs a'.alt_rhs
+
+and compare_jbind jb jb' =
+  match (jb, jb') with
+  | JNonRec d, JNonRec d' -> compare_defn d d'
+  | JRec ds, JRec ds' -> compare_list compare_defn ds ds'
+  | JNonRec _, JRec _ -> -1
+  | JRec _, JNonRec _ -> 1
+
+and compare_defn d d' =
+  let c = compare_occ d.j_var d'.j_var in
+  if c <> 0 then c
+  else
+    let c = compare_list Ident.compare d.j_tyvars d'.j_tyvars in
+    if c <> 0 then c
+    else
+      let c = compare_list compare_binder d.j_params d'.j_params in
+      if c <> 0 then c else compare_expr d.j_rhs d'.j_rhs
 
 (* ------------------------------------------------------------------ *)
 (* The type of a well-typed expression                                 *)

@@ -132,7 +132,21 @@ val free_vars : expr -> Ident.Set.t
 (** Free type variables. *)
 val free_ty_vars : expr -> Ident.Set.t
 
+(** [occurs x e] iff [x] is in [free_vars e]; the walk stops at the
+    first free occurrence and allocates nothing. *)
 val occurs : Ident.t -> expr -> bool
+
+(** [occurrences ~upto x e]: the number of free occurrences of [x] in
+    [e] — {!Occur}'s [count] — counted no further than [upto]. Same
+    walk as {!occurs}. *)
+val occurrences : upto:int -> Ident.t -> expr -> int
+
+(** A total order whose equality is exactly that of the {!Pretty}
+    printouts: variables by {!Ident} key, types, literals, constructors
+    and primops structurally, and nothing the printer omits (the types
+    of occurrences, case-pattern binders and join labels). What CSE and
+    a rule's repeated hole mean by "the same expression". *)
+val compare_expr : expr -> expr -> int
 
 exception Ill_typed of string
 

@@ -143,6 +143,31 @@ let equal t1 t2 =
   in
   go Ident.Map.empty Ident.Map.empty t1 t2
 
+(** Syntactic total order: variables, bound ones included, compare by
+    {!Ident} key, so unlike {!equal} it is not up to alpha. Two types
+    are equal under it exactly when they print the same. *)
+let rec compare t1 t2 =
+  if t1 == t2 then 0
+  else
+    match (t1, t2) with
+    | Var a, Var b -> Ident.compare a b
+    | Con c, Con d -> String.compare c d
+    | App (f1, a1), App (f2, a2) | Arrow (f1, a1), Arrow (f2, a2) ->
+        let c = compare f1 f2 in
+        if c <> 0 then c else compare a1 a2
+    | Forall (a, t1), Forall (b, t2) ->
+        let c = Ident.compare a b in
+        if c <> 0 then c else compare t1 t2
+    | _ ->
+        let tag = function
+          | Var _ -> 0
+          | Con _ -> 1
+          | App _ -> 2
+          | Arrow _ -> 3
+          | Forall _ -> 4
+        in
+        Int.compare (tag t1) (tag t2)
+
 (* ------------------------------------------------------------------ *)
 (* Pretty-printing                                                     *)
 (* ------------------------------------------------------------------ *)

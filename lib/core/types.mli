@@ -55,5 +55,10 @@ val instantiate : t -> t list -> t
 (** Alpha-equivalence. *)
 val equal : t -> t -> bool
 
+(** Syntactic total order, variables (bound ones too) by {!Ident} key:
+    not up to alpha, unlike {!equal}. Equal exactly when the printouts
+    are. *)
+val compare : t -> t -> int
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

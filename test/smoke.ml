@@ -69,7 +69,7 @@ let () =
   Fmt.pr "unoptimised result: %a (%a)@." Eval.pp_tree t0 Eval.pp_stats s0;
 
   (* Contify *)
-  let p1 = Contify.contify p0 in
+  let p1, _ = Contify.contify p0 in
   lint_or_die "contified" p1;
   let t1, s1 = Eval.run_deep p1 in
   Fmt.pr "contified result: %a (%a)@." Eval.pp_tree t1 Eval.pp_stats s1;

@@ -28,7 +28,7 @@ let count_joins e =
 
 let check_contify ?(expect_joins = 1) e =
   let _ = lints e in
-  let e' = Contify.contify e in
+  let e', _ = Contify.contify e in
   let _ = lints e' in
   same_result e e';
   Alcotest.(check int) "join points introduced" expect_joins (count_joins e');
@@ -153,7 +153,7 @@ let contify_everywhere () =
       (fun f -> B.if_ B.true_ (App (f, B.int 1)) (App (f, B.int 2)))
   in
   let e = B.lam "unused" Types.int (fun _ -> inner ()) in
-  let e' = Contify.contify e in
+  let e', _ = Contify.contify e in
   Alcotest.(check int) "contified under lambda" 1 (count_joins e')
 
 (* Once contified, jumps carry the right result type. *)
@@ -163,7 +163,7 @@ let jump_types_correct () =
       (B.lam "x" Types.int (fun x -> B.just Types.int x))
       (fun f -> B.if_ B.true_ (App (f, B.int 1)) (App (f, B.int 2)))
   in
-  let e' = Contify.contify e in
+  let e', _ = Contify.contify e in
   let ty = lints e' in
   Alcotest.check ty_testable "overall type" (B.maybe_ty Types.int) ty
 
@@ -174,8 +174,8 @@ let idempotent () =
       (B.lam "x" Types.int (fun x -> B.add x (B.int 1)))
       (fun f -> B.if_ B.true_ (App (f, B.int 1)) (App (f, B.int 2)))
   in
-  let e1 = Contify.contify e in
-  let e2 = Contify.contify e1 in
+  let e1, _ = Contify.contify e in
+  let e2, _ = Contify.contify e1 in
   Alcotest.(check int) "same join count" (count_joins e1) (count_joins e2);
   same_result e1 e2
 
@@ -197,6 +197,32 @@ let nullary_once_contified () =
   in
   ignore (check_contify ~expect_joins:1 e)
 
+(* The usage [contify] returns is [Occur.of_expr] of the tree it
+   returns, though built bottom-up alongside it: on every bench program
+   as elaborated, after Float In, and as the join-point pipeline leaves
+   it (joins already bound), and on generated programs. *)
+let returned_usage_is_of_expr () =
+  let check name e =
+    let e', usage = Contify.contify e in
+    if not (Ident.Map.equal ( = ) usage (Occur.of_expr e')) then
+      Alcotest.failf "%s: contify's usage differs from Occur.of_expr" name
+  in
+  List.iter
+    (fun (pr : Bench_programs.program) ->
+      let datacons, core = Bench_programs.compile pr in
+      let name = pr.Bench_programs.name in
+      check name core;
+      check (name ^ " after float-in") (Float_in.run core);
+      check (name ^ " compiled")
+        (Pipeline.run
+           (Pipeline.default_config ~mode:Pipeline.Join_points ~datacons ())
+           core))
+    Bench_programs.all;
+  let st = Random.State.make [| 5 |] in
+  for i = 1 to 300 do
+    check (Fmt.str "generated program %d" i) (Gen.program st)
+  done
+
 let tests =
   [
     test "tail-called let becomes join" simple_contify;
@@ -211,4 +237,6 @@ let tests =
     test "idempotent" idempotent;
     test "shared nullary binding kept" nullary_shared_not_contified;
     test "once-used nullary contified" nullary_once_contified;
+    test "returned usage is Occur.of_expr of the output"
+      returned_usage_is_of_expr;
   ]

@@ -102,6 +102,67 @@ let reduces_allocation () =
   (* one Just (2 words) + one Pair (3 words) *)
   Alcotest.(check int) "one Just allocation" 5 s.Eval.words
 
+(* The subterms CSE would key: applications, primops and constructors
+   with arguments. *)
+let candidates e =
+  let acc = ref [] in
+  let rec go e =
+    (match e with
+    | App _ | Prim _ | Con (_, _, _ :: _) -> acc := e :: !acc
+    | _ -> ());
+    match e with
+    | Var _ | Lit _ -> ()
+    | Con (_, _, es) | Prim (_, es) | Jump (_, _, es, _) -> List.iter go es
+    | App (f, a) -> go f; go a
+    | TyApp (f, _) | TyLam (_, f) | Lam (_, f) -> go f
+    | Let (b, body) -> List.iter (fun (_, r) -> go r) (bind_pairs b); go body
+    | Case (s, alts) -> go s; List.iter (fun a -> go a.alt_rhs) alts
+    | Join (jb, body) -> List.iter (fun d -> go d.j_rhs) (join_defns jb); go body
+  in
+  go e;
+  !acc
+
+(* CSE keys candidates by [Syntax.compare_expr] instead of their
+   printouts. Over every pair of candidates in each bench program, as
+   elaborated and as the join-point pipeline leaves it, the order says
+   "equal" exactly when the printouts are equal. *)
+let key_is_print_equality () =
+  let pairs = ref 0 and equal = ref 0 in
+  List.iter
+    (fun (pr : Bench_programs.program) ->
+      let datacons, core = Bench_programs.compile pr in
+      let out =
+        Pipeline.run
+          (Pipeline.default_config ~mode:Pipeline.Join_points ~datacons ())
+          core
+      in
+      List.iter
+        (fun e ->
+          let keyed =
+            Array.of_list
+              (List.map (fun c -> (c, Pretty.to_string c)) (candidates e))
+          in
+          let n = Array.length keyed in
+          for i = 0 to n - 1 do
+            let a, sa = keyed.(i) in
+            for j = i to n - 1 do
+              let b, sb = keyed.(j) in
+              let c = compare_expr a b in
+              incr pairs;
+              if c = 0 then incr equal;
+              if (c = 0) <> String.equal sa sb then
+                Alcotest.failf "%s: order says %d for@.%s@.vs@.%s"
+                  pr.Bench_programs.name c sa sb;
+              if compare (compare_expr b a) 0 <> - (compare c 0) then
+                Alcotest.failf "%s: order not antisymmetric on@.%s@.vs@.%s"
+                  pr.Bench_programs.name sa sb
+            done
+          done)
+        [ core; out ])
+    Bench_programs.all;
+  Alcotest.(check bool) "some candidates repeat" true (!equal > 0);
+  Alcotest.(check bool) "many pairs" true (!pairs > 10_000)
+
 let tests =
   [
     test "the paper's f (g x) (g x)" f_gx_gx;
@@ -110,4 +171,5 @@ let tests =
     test "no sharing across sibling branches" no_sharing_across_branches;
     test "distinct expressions untouched" distinct_expressions_untouched;
     test "sharing reduces allocation" reduces_allocation;
+    test "keys are equal exactly when printouts are" key_is_print_equality;
   ]

@@ -160,7 +160,7 @@ let nullary_candidate_regression () =
   in
   let _ = lints e in
   let l = Decision.create () in
-  let e' = Decision.with_ledger l (fun () -> Contify.contify e) in
+  let e' = Decision.with_ledger l (fun () -> fst (Contify.contify e)) in
   let _ = lints e' in
   (match e' with
   | Syntax.Let (Syntax.NonRec _, _) -> ()
@@ -186,7 +186,7 @@ let nullary_candidate_regression () =
   in
   let _ = lints e2 in
   let l2 = Decision.create () in
-  let e2' = Decision.with_ledger l2 (fun () -> Contify.contify e2) in
+  let e2' = Decision.with_ledger l2 (fun () -> fst (Contify.contify e2)) in
   let _ = lints e2' in
   let fired =
     List.exists
@@ -206,9 +206,9 @@ let passes_unaffected_without_ledger () =
       (B.lam "y" Types.int (fun y -> B.add y (B.int 1)))
       (fun f -> B.if_ B.true_ (B.app f (B.int 1)) (B.app f (B.int 2)))
   in
-  let bare = Contify.contify e in
+  let bare, _ = Contify.contify e in
   let l = Decision.create () in
-  let under = Decision.with_ledger l (fun () -> Contify.contify e) in
+  let under = Decision.with_ledger l (fun () -> fst (Contify.contify e)) in
   (* Fresh uniques differ between runs, so compare observationally:
      same shape, same size, same meaning. *)
   Alcotest.(check int) "same size" (Syntax.size bare) (Syntax.size under);

@@ -90,7 +90,7 @@ let contify_erase_roundtrip () =
       (B.lam "x" Types.int (fun x -> B.add x (B.int 1)))
       (fun f -> B.if_ B.true_ (App (f, B.int 1)) (App (f, B.int 2)))
   in
-  let contified = Contify.contify e in
+  let contified, _ = Contify.contify e in
   let erased = check_erase contified in
   same_result e erased
 

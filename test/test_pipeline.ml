@@ -4,6 +4,7 @@
 
 open Fj_core
 open Util
+module B = Builder
 
 let compile src = Fj_surface.Prelude.compile src
 
@@ -168,6 +169,42 @@ def main = toUp (toDown 7) + toUp (toDown 35)
   in
   Alcotest.(check bool) "rule fired in the pipeline" true fired
 
+(* [let x1 = 1 * 1 in ... let xn = n * n in x1 + (x2 + ... + xn)]:
+   every binder used once, in the body. *)
+let let_chain n =
+  let open Syntax in
+  let xs = List.init n (fun i -> (i, mk_var "x" Types.int)) in
+  let body =
+    List.fold_right (fun (_, x) acc -> B.add (Var x) acc) xs (B.int 0)
+  in
+  List.fold_right
+    (fun (i, x) acc -> Let (NonRec (x, B.mul (B.int i) (B.int i)), acc))
+    xs body
+
+let minor_words pass e =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (pass e));
+  Gc.minor_words () -. before
+
+(* Per-binder questions cost what they answer: doubling a chain of
+   lets must not quadruple what Float In, contify or CSE allocate, as
+   it did while each [let] rebuilt a free-variable set, an occurrence
+   map or a printout of its whole scope. *)
+let passes_allocate_linearly () =
+  let n = 200 in
+  let small = let_chain n and large = let_chain (2 * n) in
+  List.iter
+    (fun (name, pass) ->
+      let w = minor_words pass small and w2 = minor_words pass large in
+      if w2 > 2.5 *. w then
+        Alcotest.failf "%s: %.0f minor words for %d lets, %.0f for %d (%.1fx)"
+          name w n w2 (2 * n) (w2 /. w))
+    [
+      ("float-in", Float_in.run);
+      ("contify", fun e -> fst (Contify.contify e));
+      ("cse", Cse.run);
+    ]
+
 let tests =
   [
     test "allocation ordering across configurations" ordering;
@@ -179,4 +216,5 @@ let tests =
     test "mode names" mode_names;
     test "run_all_modes agree" run_all_modes_consistent;
     test "re-optimisation is stable" idempotent_ish;
+    test "per-binder passes allocate linearly" passes_allocate_linearly;
   ]

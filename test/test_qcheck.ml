@@ -99,7 +99,7 @@ let simplify_baseline_preserves =
       Simplify.simplify (Simplify.default_config ~join_points:false ())
         (Erase.erase e))
 
-let contify_preserves = pass_preserves "contify" Contify.contify
+let contify_preserves = pass_preserves "contify" (fun e -> fst (Contify.contify e))
 
 let float_in_preserves =
   pass_preserves "float-in" Float_in.run

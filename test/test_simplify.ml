@@ -156,7 +156,7 @@ let baseline_allocates () =
   in
   let wrap body = B.lam "v" Types.bool (fun v -> body v) in
   let with_joins =
-    Simplify.simplify cfg (Contify.contify (wrap (fun v -> mk v)))
+    Simplify.simplify cfg (fst (Contify.contify (wrap (fun v -> mk v))))
   in
   let base = Simplify.simplify cfg_baseline (wrap (fun v -> mk v)) in
   let _ = lints with_joins in
@@ -225,7 +225,7 @@ let find_any_fusion () =
       (B.lam "x" Types.int (fun x -> B.gt x (B.int 2)))
       (B.int_list [ 1; 2; 3; 4 ])
   in
-  let applied = Simplify.simplify cfg (Contify.contify applied0) in
+  let applied = Simplify.simplify cfg (fst (Contify.contify applied0)) in
   let _ = lints applied in
   same_result applied0 applied;
   let t, s = count_allocs applied in

@@ -157,6 +157,108 @@ let collect_args_spine () =
   | _ -> Alcotest.fail "wrong head");
   Alcotest.(check int) "two args" 2 (List.length args)
 
+(* Every subterm of [e], [e] included. *)
+let subterms e =
+  let acc = ref [] in
+  let rec go e =
+    acc := e :: !acc;
+    match e with
+    | Var _ | Lit _ -> ()
+    | Con (_, _, es) | Prim (_, es) | Jump (_, _, es, _) -> List.iter go es
+    | App (f, a) -> go f; go a
+    | TyApp (f, _) | TyLam (_, f) | Lam (_, f) -> go f
+    | Let (b, body) -> List.iter (fun (_, r) -> go r) (bind_pairs b); go body
+    | Case (s, alts) -> go s; List.iter (fun a -> go a.alt_rhs) alts
+    | Join (jb, body) -> List.iter (fun d -> go d.j_rhs) (join_defns jb); go body
+  in
+  go e;
+  !acc
+
+(* Every term-level binder of [e], labels and parameters included. *)
+let binders e =
+  let names = List.map (fun (x : var) -> x.v_name) in
+  List.concat_map
+    (function
+      | Lam (x, _) -> [ x.v_name ]
+      | Let (b, _) -> names (binders_of_bind b)
+      | Case (_, alts) ->
+          List.concat_map (fun a -> names (pat_binders a.alt_pat)) alts
+      | Join (jb, _) ->
+          List.concat_map (fun d -> names (d.j_var :: d.j_params)) (join_defns jb)
+      | _ -> [])
+    (subterms e)
+
+(* [occurs] and [occurrences] against the set-building [free_vars] and
+   [Occur]'s count, on one term and one name. *)
+let agrees x e =
+  let expected = Ident.Set.mem x (free_vars e) in
+  if occurs x e <> expected then
+    Alcotest.failf "occurs %a = %b, free_vars says %b in@.%a" Ident.pp x
+      (not expected) expected Pretty.pp e;
+  let count =
+    (Occur.lookup (Occur.of_expr e) { v_name = x; v_ty = Types.int }).count
+  in
+  Alcotest.(check int) "occurrences = Occur count" count
+    (occurrences ~upto:max_int x e);
+  Alcotest.(check int) "occurrences stops at upto" (min count 2)
+    (occurrences ~upto:2 x e)
+
+(* For every binder and free name of 500 generated programs, on every
+   subterm: [occurs] is [free_vars] membership. *)
+let occurs_is_free_vars_membership () =
+  let st = Random.State.make [| 13 |] in
+  for _ = 1 to 500 do
+    let e = Gen.program st in
+    let names =
+      List.sort_uniq Ident.compare (binders e @ Ident.Set.elements (free_vars e))
+    in
+    List.iter (fun s -> List.iter (fun x -> agrees x s) names) (subterms e)
+  done
+
+(* One shadowing case per binder form: [x] bound by the form is not
+   free below it, but still free where the form does not scope. *)
+let occurs_respects_shadowing () =
+  let x = mk_var "x" Types.int and y = mk_var "y" Types.int in
+  let vx = Var x and zero = B.int 0 in
+  let defn ?(params = []) j rhs =
+    { j_var = j; j_tyvars = []; j_params = params; j_rhs = rhs }
+  in
+  let jump j = Jump (j, [], [], Types.int) in
+  let just = Datacon.builtin "Just" in
+  let cases =
+    [
+      ("lambda", Lam (x, vx), false);
+      ("let body", Let (NonRec (x, zero), vx), false);
+      ("let rhs is outside", Let (NonRec (x, vx), zero), true);
+      ("strict body", Let (Strict (x, zero), vx), false);
+      ("strict rhs is outside", Let (Strict (x, vx), zero), true);
+      ("rec rhs and body", Let (Rec [ (x, vx) ], vx), false);
+      ( "case pattern",
+        Case (Var y, [ { alt_pat = PCon (just, [ x ]); alt_rhs = vx } ]),
+        false );
+      ( "case pattern scopes one alternative",
+        Case
+          ( Var y,
+            [
+              { alt_pat = PCon (just, [ x ]); alt_rhs = vx };
+              { alt_pat = PDefault; alt_rhs = vx };
+            ] ),
+        true );
+      ( "case scrutinee is outside",
+        Case (vx, [ { alt_pat = PCon (just, [ x ]); alt_rhs = vx } ]),
+        true );
+      ("join parameter", Join (JNonRec (defn ~params:[ x ] y vx), zero), false);
+      ("join label in body", Join (JNonRec (defn x zero), jump x), false);
+      ("join label not in own rhs", Join (JNonRec (defn x (jump x)), zero), true);
+      ("recursive join label", Join (JRec [ defn x (jump x) ], jump x), false);
+    ]
+  in
+  List.iter
+    (fun (name, e, expected) ->
+      Alcotest.(check bool) name expected (occurs x.v_name e);
+      agrees x.v_name e)
+    cases
+
 let tests =
   [
     test "free vars under lambda" free_vars_lambda;
@@ -172,4 +274,6 @@ let tests =
     test "freshen is an alpha copy" freshen_is_alpha_copy;
     test "freshen renames jump labels" jump_label_subst;
     test "collect_args decomposes spines" collect_args_spine;
+    test "occurs is free_vars membership" occurs_is_free_vars_membership;
+    test "occurs respects shadowing" occurs_respects_shadowing;
   ]
