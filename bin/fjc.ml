@@ -1427,9 +1427,12 @@ let cache_dir_flag =
     & opt (some string) None
     & info [ "cache" ] ~docv:"DIR"
         ~doc:
-          "Content-addressed pass cache directory (created if missing). \
-           Entries are integrity-checked on read: a corrupt entry is \
-           quarantined and recomputed, never served.")
+          "Request cache directory (created if missing). Each request \
+           looks up one entry, keyed on its source bytes, input kind and \
+           every behaviour-affecting flag; a hit skips the front end and \
+           the whole pipeline. Only a full-rung result with no incidents \
+           is stored. Entries are integrity-checked on read: a corrupt \
+           entry is quarantined and recomputed, never served.")
 
 let isolate_flag =
   Arg.(
@@ -1545,7 +1548,7 @@ let batch_cmd =
     "Compile a batch of files through the fault-tolerant compile service: \
      supervised parallel workers, per-request deadlines, retry with \
      jittered backoff, graceful degradation, and an integrity-checked \
-     pass cache."
+     cache of whole compile results (one entry per source)."
   in
   let man =
     [

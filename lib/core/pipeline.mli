@@ -22,13 +22,14 @@ type cached_pass = {
   cp_decisions : Decision.event list;  (** Ledger entries, in order. *)
 }
 
-(** The memoization hook the compile service installs: [lookup] is
-    consulted before each pass runs; [store] is offered every
-    successful, un-rolled-back pass result. [supply] is
-    {!Ident.counter_value} {e before} the pass — part of the cache
-    key, because what a pass produces depends on where the unique
-    supply stands when it starts (the pipeline passes it explicitly
-    since by store time the counter has already moved). The
+(** A per-pass memoization hook ([Fj_service.Cache.pass_cache]
+    builds one; the compile service itself caches whole requests and
+    leaves this unset): [lookup] is consulted before each pass runs;
+    [store] is offered every successful, un-rolled-back pass result.
+    [supply] is {!Ident.counter_value} {e before} the pass — part of
+    the cache key, because what a pass produces depends on where the
+    unique supply stands when it starts (the pipeline passes it
+    explicitly since by store time the counter has already moved). The
     implementation also keys on the pass label, the round-trippable
     {!Sexp} encoding of [input], and its own configuration
     fingerprint. The identity ["input"] pass is never cached. *)
@@ -58,8 +59,8 @@ type config = {
       (** Per-pass fuel / size-growth budgets enforced under
           [Recover]. *)
   cache : pass_cache option;
-      (** Content-addressed pass memoization (the compile service's
-          {!pass_cache}); [None] (the default) recomputes every pass. *)
+      (** Content-addressed pass memoization ({!pass_cache});
+          [None] (the default) recomputes every pass. *)
 }
 
 val default_config :

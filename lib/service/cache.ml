@@ -1,4 +1,4 @@
-(* Content-addressed pass cache with integrity verification.
+(* Content-addressed cache with integrity verification.
    See cache.mli. *)
 
 open Fj_core
@@ -41,16 +41,12 @@ let create ~dir () =
 
 (* --- keying ------------------------------------------------------- *)
 
-let key ~fingerprint ~pass ~supply ~input_sexp =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00"
-          [ version; fingerprint; pass; string_of_int supply; input_sexp ]))
-
 (* objects/ab/cdef... — the usual two-level fan-out so directory
    listings stay manageable on large corpora. *)
-let entry_path t k =
-  Filename.concat (objects_dir t) (Filename.concat (String.sub k 0 2) (String.sub k 2 (String.length k - 2)))
+let entry_path t key =
+  let k = Digest.to_hex (Digest.string (String.concat "\x00" key)) in
+  Filename.concat (objects_dir t)
+    (Filename.concat (String.sub k 0 2) (String.sub k 2 (String.length k - 2)))
 
 (* --- entry encoding ----------------------------------------------- *)
 
@@ -71,7 +67,7 @@ let payload_of (cp : Pipeline.cached_pass) =
          ]))
 
 (* Decode a verified payload; [None] on any shape surprise (treated as
-   corruption by the caller). *)
+   corruption by [find]). *)
 let payload_to ~datacons s : Pipeline.cached_pass option =
   match Telemetry.Json.parse s with
   | Error _ -> None
@@ -88,10 +84,12 @@ let payload_to ~datacons s : Pipeline.cached_pass option =
           let ticks =
             match List.assoc_opt "ticks" fields with
             | Some (Obj kvs) ->
-                Some
-                  (List.filter_map
-                     (function k, Int n -> Some (k, n) | _ -> None)
-                     kvs)
+                let ts =
+                  List.filter_map
+                    (function k, Int n -> Some (k, n) | _ -> None)
+                    kvs
+                in
+                if List.length ts = List.length kvs then Some ts else None
             | _ -> None
           in
           let decisions =
@@ -147,24 +145,10 @@ let quarantine t path =
    with Sys_error _ -> (* lost a race with another quarantining domain *) ());
   Mutex.protect t.lock (fun () -> t.quarantined <- t.quarantined + 1)
 
-(* --- the Pipeline hook -------------------------------------------- *)
+(* --- entries ------------------------------------------------------ *)
 
-(* Serializing the input tree is the dominant cost of a cache probe,
-   and every probe is followed by a store of the *same* tree on a
-   miss — memoize the last serialization (physical equality, so a
-   rewritten tree never reuses a stale string). The memo belongs to
-   one [pass_cache] hook, i.e. to one compile attempt. *)
-let input_sexp_of last input =
-  match !last with
-  | Some (e, s) when e == input -> s
-  | _ ->
-      let s = Sexp.write input in
-      last := Some (input, s);
-      s
-
-let lookup t ~fingerprint ~datacons ~pass ~supply ~input_sexp =
-  let k = key ~fingerprint ~pass ~supply ~input_sexp in
-  let path = entry_path t k in
+let find t ~key ~decode =
+  let path = entry_path t key in
   let miss () = Mutex.protect t.lock (fun () -> t.misses <- t.misses + 1) in
   match read_file path with
   | exception Sys_error _ ->
@@ -180,7 +164,7 @@ let lookup t ~fingerprint ~datacons ~pass ~supply ~input_sexp =
               String.sub content (i + 1) (String.length content - i - 1)
             in
             if String.equal sum (Digest.to_hex (Digest.string payload)) then
-              payload_to ~datacons payload
+              decode payload
             else None
       in
       match verified with
@@ -190,15 +174,13 @@ let lookup t ~fingerprint ~datacons ~pass ~supply ~input_sexp =
           quarantine t path;
           miss ();
           None
-      | Some cp ->
+      | Some v ->
           Mutex.protect t.lock (fun () -> t.hits <- t.hits + 1);
-          Some cp)
+          Some v)
 
-let store t ~fingerprint ~pass ~supply ~input_sexp cp =
-  let k = key ~fingerprint ~pass ~supply ~input_sexp in
-  let path = entry_path t k in
+let add t ~key clean =
+  let path = entry_path t key in
   if not (Sys.file_exists path) then begin
-    let clean = payload_of cp in
     (* The checksum is of the *clean* payload: the "service/cache"
        fault corrupts the bytes on their way to disk, and the read
        path's re-hash must catch it. *)
@@ -218,17 +200,33 @@ let store t ~fingerprint ~pass ~supply ~input_sexp cp =
     Mutex.protect t.lock (fun () -> t.stores <- t.stores + 1)
   end
 
+(* --- the Pipeline hook -------------------------------------------- *)
+
+(* Serializing the input tree is the dominant cost of a cache probe,
+   and every probe is followed by a store of the *same* tree on a
+   miss — memoize the last serialization (physical equality, so a
+   rewritten tree never reuses a stale string). The memo belongs to
+   one [pass_cache] hook, i.e. to one compile attempt. *)
+let input_sexp_of last input =
+  match !last with
+  | Some (e, s) when e == input -> s
+  | _ ->
+      let s = Sexp.write input in
+      last := Some (input, s);
+      s
+
 let pass_cache t ~fingerprint ~datacons =
   let last = ref None in
+  let key ~pass ~supply ~input =
+    [ version; fingerprint; pass; string_of_int supply; input_sexp_of last input ]
+  in
   {
     Pipeline.cache_lookup =
       (fun ~pass ~supply ~input ->
-        lookup t ~fingerprint ~datacons ~pass ~supply
-          ~input_sexp:(input_sexp_of last input));
+        find t ~key:(key ~pass ~supply ~input) ~decode:(payload_to ~datacons));
     cache_store =
       (fun ~pass ~supply ~input cp ->
-        store t ~fingerprint ~pass ~supply
-          ~input_sexp:(input_sexp_of last input) cp);
+        add t ~key:(key ~pass ~supply ~input) (payload_of cp));
   }
 
 (* --- stats -------------------------------------------------------- *)

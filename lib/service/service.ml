@@ -112,12 +112,10 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let load_source ~no_prelude path =
-  let src =
-    try read_file path
-    with Sys_error msg -> raise (Permanent ("unreadable", msg))
-  in
-  if Filename.check_suffix path ".sexp" then
+let is_sexp path = Filename.check_suffix path ".sexp"
+
+let load_source ~no_prelude ~path src =
+  if is_sexp path then
     match Sexp.read Datacon.builtins src with
     | core -> (Datacon.builtins, core)
     | exception exn ->
@@ -141,8 +139,9 @@ let load_source ~no_prelude path =
 
 (* --- fingerprint --------------------------------------------------- *)
 
-(* Everything that can change what a pass produces, so a cache entry
-   recorded under one configuration can never replay under another. *)
+(* Everything that can change what a compile produces, so a cache
+   entry recorded under one configuration can never replay under
+   another. *)
 let fingerprint cfg rung =
   let p = cfg.pipeline in
   let limits = Budget.limits cfg.budget in
@@ -176,25 +175,21 @@ let rung_pipeline cfg rung denv =
     Pipeline.mode = (if rung = Degraded then Pipeline.Baseline else p.Pipeline.mode);
     datacons = denv;
     limits = Budget.limits cfg.budget;
-    cache =
-      Option.map
-        (fun c ->
-          Cache.pass_cache c ~fingerprint:(fingerprint cfg rung) ~datacons:denv)
-        cfg.cache;
+    cache = None;
   }
 
 (* Run one attempt at one rung under a fresh per-compilation context:
    its own unique supply (so identical inputs yield byte-identical
    Core regardless of what other requests this domain has processed)
    and an armed budget watchdog. *)
-let compile_attempt cfg ~rung ~path : attempt_ok =
+let compile_attempt cfg ~rung ~path ~src : attempt_ok =
   Context.with_fresh @@ fun () ->
   let budget = Budget.start cfg.budget in
   Budget.with_watchdog budget @@ fun () ->
   (match Fault.trigger "service/slow-pass" with
   | Some _ -> Budget.burn budget
   | None -> ());
-  let denv, core = load_source ~no_prelude:cfg.no_prelude path in
+  let denv, core = load_source ~no_prelude:cfg.no_prelude ~path src in
   Budget.check budget;
   match rung with
   | Check_only ->
@@ -228,7 +223,8 @@ let transient_of_exn = function
 
 (* --- one attempt, isolated (fork) ---------------------------------- *)
 
-(* Serialisation of an attempt result across the fork boundary. *)
+(* The attempt result codec: across the fork boundary, and the
+   request cache's payload. *)
 let attempt_ok_json a =
   Telemetry.Json.(
     Obj
@@ -242,37 +238,42 @@ let attempt_ok_json a =
         ("incidents", Arr (List.map Guard.incident_json a.a_incidents));
       ])
 
+(* All or nothing: a missing field or one element that does not decode
+   refuses the whole payload, so a short payload can never become a
+   .meta.json that differs from the in-process compile. *)
 let attempt_ok_of_json = function
-  | Telemetry.Json.Obj fields -> (
+  | Telemetry.Json.Obj fields ->
       let open Telemetry.Json in
-      let str k =
-        match List.assoc_opt k fields with Some (Str s) -> Some s | _ -> None
+      let ( let* ) = Option.bind in
+      let field k = List.assoc_opt k fields in
+      let all decode l =
+        let xs = List.filter_map decode l in
+        if List.compare_lengths xs l = 0 then Some xs else None
       in
-      let int k =
-        match List.assoc_opt k fields with Some (Int n) -> Some n | _ -> None
+      let* a_rung =
+        match field "rung" with Some (Str r) -> rung_of_name r | _ -> None
       in
-      match (Option.bind (str "rung") rung_of_name, str "output", int "output_size") with
-      | Some a_rung, Some a_output, Some a_output_size ->
-          let a_ticks =
-            match List.assoc_opt "ticks" fields with
-            | Some (Obj kvs) ->
-                List.filter_map
-                  (function k, Int n -> Some (k, n) | _ -> None)
-                  kvs
-            | _ -> []
-          in
-          let a_decisions =
-            match List.assoc_opt "decisions" fields with
-            | Some (Arr es) -> List.filter_map Decision.event_of_json es
-            | _ -> []
-          in
-          let a_incidents =
-            match List.assoc_opt "incidents" fields with
-            | Some (Arr is) -> List.filter_map Guard.incident_of_json is
-            | _ -> []
-          in
-          Some { a_rung; a_output; a_output_size; a_ticks; a_decisions; a_incidents }
-      | _ -> None)
+      let* a_output = match field "output" with Some (Str s) -> Some s | _ -> None in
+      let* a_output_size =
+        match field "output_size" with Some (Int n) -> Some n | _ -> None
+      in
+      let* a_ticks =
+        match field "ticks" with
+        | Some (Obj kvs) ->
+            all (function k, Int n -> Some (k, n) | _ -> None) kvs
+        | _ -> None
+      in
+      let* a_decisions =
+        match field "decisions" with
+        | Some (Arr es) -> all Decision.event_of_json es
+        | _ -> None
+      in
+      let* a_incidents =
+        match field "incidents" with
+        | Some (Arr is) -> all Guard.incident_of_json is
+        | _ -> None
+      in
+      Some { a_rung; a_output; a_output_size; a_ticks; a_decisions; a_incidents }
   | _ -> None
 
 (* Child exit codes for the isolate protocol. *)
@@ -287,7 +288,7 @@ let exit_transient = 5
    claimed behaviour crosses the fork through this flag. *)
 let inject_slow = ref false
 
-let isolated_attempt cfg ~rung ~path : (attempt_ok, [ `P of string * string | `T of string * string ]) result =
+let isolated_attempt cfg ~rung ~path ~src : (attempt_ok, [ `P of string * string | `T of string * string ]) result =
   let crash = Fault.trigger "service/worker" <> None in
   inject_slow := Fault.trigger "service/slow-pass" <> None;
   let result_file =
@@ -308,7 +309,7 @@ let isolated_attempt cfg ~rung ~path : (attempt_ok, [ `P of string * string | `T
         try
           if crash then raise (Fault.Injected "service/worker");
           if !inject_slow then Budget.burn (Budget.start cfg.budget);
-          let a = compile_attempt cfg ~rung ~path in
+          let a = compile_attempt cfg ~rung ~path ~src in
           let oc = open_out_bin result_file in
           output_string oc (Telemetry.Json.to_string (attempt_ok_json a));
           close_out oc;
@@ -388,21 +389,34 @@ let next_rung = function
   | Degraded -> Some Check_only
   | Check_only -> None
 
-let run_attempt cfg ~rung ~path :
+let run_attempt cfg ~rung ~path ~src :
     (attempt_ok, [ `P of string * string | `T of string * string ]) result =
   if cfg.isolate then
     (* [Unix.fork] itself can fail — most notably it refuses outright
        once any domain has ever been spawned in this process. That is
        an environmental (transient-class) failure of the attempt, not
        a crash: it must feed the ladder, never the supervisor. *)
-    match isolated_attempt cfg ~rung ~path with
+    match isolated_attempt cfg ~rung ~path ~src with
     | r -> r
     | exception exn -> Error (`T (transient_of_exn exn))
   else
-    match compile_attempt cfg ~rung ~path with
+    match compile_attempt cfg ~rung ~path ~src with
     | a -> Ok a
     | exception Permanent (kind, detail) -> Error (`P (kind, detail))
     | exception exn -> Error (`T (transient_of_exn exn))
+
+(* The request entry's key: everything that decides what the [Full]
+   rung makes of this source. *)
+let request_key cfg ~path src =
+  [
+    "fj-request/1";
+    fingerprint cfg Full;
+    (if is_sexp path then ".sexp" else ".fj");
+    src;
+  ]
+
+let decode_attempt payload =
+  Option.bind (Result.to_option (Telemetry.Json.parse payload)) attempt_ok_of_json
 
 let process_one cfg ~id ~path : outcome =
   (* The worker-crash injection point: in domain mode the raise
@@ -414,13 +428,10 @@ let process_one cfg ~id ~path : outcome =
     | None -> ());
   let t0 = Telemetry.now_ms () in
   let failures = ref [] in
-  let finish status =
-    { id; path; status; failures = List.rev !failures; ms = Telemetry.now_ms () -. t0 }
-  in
-  let rec attempt rung n =
-    match run_attempt cfg ~rung ~path with
-    | Ok a -> finish (Compiled a)
-    | Error (`P (kind, detail)) -> finish (Rejected { kind; detail })
+  let rec attempt ~src rung n =
+    match run_attempt cfg ~rung ~path ~src with
+    | Ok a -> Compiled a
+    | Error (`P (kind, detail)) -> Rejected { kind; detail }
     | Error (`T (cause, detail)) ->
         let last_of_rung = n + 1 >= cfg.attempts_per_rung in
         let out_of_rungs = last_of_rung && next_rung rung = None in
@@ -440,13 +451,38 @@ let process_one cfg ~id ~path : outcome =
           }
           :: !failures;
         if backoff > 0.0 then Unix.sleepf (backoff /. 1000.0);
-        if not last_of_rung then attempt rung (n + 1)
+        if not last_of_rung then attempt ~src rung (n + 1)
         else (
           match next_rung rung with
-          | Some r -> attempt r 0
-          | None -> finish (Exhausted { last = cause ^ ": " ^ detail }))
+          | Some r -> attempt ~src r 0
+          | None -> Exhausted { last = cause ^ ": " ^ detail })
   in
-  attempt Full 0
+  (* The source is read once and every attempt compiles those bytes:
+     an edit landing between two reads cannot file a new output under
+     the old key. *)
+  let status =
+    match read_file path with
+    | exception Sys_error msg -> Rejected { kind = "unreadable"; detail = msg }
+    | src -> (
+        match cfg.cache with
+        | None -> attempt ~src Full 0
+        | Some cache -> (
+            let key = request_key cfg ~path src in
+            match Cache.find cache ~key ~decode:decode_attempt with
+            | Some a -> Compiled a
+            | None ->
+                let status = attempt ~src Full 0 in
+                (* Only a clean Full result is worth replaying: a
+                   degraded rung or a Guard incident records bad luck
+                   (a deadline, an armed pass fault), not the source. *)
+                (match status with
+                | Compiled ({ a_rung = Full; a_incidents = []; _ } as a) ->
+                    Cache.add cache ~key
+                      (Telemetry.Json.to_string (attempt_ok_json a))
+                | _ -> ());
+                status))
+  in
+  { id; path; status; failures = List.rev !failures; ms = Telemetry.now_ms () -. t0 }
 
 (* --- batch --------------------------------------------------------- *)
 

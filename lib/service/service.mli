@@ -75,9 +75,10 @@ type config = {
   budget : Budget.spec;
   pipeline : Fj_core.Pipeline.config;
       (** Template for the [Full] rung; [limits], [datacons] and
-          [cache] are overridden per request. *)
+          [cache] are overridden per request (the service installs no
+          per-pass cache). *)
   no_prelude : bool;
-  cache : Cache.t option;
+  cache : Cache.t option;  (** One verified entry per request. *)
   isolate : bool;  (** Fork one child process per attempt. *)
 }
 
@@ -98,13 +99,26 @@ val backoff_ms :
   float
 
 (** The cache fingerprint for a rung of this configuration: every
-    flag that can change what a pass produces. *)
+    flag that can change what a compile produces. *)
 val fingerprint : config -> rung -> string
 
+(** The [attempt_ok] codec, used across [--isolate]'s fork boundary
+    and as the request cache's payload. Decoding is all-or-nothing: a
+    missing field, or a single tick, decision or incident that does
+    not decode, refuses the whole document. *)
+val attempt_ok_json : attempt_ok -> Fj_core.Telemetry.Json.t
+
+val attempt_ok_of_json : Fj_core.Telemetry.Json.t -> attempt_ok option
+
 (** Run one request through the retry/degrade ladder on the calling
-    domain. Never raises — except an armed ["service/worker"] fault,
-    which escapes {e deliberately} so the supervisor's crash path is
-    exercised. *)
+    domain. The source is read once, and every attempt compiles those
+    bytes. With [cache] set, the request first looks up its one entry
+    (keyed on the {!fingerprint} at [Full], the input kind and the
+    source bytes, see {!Cache}); a verified hit is the outcome, with
+    no front end, Lint or pipeline run. On a miss the result is stored
+    only if it compiled at [Full] with no incidents. Never raises —
+    except an armed ["service/worker"] fault, which escapes
+    {e deliberately} so the supervisor's crash path is exercised. *)
 val process_one : config -> id:string -> path:string -> outcome
 
 type batch = {

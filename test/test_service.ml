@@ -1,9 +1,11 @@
 (** Tests for the fault-tolerant compile service ({!Fj_service}):
     deterministic backoff, deadline watchdog, load shedding, the
-    content-addressed cache (round-trip, integrity quarantine), the
-    retry/degradation ladder, worker respawn, and the acceptance
-    criterion behind it all — batch outputs are byte-identical at any
-    [--jobs] level, cold or warm cache, faults or no faults. *)
+    content-addressed cache (per-pass hook and request entry:
+    round-trip, key, incident-free stores, integrity quarantine), the
+    all-or-nothing attempt codec, the retry/degradation ladder, worker
+    respawn, and the acceptance criterion behind it all — batch outputs
+    are byte-identical at any [--jobs] level, cold or warm cache, faults
+    or no faults. *)
 
 open Fj_core
 module Service = Fj_service.Service
@@ -75,6 +77,12 @@ def main =
   pick 1 10 3 + pick 2 10 3
 |}
 
+let one_request () =
+  let dir = fresh_dir "req" in
+  let p = Filename.concat dir "main.fj" in
+  write_file p src_loop;
+  p
+
 (* A little corpus on disk: three valid programs and one ill-typed. *)
 let corpus ?(with_bad = false) () =
   let dir = fresh_dir "corpus" in
@@ -137,11 +145,12 @@ let batch_sig (b : Service.batch) =
   String.concat "\n----\n" (List.map sig_of b.Service.b_outcomes)
 
 let config ?(jobs = 1) ?cache ?(attempts = 2) ?deadline ?(queue = 256)
-    ?(isolate = false) () =
+    ?(isolate = false) ?(policy = Guard.Strict) () =
   let base = Service.default_config () in
   {
     base with
     Service.jobs;
+    pipeline = { base.Service.pipeline with Pipeline.policy };
     queue_capacity = queue;
     attempts_per_rung = attempts;
     (* Keep retries fast: the ladder is exercised, the clock is not. *)
@@ -272,7 +281,96 @@ let cache_round_trip () =
   let s = Cache.stats c in
   Alcotest.(check int) "hits" 1 s.Cache.hits;
   Alcotest.(check int) "misses" 2 s.Cache.misses;
-  Alcotest.(check int) "stores" 1 s.Cache.stores
+  Alcotest.(check int) "stores" 1 s.Cache.stores;
+  (* The service's request entry: one lookup per request. *)
+  let path = one_request () in
+  let c = Cache.create ~dir:(fresh_dir "cache") () in
+  let cfg = config ~cache:c ~policy:Guard.Recover () in
+  let counts () =
+    let s = Cache.stats c in
+    (s.Cache.hits, s.Cache.misses, s.Cache.stores)
+  in
+  let hms = Alcotest.(triple int int int) in
+  let cold = Service.process_one cfg ~id:"r" ~path in
+  Alcotest.check hms "cold: one miss, one store" (0, 1, 1) (counts ());
+  (* Under Recover an armed pass fault would surface as an incident:
+     its absence proves the warm call ran no pass. *)
+  let warm =
+    with_faults
+      [ ("simplify/result", Fault.Raise, None) ]
+      (fun () -> Service.process_one cfg ~id:"r" ~path)
+  in
+  Alcotest.check hms "warm: one hit, no store" (1, 1, 1) (counts ());
+  Alcotest.(check string) "warm = cold, byte-for-byte" (sig_of cold) (sig_of warm);
+  Alcotest.(check (list string)) "no pass ran" [] (Fault.fired ());
+  (* What can change the output is in the key: the source bytes and
+     every fingerprinted flag. *)
+  let inline cfg n =
+    { cfg with Service.pipeline = { cfg.Service.pipeline with Pipeline.inline_threshold = n } }
+  in
+  ignore (Service.process_one (inline cfg 7) ~id:"r" ~path);
+  Alcotest.check hms "inline_threshold is in the key" (1, 2, 2) (counts ());
+  write_file path (src_loop ^ "\n");
+  ignore (Service.process_one cfg ~id:"r" ~path);
+  Alcotest.check hms "one appended byte is a new key" (1, 3, 3) (counts ())
+
+(* A Full result that carries incidents records an armed fault, not
+   the source: it is not stored, so a clean rerun recompiles. *)
+let cache_skips_incidents () =
+  let path = one_request () in
+  let c = Cache.create ~dir:(fresh_dir "cache") () in
+  let cfg = config ~cache:c ~policy:Guard.Recover () in
+  let faulted =
+    with_faults
+      [ ("simplify/result", Fault.Raise, None) ]
+      (fun () -> Service.process_one cfg ~id:"r" ~path)
+  in
+  (match faulted.Service.status with
+  | Service.Compiled a ->
+      Alcotest.(check string) "full rung" "full" (Service.rung_name a.Service.a_rung);
+      Alcotest.(check bool) "with incidents" true (a.Service.a_incidents <> [])
+  | st -> Alcotest.failf "expected compiled, got %s" (Service.status_name st));
+  Alcotest.(check int) "not stored" 0 (Cache.stats c).Cache.stores;
+  let rerun = Service.process_one cfg ~id:"r" ~path in
+  let clean = Service.process_one (config ~policy:Guard.Recover ()) ~id:"r" ~path in
+  Alcotest.(check string) "clean rerun: no incidents" (sig_of clean) (sig_of rerun);
+  Alcotest.(check int) "the clean result is stored" 1 (Cache.stats c).Cache.stores
+
+(* The attempt codec refuses a payload it cannot decode in full. *)
+let attempt_codec_all_or_nothing () =
+  let a =
+    match (Service.process_one (config ()) ~id:"r" ~path:(one_request ())).Service.status with
+    | Service.Compiled a -> a
+    | st -> Alcotest.failf "expected compiled, got %s" (Service.status_name st)
+  in
+  Alcotest.(check bool) "has decisions" true (a.Service.a_decisions <> []);
+  let j = Service.attempt_ok_json a in
+  (match Service.attempt_ok_of_json j with
+  | Some a' ->
+      Alcotest.(check string)
+        "round-trips" (Telemetry.Json.to_string j)
+        (Telemetry.Json.to_string (Service.attempt_ok_json a'))
+  | None -> Alcotest.fail "a well-formed payload was refused");
+  let fields = match j with Telemetry.Json.Obj fs -> fs | _ -> assert false in
+  let with_field k v = Telemetry.Json.Obj ((k, v) :: List.remove_assoc k fields) in
+  let mangled =
+    match List.assoc "decisions" fields with
+    | Telemetry.Json.Arr (Telemetry.Json.Obj d :: rest) ->
+        with_field "decisions"
+          (Telemetry.Json.Arr
+             (Telemetry.Json.Obj
+                (("verdict", Telemetry.Json.Str "mangled") :: List.remove_assoc "verdict" d)
+             :: rest))
+    | _ -> Alcotest.fail "decisions are not an array of objects"
+  in
+  Alcotest.(check bool)
+    "one mangled verdict refuses the payload" true
+    (Service.attempt_ok_of_json mangled = None);
+  Alcotest.(check bool)
+    "a missing field refuses it too" true
+    (Service.attempt_ok_of_json
+       (Telemetry.Json.Obj (List.remove_assoc "incidents" fields))
+    = None)
 
 let cache_quarantines_corruption () =
   let dir = fresh_dir "cache" in
@@ -304,15 +402,26 @@ let cache_quarantines_corruption () =
   hook.Pipeline.cache_store ~pass:"simplify" ~supply:0 ~input cp;
   Alcotest.(check bool)
     "healed" true
-    (hook.Pipeline.cache_lookup ~pass:"simplify" ~supply:0 ~input <> None)
+    (hook.Pipeline.cache_lookup ~pass:"simplify" ~supply:0 ~input <> None);
+  (* The request entry: same verdict, and the recompile is the clean
+     output. *)
+  let path = one_request () in
+  let c = Cache.create ~dir:(fresh_dir "cache") () in
+  let cfg = config ~cache:c () in
+  let clean = Service.process_one (config ()) ~id:"r" ~path in
+  ignore
+    (with_faults
+       [ ("service/cache", Fault.Raise, Some 1) ]
+       (fun () -> Service.process_one cfg ~id:"r" ~path));
+  let recompiled = Service.process_one cfg ~id:"r" ~path in
+  Alcotest.(check int) "request entry quarantined" 1 (Cache.stats c).Cache.quarantined;
+  Alcotest.(check int) "and missed" 0 (Cache.stats c).Cache.hits;
+  Alcotest.(check string) "recompiled = clean" (sig_of clean) (sig_of recompiled);
+  let healed = Service.process_one cfg ~id:"r" ~path in
+  Alcotest.(check int) "the healed entry hits" 1 (Cache.stats c).Cache.hits;
+  Alcotest.(check string) "and serves the clean output" (sig_of clean) (sig_of healed)
 
 (* --- the ladder ---------------------------------------------------- *)
-
-let one_request () =
-  let dir = fresh_dir "req" in
-  let p = Filename.concat dir "main.fj" in
-  write_file p src_loop;
-  p
 
 let rejects_permanently () =
   let dir = fresh_dir "req" in
@@ -422,9 +531,11 @@ let batch_deterministic_cold_vs_warm () =
     "cacheless and cold agree" (batch_sig b0) (batch_sig b_cold);
   Alcotest.(check string)
     "cold and warm agree" (batch_sig b_cold) (batch_sig b_warm);
-  Alcotest.(check bool)
-    "warm hit rate > 50%" true
-    (Cache.hit_rate warm_cache > 0.5);
+  let warm = Cache.stats warm_cache in
+  Alcotest.(check (triple int int int))
+    "warm: every request hits its one entry, nothing stored"
+    (List.length sources, 0, 0)
+    (warm.Cache.hits, warm.Cache.misses, warm.Cache.stores);
   Alcotest.(check int)
     "nothing quarantined" 0 (Cache.stats warm_cache).Cache.quarantined
 
@@ -557,4 +668,8 @@ let tests =
       shutdown_exit_codes;
     Alcotest.test_case "fuzz: should_stop drains gracefully" `Quick
       fuzz_should_stop_drains;
+    Alcotest.test_case "cache: results with incidents are not stored" `Quick
+      cache_skips_incidents;
+    Alcotest.test_case "codec: one bad decision refuses the payload" `Quick
+      attempt_codec_all_or_nothing;
   ]
