@@ -19,11 +19,259 @@ open Syntax
 
 type t = Atom of string | List of t list
 
-let rec pp ppf = function
-  | Atom s -> Fmt.string ppf s
-  | List xs -> Fmt.pf ppf "@[<hov 1>(%a)@]" Fmt.(list ~sep:sp pp) xs
+(* The writer's layout is exactly what [Format.asprintf] made of an
+   [@[<hov 1>(...)@]] box per list with [@ ] between elements, which is
+   what every artifact was written with; test_sexp keeps that Format
+   printer as an oracle and compares byte for byte. [Layout] is a port
+   of Stdlib.Format's engine cut down to that token stream: text, a hov
+   box of indent 1, and [break 1 0], under asprintf's geometry (margin
+   78, max indent 68) inside an always-open hov system box, and its
+   functions keep the names of the Format functions they port. A
+   closed-form fits test would not reproduce it: a box whose size is
+   still unknown counts as infinitely large once the queued text
+   reaches the space left, and a box opened past column 68 breaks its
+   parent. *)
+module Layout = struct
+  let margin = 78
+  let max_indent = 68
+  let pp_infinity = 1000000010
 
-let to_string s = Fmt.str "%a" pp s
+  (* Token kinds. The system box is the hov box of indent 0 that
+     encloses everything. *)
+  let k_text = 0
+  let k_open = 1
+  let k_sys = 2
+  let k_close = 3
+  let k_break = 4
+
+  type state = {
+    out : Buffer.t;
+    (* The token queue: a ring of flat arrays, slot [n land mask] for
+       token number [n]; tokens [head .. tail - 1] are queued. Sizes
+       are negative while unknown. *)
+    mutable kind : int array;
+    mutable size : int array;
+    mutable length : int array;
+    mutable text : string array;
+    mutable mask : int;
+    mutable head : int;
+    mutable tail : int;
+    (* The scan stack: per entry, [pp_right_total] when it was pushed,
+       the token number and its kind. Entry 0 is the sentinel. *)
+    mutable scan_left : int array;
+    mutable scan_tok : int array;
+    mutable scan_kind : int array;
+    mutable scan_top : int;
+    (* The format stack: the open boxes being printed. *)
+    mutable box_width : int array;
+    mutable box_fits : bool array;
+    mutable box_top : int;
+    mutable space_left : int;
+    mutable left_total : int;
+    mutable right_total : int;
+  }
+
+  let grow a fill = Array.append a (Array.make (Array.length a) fill)
+
+  (* Returns the token's number. *)
+  let pp_enqueue st kind size length text =
+    if st.tail - st.head > st.mask then begin
+      (* Full: unroll the ring into arrays twice the size. *)
+      let cap = st.mask + 1 in
+      let unroll a fill =
+        Array.init (2 * cap) (fun j ->
+            if j < cap then a.((st.head + j) land st.mask) else fill)
+      in
+      st.kind <- unroll st.kind 0;
+      st.size <- unroll st.size 0;
+      st.length <- unroll st.length 0;
+      st.text <- unroll st.text "";
+      st.tail <- st.tail - st.head;
+      (* Scan entries name tokens by number: renumber them too. *)
+      for j = 1 to st.scan_top - 1 do
+        st.scan_tok.(j) <- st.scan_tok.(j) - st.head
+      done;
+      st.head <- 0;
+      st.mask <- (2 * cap) - 1
+    end;
+    let n = st.tail in
+    let i = n land st.mask in
+    st.kind.(i) <- kind;
+    st.size.(i) <- size;
+    st.length.(i) <- length;
+    st.text.(i) <- text;
+    st.tail <- n + 1;
+    st.right_total <- st.right_total + length;
+    n
+
+  let break_new_line st width =
+    Buffer.add_char st.out '\n';
+    let indent = Int.min max_indent (margin - width) in
+    st.space_left <- margin - indent;
+    for _ = 1 to indent do
+      Buffer.add_char st.out ' '
+    done
+
+  let break_same_line st =
+    st.space_left <- st.space_left - 1;
+    Buffer.add_char st.out ' '
+
+  let pp_force_break_line st =
+    if st.box_top = 0 then Buffer.add_char st.out '\n'
+    else
+      let top = st.box_top - 1 in
+      let width = st.box_width.(top) in
+      if width > st.space_left && not st.box_fits.(top) then
+        break_new_line st width
+
+  let format_pp_token st i size =
+    let kind = st.kind.(i) in
+    if kind = k_text then begin
+      st.space_left <- st.space_left - size;
+      Buffer.add_string st.out st.text.(i)
+    end
+    else if kind = k_break then begin
+      if st.box_top > 0 then begin
+        let top = st.box_top - 1 in
+        if st.box_fits.(top) || size <= st.space_left then break_same_line st
+        else break_new_line st st.box_width.(top)
+      end
+    end
+    else if kind = k_close then begin
+      if st.box_top > 0 then st.box_top <- st.box_top - 1
+    end
+    else begin
+      if margin - st.space_left > max_indent then pp_force_break_line st;
+      let off = if kind = k_sys then 0 else 1 in
+      if st.box_top = Array.length st.box_width then begin
+        st.box_width <- grow st.box_width 0;
+        st.box_fits <- grow st.box_fits false
+      end;
+      st.box_width.(st.box_top) <- st.space_left - off;
+      st.box_fits.(st.box_top) <- size <= st.space_left;
+      st.box_top <- st.box_top + 1
+    end
+
+  let rec advance_left st =
+    if st.head < st.tail then begin
+      let i = st.head land st.mask in
+      let size = st.size.(i) in
+      if size >= 0 || st.right_total - st.left_total >= st.space_left then begin
+        st.head <- st.head + 1;
+        format_pp_token st i (if size >= 0 then size else pp_infinity);
+        st.left_total <- st.length.(i) + st.left_total;
+        advance_left st
+      end
+    end
+
+  let initialize_scan_stack st =
+    st.scan_left.(0) <- -1;
+    st.scan_top <- 1
+
+  let scan_stack_push st left tok kind =
+    if st.scan_top = Array.length st.scan_left then begin
+      st.scan_left <- grow st.scan_left 0;
+      st.scan_tok <- grow st.scan_tok 0;
+      st.scan_kind <- grow st.scan_kind 0
+    end;
+    st.scan_left.(st.scan_top) <- left;
+    st.scan_tok.(st.scan_top) <- tok;
+    st.scan_kind.(st.scan_top) <- kind;
+    st.scan_top <- st.scan_top + 1
+
+  (* [set_size st true] fixes the size of the break on top of the scan
+     stack, [false] that of the box; either pops it. A token already
+     printed is left alone: Format would write a size nobody reads. *)
+  let set_size st ty =
+    let top = st.scan_top - 1 in
+    if st.scan_left.(top) < st.left_total then initialize_scan_stack st
+    else if (st.scan_kind.(top) = k_break) = ty then begin
+      let tok = st.scan_tok.(top) in
+      if tok >= st.head then begin
+        let i = tok land st.mask in
+        st.size.(i) <- st.right_total + st.size.(i)
+      end;
+      st.scan_top <- top
+    end
+
+  let scan_push st b kind length =
+    let tok = pp_enqueue st kind (-st.right_total) length "" in
+    if b then set_size st true;
+    scan_stack_push st st.right_total tok kind
+
+  (* The system box is queued with unknown size and scanned above the
+     sentinel. *)
+  let pp_make_formatter () =
+    let st =
+      {
+        out = Buffer.create 1024;
+        kind = Array.make 64 0;
+        size = Array.make 64 0;
+        length = Array.make 64 0;
+        text = Array.make 64 "";
+        mask = 63;
+        head = 0;
+        tail = 0;
+        scan_left = Array.make 32 0;
+        scan_tok = Array.make 32 0;
+        scan_kind = Array.make 32 0;
+        scan_top = 0;
+        box_width = Array.make 32 0;
+        box_fits = Array.make 32 false;
+        box_top = 0;
+        space_left = margin;
+        left_total = 1;
+        right_total = 1;
+      }
+    in
+    let sys = pp_enqueue st k_sys (-1) 0 "" in
+    initialize_scan_stack st;
+    scan_stack_push st 1 sys k_sys;
+    st
+
+  let pp_print_string st s =
+    let n = String.length s in
+    ignore (pp_enqueue st k_text n n s);
+    advance_left st
+
+  let pp_open_box st = scan_push st false k_open 0
+  let pp_print_space st = scan_push st true k_break 1
+
+  let pp_close_box st =
+    ignore (pp_enqueue st k_close 0 0 "");
+    set_size st true;
+    set_size st false
+
+  (* Every box but the system one is closed. *)
+  let pp_flush_queue st =
+    st.right_total <- pp_infinity;
+    advance_left st
+end
+
+let to_string s =
+  let st = Layout.pp_make_formatter () in
+  let rec emit = function
+    | Atom a -> Layout.pp_print_string st a
+    | List xs ->
+        Layout.pp_open_box st;
+        Layout.pp_print_string st "(";
+        (match xs with
+        | [] -> ()
+        | x :: rest ->
+            emit x;
+            emit_rest rest);
+        Layout.pp_print_string st ")";
+        Layout.pp_close_box st
+  and emit_rest = function
+    | [] -> ()
+    | x :: rest ->
+        Layout.pp_print_space st;
+        emit x;
+        emit_rest rest
+  in
+  emit s;
+  Layout.pp_flush_queue st;
+  Buffer.contents st.Layout.out
 
 exception Parse_error of string
 
@@ -33,7 +281,6 @@ let parse_string (src : string) : t =
   let n = String.length src in
   let pos = ref 0 in
   let error fmt = Fmt.kstr (fun m -> raise (Parse_error m)) fmt in
-  let peek () = if !pos < n then Some src.[!pos] else None in
   let skip_ws () =
     while
       !pos < n && (src.[!pos] = ' ' || src.[!pos] = '\n' || src.[!pos] = '\t'
@@ -61,34 +308,35 @@ let parse_string (src : string) : t =
     scan ();
     String.sub src start (!pos - start)
   in
+  let is_delimiter = function
+    | ' ' | '\n' | '\t' | '\r' | '(' | ')' | '"' -> true
+    | _ -> false
+  in
   let rec read () =
     skip_ws ();
-    match peek () with
-    | None -> error "unexpected end of input"
-    | Some '(' ->
-        incr pos;
-        let rec items acc =
-          skip_ws ();
-          match peek () with
-          | Some ')' ->
+    if !pos >= n then error "unexpected end of input"
+    else
+      match src.[!pos] with
+      | '(' ->
+          incr pos;
+          let rec items acc =
+            skip_ws ();
+            if !pos >= n then error "unclosed list"
+            else if src.[!pos] = ')' then begin
               incr pos;
               List (List.rev acc)
-          | None -> error "unclosed list"
-          | _ -> items (read () :: acc)
-        in
-        items []
-    | Some ')' -> error "unexpected ')'"
-    | Some '"' -> Atom (read_quoted ())
-    | Some _ ->
-        let start = !pos in
-        while
-          !pos < n
-          && not
-               (List.mem src.[!pos] [ ' '; '\n'; '\t'; '\r'; '('; ')'; '"' ])
-        do
-          incr pos
-        done;
-        Atom (String.sub src start (!pos - start))
+            end
+            else items (read () :: acc)
+          in
+          items []
+      | ')' -> error "unexpected ')'"
+      | '"' -> Atom (read_quoted ())
+      | _ ->
+          let start = !pos in
+          while !pos < n && not (is_delimiter src.[!pos]) do
+            incr pos
+          done;
+          Atom (String.sub src start (!pos - start))
   in
   let s = read () in
   skip_ws ();
@@ -99,7 +347,7 @@ let parse_string (src : string) : t =
 (* Writers                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let of_ident (i : Ident.t) = Atom (Fmt.str "%s.%d" (Ident.name i) (Ident.id i))
+let of_ident (i : Ident.t) = Atom (Ident.name i ^ "." ^ string_of_int (Ident.id i))
 
 let rec of_ty (t : Types.t) : t =
   match t with

@@ -6,7 +6,9 @@
 
 type t = Atom of string | List of t list
 
-val pp : Format.formatter -> t -> unit
+(** One hov box of indent 1 per list, a space break between elements,
+    margin 78: byte for byte the layout [Format.asprintf] gives that
+    box structure, which every written artifact uses. *)
 val to_string : t -> string
 
 exception Parse_error of string

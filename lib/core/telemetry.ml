@@ -266,68 +266,86 @@ module Json = struct
   let parse (s : string) : (t, string) result =
     let n = String.length s in
     let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
+    let at c = !pos < n && s.[!pos] = c in
     let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
     let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-          advance ();
-          skip_ws ()
-      | _ -> ()
+      if !pos < n then
+        match s.[!pos] with
+        | ' ' | '\t' | '\n' | '\r' ->
+            incr pos;
+            skip_ws ()
+        | _ -> ()
     in
     let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected '%c'" c)
+      if at c then incr pos else fail (Printf.sprintf "expected '%c'" c)
     in
     let literal word v =
       let l = String.length word in
-      if !pos + l <= n && String.sub s !pos l = word then begin
+      let rec same i = i = l || (s.[!pos + i] = word.[i] && same (i + 1)) in
+      if !pos + l <= n && same 0 then begin
         pos := !pos + l;
         v
       end
       else fail (Printf.sprintf "expected %s" word)
     in
+    (* The end of the run of plain characters starting at [i]. *)
+    let rec plain i =
+      if i < n then match s.[i] with '"' | '\\' -> i | _ -> plain (i + 1)
+      else i
+    in
+    let escape b =
+      if !pos >= n then fail "bad escape";
+      let add c =
+        Buffer.add_char b c;
+        incr pos
+      in
+      match s.[!pos] with
+      | '"' -> add '"'
+      | '\\' -> add '\\'
+      | '/' -> add '/'
+      | 'n' -> add '\n'
+      | 'r' -> add '\r'
+      | 't' -> add '\t'
+      | 'b' -> add '\b'
+      | 'f' -> add '\012'
+      | 'u' -> (
+          incr pos;
+          if !pos + 4 > n then fail "bad \\u escape";
+          match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
+          | None -> fail "bad \\u escape"
+          | Some code ->
+              (* Keep it simple: BMP code points below 0x80 as a
+                 char, the rest replaced; traces are ASCII. *)
+              Buffer.add_char b (if code < 0x80 then Char.chr code else '?');
+              pos := !pos + 4)
+      | _ -> fail "bad escape"
+    in
     let parse_string () =
       expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' -> (
-            advance ();
-            match peek () with
-            | Some '"' -> Buffer.add_char b '"'; advance (); go ()
-            | Some '\\' -> Buffer.add_char b '\\'; advance (); go ()
-            | Some '/' -> Buffer.add_char b '/'; advance (); go ()
-            | Some 'n' -> Buffer.add_char b '\n'; advance (); go ()
-            | Some 'r' -> Buffer.add_char b '\r'; advance (); go ()
-            | Some 't' -> Buffer.add_char b '\t'; advance (); go ()
-            | Some 'b' -> Buffer.add_char b '\b'; advance (); go ()
-            | Some 'f' -> Buffer.add_char b '\012'; advance (); go ()
-            | Some 'u' ->
-                advance ();
-                if !pos + 4 > n then fail "bad \\u escape";
-                let hex = String.sub s !pos 4 in
-                (match int_of_string_opt ("0x" ^ hex) with
-                | None -> fail "bad \\u escape"
-                | Some code ->
-                    (* Keep it simple: BMP code points below 0x80 as a
-                       char, the rest replaced; traces are ASCII. *)
-                    if code < 0x80 then Buffer.add_char b (Char.chr code)
-                    else Buffer.add_char b '?');
-                pos := !pos + 4;
-                go ()
-            | _ -> fail "bad escape")
-        | Some c ->
-            Buffer.add_char b c;
-            advance ();
-            go ()
-      in
-      go ();
-      Buffer.contents b
+      let start = !pos in
+      let stop = plain start in
+      if stop < n && s.[stop] = '"' then begin
+        pos := stop + 1;
+        String.sub s start (stop - start)
+      end
+      else begin
+        (* Escapes: copy the runs between them. *)
+        let b = Buffer.create (stop - start + 16) in
+        let rec go i =
+          let j = plain i in
+          Buffer.add_substring b s i (j - i);
+          pos := j;
+          if j >= n then fail "unterminated string"
+          else if s.[j] = '"' then incr pos
+          else begin
+            incr pos;
+            escape b;
+            go !pos
+          end
+        in
+        go start;
+        Buffer.contents b
+      end
     in
     let parse_number () =
       let start = !pos in
@@ -337,7 +355,7 @@ module Json = struct
         | _ -> false
       in
       while !pos < n && is_num_char s.[!pos] do
-        advance ()
+        incr pos
       done;
       let tok = String.sub s start (!pos - start) in
       match int_of_string_opt tok with
@@ -349,13 +367,13 @@ module Json = struct
     in
     let rec parse_value () =
       skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '{' ->
-          advance ();
+      if !pos >= n then fail "unexpected end of input";
+      match s.[!pos] with
+      | '{' ->
+          incr pos;
           skip_ws ();
-          if peek () = Some '}' then begin
-            advance ();
+          if at '}' then begin
+            incr pos;
             Obj []
           end
           else
@@ -366,42 +384,44 @@ module Json = struct
               expect ':';
               let v = parse_value () in
               skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  members ((k, v) :: acc)
-              | Some '}' ->
-                  advance ();
-                  List.rev ((k, v) :: acc)
-              | _ -> fail "expected ',' or '}'"
+              if at ',' then begin
+                incr pos;
+                members ((k, v) :: acc)
+              end
+              else if at '}' then begin
+                incr pos;
+                List.rev ((k, v) :: acc)
+              end
+              else fail "expected ',' or '}'"
             in
             Obj (members [])
-      | Some '[' ->
-          advance ();
+      | '[' ->
+          incr pos;
           skip_ws ();
-          if peek () = Some ']' then begin
-            advance ();
+          if at ']' then begin
+            incr pos;
             Arr []
           end
           else
             let rec items acc =
               let v = parse_value () in
               skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  items (v :: acc)
-              | Some ']' ->
-                  advance ();
-                  List.rev (v :: acc)
-              | _ -> fail "expected ',' or ']'"
+              if at ',' then begin
+                incr pos;
+                items (v :: acc)
+              end
+              else if at ']' then begin
+                incr pos;
+                List.rev (v :: acc)
+              end
+              else fail "expected ',' or ']'"
             in
             Arr (items [])
-      | Some '"' -> Str (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> parse_number ()
+      | '"' -> Str (parse_string ())
+      | 't' -> literal "true" (Bool true)
+      | 'f' -> literal "false" (Bool false)
+      | 'n' -> literal "null" Null
+      | _ -> parse_number ()
     in
     match
       let v = parse_value () in

@@ -144,8 +144,14 @@ type env = {
   locals : (string * (ity * Syntax.var)) list;  (** Monomorphic. *)
 }
 
-let lookup_local env x = List.assoc_opt x env.locals
-let lookup_top env x = List.assoc_opt x env.tops
+(* [List.assoc_opt] without polymorphic compare: the first binding of
+   [x] wins, so inner bindings shadow outer ones. *)
+let rec assoc_string x = function
+  | [] -> None
+  | (y, v) :: rest -> if String.equal x y then Some v else assoc_string x rest
+
+let lookup_local env x = assoc_string x env.locals
+let lookup_top env x = assoc_string x env.tops
 
 (* ------------------------------------------------------------------ *)
 (* Zonking: ity -> Types.t                                             *)
@@ -242,7 +248,7 @@ let rec infer (env : env) (e : expr) : ity * later =
                   ignore qids;
                   Syntax.ty_apps (Syntax.Var v) tys )
           | None -> (
-              match List.assoc_opt x prim_builtins with
+              match assoc_string x prim_builtins with
               | Some op ->
                   let arg_tys, res = Primop.signature op in
                   let ty =

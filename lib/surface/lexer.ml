@@ -45,7 +45,11 @@ let pp_token ppf = function
 
 exception Lex_error of string * Ast.pos
 
-let keywords = [ "data"; "def"; "let"; "rec"; "in"; "case"; "of"; "if"; "then"; "else" ]
+let is_keyword = function
+  | "data" | "def" | "let" | "rec" | "in" | "case" | "of" | "if" | "then"
+  | "else" ->
+      true
+  | _ -> false
 
 let is_ident_char c =
   (c >= 'a' && c <= 'z')
@@ -53,7 +57,10 @@ let is_ident_char c =
   || (c >= '0' && c <= '9')
   || c = '_' || c = '\''
 
-let is_op_char c = String.contains "+-*/%<>=:&|!" c
+let is_op_char = function
+  | '+' | '-' | '*' | '/' | '%' | '<' | '>' | '=' | ':' | '&' | '|' | '!' ->
+      true
+  | _ -> false
 
 (** Tokenise a whole source string; returns tokens with positions. *)
 let tokenize (src : string) : (token * Ast.pos) list =
@@ -110,7 +117,7 @@ let tokenize (src : string) : (token * Ast.pos) list =
       done;
       let s = String.sub src start (!i - start) in
       if s = "_" then emit start UNDERSCORE
-      else if List.mem s keywords then emit start (KW s)
+      else if is_keyword s then emit start (KW s)
       else emit start (LIDENT s)
     end
     else if c >= 'A' && c <= 'Z' then begin
@@ -122,7 +129,7 @@ let tokenize (src : string) : (token * Ast.pos) list =
     end
     else if c = '\'' then begin
       let start = !i in
-      if !i + 2 < n && src.[!i + 1] = '\\' && src.[!i + 3] = '\'' then begin
+      if !i + 3 < n && src.[!i + 1] = '\\' && src.[!i + 3] = '\'' then begin
         let e =
           match src.[!i + 2] with
           | 'n' -> '\n'

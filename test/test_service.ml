@@ -628,6 +628,32 @@ let fuzz_should_stop_drains () =
   Alcotest.(check int) "stopped after the case in flight" 3 s.Fuzz.cases;
   Alcotest.(check int) "nothing abandoned mid-case" 3 !ran
 
+(* A source that ends inside an escaped character literal is a parse
+   error: rejected on the first attempt, not retried as a transient. *)
+let truncated_char_literal_rejected () =
+  let dir = fresh_dir "req" in
+  let p = Filename.concat dir "eof.fj" in
+  write_file p "def main = '\\n";
+  let cfg = config () in
+  let b = Service.run_batch cfg [ ("eof", p) ] in
+  let row =
+    match Service.batch_json cfg b with
+    | Telemetry.Json.Obj fields -> (
+        match List.assoc_opt "rows" fields with
+        | Some (Telemetry.Json.Arr [ Telemetry.Json.Obj row ]) -> row
+        | _ -> Alcotest.fail "expected one row")
+    | _ -> Alcotest.fail "results are not an object"
+  in
+  let field k =
+    match List.assoc_opt k row with
+    | Some (Telemetry.Json.Str s) -> s
+    | _ -> Alcotest.failf "row has no string %s" k
+  in
+  Alcotest.(check string) "status" "rejected" (field "status");
+  Alcotest.(check string) "kind" "parse-error" (field "kind");
+  Alcotest.(check bool) "no failed attempts" true
+    (List.assoc_opt "failures" row = Some (Telemetry.Json.Arr []))
+
 let tests =
   [
     Alcotest.test_case "backoff: deterministic, jittered, capped" `Quick
@@ -672,4 +698,6 @@ let tests =
       cache_skips_incidents;
     Alcotest.test_case "codec: one bad decision refuses the payload" `Quick
       attempt_codec_all_or_nothing;
+    Alcotest.test_case "batch: truncated char literal is a parse error" `Quick
+      truncated_char_literal_rejected;
   ]

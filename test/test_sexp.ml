@@ -118,6 +118,113 @@ let parse_errors () =
       | _ -> Alcotest.failf "expected a parse error for %S" src)
     bad
 
+(* The Format printer every artifact was written with, kept as the
+   oracle for [Sexp.to_string]'s layout engine: one hov box of indent
+   1 per list, a space break between elements, under [asprintf]. *)
+let rec format_pp ppf = function
+  | Sexp.Atom s -> Fmt.string ppf s
+  | Sexp.List xs ->
+      Fmt.pf ppf "@[<hov 1>(%a)@]" Fmt.(list ~sep:sp format_pp) xs
+
+let format_to_string s = Fmt.str "%a" format_pp s
+
+let same_layout what s =
+  let expected = format_to_string s in
+  let got = Sexp.to_string s in
+  if not (String.equal expected got) then
+    Alcotest.failf "%s: layout differs from Format's@.%s@.--- got ---@.%s"
+      what expected got
+
+let layout_gen_programs () =
+  List.iter
+    (fun size ->
+      for seed = 1 to 150 do
+        let e = Gen.program_of_seed ~size seed in
+        let s = Sexp.of_expr e in
+        same_layout (Fmt.str "Gen seed %d size %d" seed size) s;
+        Alcotest.(check string) "write = to_string of_expr"
+          (Sexp.to_string s) (Sexp.write e)
+      done)
+    [ 5; 20; 40; 120; 400 ]
+
+(* Every tree that crosses a pass boundary: the pass-cache hook is
+   asked for each pass's input, which is the previous pass's output. *)
+let layout_pass_boundaries () =
+  let seen = ref 0 in
+  let check what e =
+    incr seen;
+    same_layout what (Sexp.of_expr e)
+  in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun (pr : Bench_programs.program) ->
+          let datacons, core = Bench_programs.compile pr in
+          let name = pr.Bench_programs.name in
+          let cache =
+            {
+              Pipeline.cache_lookup =
+                (fun ~pass ~supply:_ ~input ->
+                  check (Fmt.str "%s: input of %s" name pass) input;
+                  None);
+              cache_store = (fun ~pass:_ ~supply:_ ~input:_ _ -> ());
+            }
+          in
+          check (name ^ ": elaborated") core;
+          let out =
+            Pipeline.run (Pipeline.default_config ~mode ~datacons ~cache ()) core
+          in
+          check (name ^ ": final") out)
+        Bench_programs.all)
+    [ Pipeline.Join_points; Pipeline.Baseline; Pipeline.No_cc ];
+  Alcotest.(check bool) "pass boundaries seen" true (!seen > 1000)
+
+(* Random trees past the engine's edges: atoms longer than the space
+   a box opened at the maximum indent has left, nesting deeper than the
+   maximum indent, boxes opened near the margin, empty lists and empty
+   atoms. *)
+let layout_random_trees () =
+  let st = Random.State.make [| 15 |] in
+  let atom max_len =
+    let len = Random.State.int st (max_len + 1) in
+    Sexp.Atom (String.init len (fun i -> Char.chr (97 + ((i + len) mod 26))))
+  in
+  (* A spine of exactly [depth] nested lists with small trees beside
+     it, or a bushy tree of short atoms. *)
+  let rec spine depth =
+    if depth = 0 then atom 120
+    else
+      let n = 1 + Random.State.int st 4 in
+      let k = Random.State.int st n in
+      Sexp.List
+        (List.init n (fun i ->
+             if i = k then spine (depth - 1)
+             else if Random.State.bool st then atom 120
+             else bush (Random.State.int st 3)))
+  and bush depth =
+    if depth = 0 || Random.State.int st 4 = 0 then atom 6
+    else Sexp.List (List.init (Random.State.int st 6) (fun _ -> bush (depth - 1)))
+  in
+  let deepest = ref 0 in
+  let rec depth = function
+    | Sexp.Atom _ -> 0
+    | Sexp.List xs -> 1 + List.fold_left (fun d x -> Int.max d (depth x)) 0 xs
+  in
+  (* A bushy tree [k] singleton lists deep, so it starts at column [k]. *)
+  let rec wrap k s = if k = 0 then s else Sexp.List [ wrap (k - 1) s ] in
+  for i = 1 to 10_000 do
+    let s =
+      match i mod 3 with
+      | 0 -> spine (Random.State.int st 90)
+      | 1 -> bush (1 + Random.State.int st 7)
+      | _ -> wrap (55 + Random.State.int st 25) (bush (1 + Random.State.int st 4))
+    in
+    deepest := Int.max !deepest (depth s);
+    same_layout (Fmt.str "random tree %d" i) s
+  done;
+  Alcotest.(check bool) "nesting deeper than the max indent" true
+    (!deepest > 68)
+
 let tests =
   [
     test "literals round trip" literals;
@@ -130,4 +237,7 @@ let tests =
     test "optimised core round trips" optimised_program;
     test "fresh uniques stay disjoint" fresh_uniques_safe;
     test "parse errors are reported" parse_errors;
+    test "layout = Format's on Gen programs" layout_gen_programs;
+    test "layout = Format's at every pass boundary" layout_pass_boundaries;
+    test "layout = Format's on random trees" layout_random_trees;
   ]

@@ -160,6 +160,28 @@ let missing_brace () = parse_errors "def main = case 1 of { 1 -> 2"
 let stray_operator () = parse_errors "def main = 1 + "
 let bad_char_literal () = parse_errors "def main = 'ab"
 
+(* An escaped character literal cut off by the end of the source is a
+   lexical error, not an out-of-bounds read. *)
+let escaped_char_at_eof () =
+  List.iter parse_errors [ "def main = '\\n"; "def main = '\\"; "def main = '" ]
+
+let keywords_lex () =
+  let lex src =
+    match Fj_surface.Lexer.tokenize src with
+    | [ (t, _); (Fj_surface.Lexer.EOF, _) ] -> t
+    | _ -> Alcotest.failf "%S is not one token" src
+  in
+  List.iter
+    (fun kw ->
+      Alcotest.(check bool) (kw ^ " is a keyword") true
+        (lex kw = Fj_surface.Lexer.KW kw))
+    [ "data"; "def"; "let"; "rec"; "in"; "case"; "of"; "if"; "then"; "else" ];
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (id ^ " is an identifier") true
+        (lex id = Fj_surface.Lexer.LIDENT id))
+    [ "define"; "iff"; "in2"; "thenx"; "elsE"; "dat"; "of'"; "let_" ]
+
 (* ---------------- prelude ---------------- *)
 
 let prelude_works () =
@@ -231,4 +253,6 @@ let tests =
     test "prelude folds" prelude_fold_functions;
     test "prelude zip" prelude_zip;
     test "elaboration preserves laziness" elaboration_preserves_laziness;
+    test "escaped char literal at end of input" escaped_char_at_eof;
+    test "keywords lex as KW, near-misses as identifiers" keywords_lex;
   ]

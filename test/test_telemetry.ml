@@ -240,6 +240,221 @@ let tick_name_round_trips () =
   Alcotest.(check (option reject)) "unknown name rejected" None
     (Telemetry.tick_of_name "no-such-tick")
 
+(* ------------------------------------------------------------------ *)
+(* The JSON reader against the one it replaced                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The parser [Json.parse] replaced, kept as its oracle: a [char option]
+   per peek and one buffered character at a time. The rewrite must give
+   the same value, or the same error message at the same offset, on
+   every input. *)
+exception Old_bad of string
+
+let old_json_parse (s : string) : (Telemetry.Json.t, string) result =
+  let open Telemetry.Json in
+  let n = String.length s in
+  let pos = ref 0 in
+  let peek () = if !pos < n then Some s.[!pos] else None in
+  let advance () = incr pos in
+  let fail msg = raise (Old_bad (Printf.sprintf "%s at offset %d" msg !pos)) in
+  let rec skip_ws () =
+    match peek () with
+    | Some (' ' | '\t' | '\n' | '\r') ->
+        advance ();
+        skip_ws ()
+    | _ -> ()
+  in
+  let expect c =
+    match peek () with
+    | Some c' when c' = c -> advance ()
+    | _ -> fail (Printf.sprintf "expected '%c'" c)
+  in
+  let literal word v =
+    let l = String.length word in
+    if !pos + l <= n && String.sub s !pos l = word then begin
+      pos := !pos + l;
+      v
+    end
+    else fail (Printf.sprintf "expected %s" word)
+  in
+  let parse_string () =
+    expect '"';
+    let b = Buffer.create 16 in
+    let rec go () =
+      match peek () with
+      | None -> fail "unterminated string"
+      | Some '"' -> advance ()
+      | Some '\\' -> (
+          advance ();
+          match peek () with
+          | Some '"' -> Buffer.add_char b '"'; advance (); go ()
+          | Some '\\' -> Buffer.add_char b '\\'; advance (); go ()
+          | Some '/' -> Buffer.add_char b '/'; advance (); go ()
+          | Some 'n' -> Buffer.add_char b '\n'; advance (); go ()
+          | Some 'r' -> Buffer.add_char b '\r'; advance (); go ()
+          | Some 't' -> Buffer.add_char b '\t'; advance (); go ()
+          | Some 'b' -> Buffer.add_char b '\b'; advance (); go ()
+          | Some 'f' -> Buffer.add_char b '\012'; advance (); go ()
+          | Some 'u' ->
+              advance ();
+              if !pos + 4 > n then fail "bad \\u escape";
+              let hex = String.sub s !pos 4 in
+              (match int_of_string_opt ("0x" ^ hex) with
+              | None -> fail "bad \\u escape"
+              | Some code ->
+                  (* Keep it simple: BMP code points below 0x80 as a
+                     char, the rest replaced; traces are ASCII. *)
+                  if code < 0x80 then Buffer.add_char b (Char.chr code)
+                  else Buffer.add_char b '?');
+              pos := !pos + 4;
+              go ()
+          | _ -> fail "bad escape")
+      | Some c ->
+          Buffer.add_char b c;
+          advance ();
+          go ()
+    in
+    go ();
+    Buffer.contents b
+  in
+  let parse_number () =
+    let start = !pos in
+    let is_num_char c =
+      match c with
+      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+      | _ -> false
+    in
+    while !pos < n && is_num_char s.[!pos] do
+      advance ()
+    done;
+    let tok = String.sub s start (!pos - start) in
+    match int_of_string_opt tok with
+    | Some i -> Int i
+    | None -> (
+        match float_of_string_opt tok with
+        | Some f -> Float f
+        | None -> fail "bad number")
+  in
+  let rec parse_value () =
+    skip_ws ();
+    match peek () with
+    | None -> fail "unexpected end of input"
+    | Some '{' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some '}' then begin
+          advance ();
+          Obj []
+        end
+        else
+          let rec members acc =
+            skip_ws ();
+            let k = parse_string () in
+            skip_ws ();
+            expect ':';
+            let v = parse_value () in
+            skip_ws ();
+            match peek () with
+            | Some ',' ->
+                advance ();
+                members ((k, v) :: acc)
+            | Some '}' ->
+                advance ();
+                List.rev ((k, v) :: acc)
+            | _ -> fail "expected ',' or '}'"
+          in
+          Obj (members [])
+    | Some '[' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some ']' then begin
+          advance ();
+          Arr []
+        end
+        else
+          let rec items acc =
+            let v = parse_value () in
+            skip_ws ();
+            match peek () with
+            | Some ',' ->
+                advance ();
+                items (v :: acc)
+            | Some ']' ->
+                advance ();
+                List.rev (v :: acc)
+            | _ -> fail "expected ',' or ']'"
+          in
+          Arr (items [])
+    | Some '"' -> Str (parse_string ())
+    | Some 't' -> literal "true" (Bool true)
+    | Some 'f' -> literal "false" (Bool false)
+    | Some 'n' -> literal "null" Null
+    | Some _ -> parse_number ()
+  in
+  match
+    let v = parse_value () in
+    skip_ws ();
+    if !pos <> n then fail "trailing garbage";
+    v
+  with
+  | v -> Ok v
+  | exception Old_bad msg -> Error msg
+
+(* A real request-cache payload: what the compile service stores for
+   one program. *)
+let cache_payload () =
+  let path = Filename.temp_file "fj-json" ".fj" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc
+        "def main =\n\
+        \  let rec go n acc = if n == 0 then acc else go (n - 1) (acc + n)\n\
+        \  in go 10 0\n";
+      close_out oc;
+      match
+        (Fj_service.Service.process_one
+           (Fj_service.Service.default_config ())
+           ~id:"json" ~path)
+          .Fj_service.Service.status
+      with
+      | Fj_service.Service.Compiled a ->
+          Telemetry.Json.to_string (Fj_service.Service.attempt_ok_json a)
+      | st ->
+          Alcotest.failf "payload program did not compile: %s"
+            (Fj_service.Service.status_name st))
+
+let json_parse_matches_oracle () =
+  let payload = cache_payload () in
+  let same what s =
+    let expected = old_json_parse s in
+    if Telemetry.Json.parse s <> expected then
+      Alcotest.failf "%s: parse differs from the oracle (oracle: %s)" what
+        (match expected with Ok _ -> "a value" | Error m -> m)
+  in
+  Alcotest.(check bool) "the payload parses" true
+    (Result.is_ok (Telemetry.Json.parse payload));
+  Alcotest.(check bool) "the payload has escapes" true
+    (String.contains payload '\\');
+  let n = String.length payload in
+  for i = 0 to n do
+    same (Fmt.str "prefix of %d bytes" i) (String.sub payload 0 i)
+  done;
+  (* Bytes replaced by one the grammar cares about, or by any byte. *)
+  let st = Random.State.make [| 15 |] in
+  let pick = "\"\\/{}[],:-+.eE0123456789unrtbfx \n" in
+  for _ = 1 to 2000 do
+    let i = Random.State.int st n in
+    let c =
+      if Random.State.int st 4 = 0 then Char.chr (Random.State.int st 256)
+      else pick.[Random.State.int st (String.length pick)]
+    in
+    let b = Bytes.of_string payload in
+    Bytes.set b i c;
+    same (Fmt.str "byte %d set to %C" i c) (Bytes.to_string b)
+  done
+
 let tests =
   [
     test "tick collection and totals" basic_collection;
@@ -258,4 +473,6 @@ let tests =
     test "\\u escapes parse" unicode_escape_parsing;
     QCheck_alcotest.to_alcotest string_roundtrip_property;
     test "now_ms is monotonic, epoch_ms is absolute" now_ms_is_monotonic;
+    test "JSON parser = the old parser, values and errors"
+      json_parse_matches_oracle;
   ]
