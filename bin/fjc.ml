@@ -1363,7 +1363,7 @@ let jobs_flag =
   Arg.(
     value & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Supervised worker domains draining the request queue.")
+        ~doc:"Worker domains draining the request queue.")
 
 let queue_flag =
   Arg.(
@@ -1451,7 +1451,6 @@ let service_config jobs queue attempts backoff backoff_max seed deadline
   let base = Service.default_config () in
   let budget =
     {
-      base.Service.budget with
       Svc_budget.wall_ms = deadline;
       fuel =
         (match pass_fuel with
@@ -1546,7 +1545,7 @@ let service_exits =
 let batch_cmd =
   let doc =
     "Compile a batch of files through the fault-tolerant compile service: \
-     supervised parallel workers, per-request deadlines, retry with \
+     parallel workers, per-request deadlines, retry with \
      jittered backoff, graceful degradation, and an integrity-checked \
      cache of whole compile results (one entry per source)."
   in

@@ -30,7 +30,7 @@ let pass_points =
 
 (* Service-layer points, triggered via {!trigger} rather than
    {!point}: the worker loop, the cache write path, and the pass
-   harness's deadline all consult them to prove the supervision /
+   harness's deadline all consult them to prove the crash rerun /
    quarantine / watchdog machinery has teeth. *)
 let service_points = [ "service/worker"; "service/cache"; "service/slow-pass" ]
 let points = pass_points @ service_points

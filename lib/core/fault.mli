@@ -29,8 +29,9 @@
     not a tree transformation):
 
     - ["service/worker"] — the worker loop crashes mid-request
-      ([Raise]; any other behaviour is treated the same), proving
-      supervision: respawn, re-queue, retry;
+      ([Raise]; any other behaviour is treated the same), proving the
+      crash rerun: the request is run again, and dropped at its third
+      crash;
     - ["service/cache"] — the cache write path corrupts the entry body
       on disk, proving integrity verification: quarantine + recompute,
       never serve;

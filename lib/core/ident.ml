@@ -24,6 +24,7 @@ type supply = int ref
 let supply_key : supply Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 let counter () = Domain.DLS.get supply_key
 let new_supply () : supply = ref 0
+let copy_supply () : supply = ref !(counter ())
 
 let with_supply (s : supply) f =
   let saved = Domain.DLS.get supply_key in

@@ -40,6 +40,11 @@ type supply
 (** A fresh supply whose next key is 1. *)
 val new_supply : unit -> supply
 
+(** A throwaway supply that starts at the current supply's counter:
+    keys drawn from it cannot collide with any key allocated so far,
+    and drawing them leaves the current supply untouched. *)
+val copy_supply : unit -> supply
+
 (** [with_supply s f] makes [s] the current domain's supply for the
     dynamic extent of [f] (nesting saves and restores). Two runs of
     the same deterministic compilation under fresh supplies allocate

@@ -2,27 +2,12 @@
 
 open Fj_core
 
-type spec = {
-  wall_ms : float option;
-  fuel : int option;
-  growth_factor : int;
-  growth_slack : int;
-}
+type spec = { wall_ms : float option; fuel : int option }
 
 let default_spec =
-  {
-    wall_ms = None;
-    fuel = Guard.default_limits.Guard.pass_fuel;
-    growth_factor = Guard.default_limits.Guard.max_growth_factor;
-    growth_slack = Guard.default_limits.Guard.max_growth_slack;
-  }
+  { wall_ms = None; fuel = Guard.default_limits.Guard.pass_fuel }
 
-let limits s =
-  {
-    Guard.pass_fuel = s.fuel;
-    max_growth_factor = s.growth_factor;
-    max_growth_slack = s.growth_slack;
-  }
+let limits s = { Guard.default_limits with Guard.pass_fuel = s.fuel }
 
 exception Deadline_exceeded of { wall_ms : float }
 
@@ -52,9 +37,6 @@ let expired b =
 let check b =
   if expired b then
     raise (Deadline_exceeded { wall_ms = Option.get b.spec.wall_ms })
-
-let remaining_ms b =
-  Option.map (fun d -> d -. Telemetry.now_ms ()) b.deadline
 
 let with_watchdog b f =
   match b.deadline with

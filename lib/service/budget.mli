@@ -21,14 +21,13 @@
 type spec = {
   wall_ms : float option;  (** Per-attempt deadline; [None] = none. *)
   fuel : int option;  (** Per-pass tick budget ({!Fj_core.Guard.limits}). *)
-  growth_factor : int;  (** Per-pass size ceiling factor. *)
-  growth_slack : int;  (** Per-pass size ceiling slack. *)
 }
 
-(** No deadline; fuel and size from {!Fj_core.Guard.default_limits}. *)
+(** No deadline; fuel from {!Fj_core.Guard.default_limits}. *)
 val default_spec : spec
 
-(** The {!Fj_core.Guard.limits} embedding of a spec's fuel and size bounds. *)
+(** The {!Fj_core.Guard.limits} embedding of a spec's fuel, with the
+    size ceiling of {!Fj_core.Guard.default_limits}. *)
 val limits : spec -> Fj_core.Guard.limits
 
 exception Deadline_exceeded of { wall_ms : float }
@@ -44,10 +43,6 @@ val start : spec -> t
 val check : t -> unit
 
 val expired : t -> bool
-
-(** Monotonic milliseconds until the deadline; [None] when the spec
-    has no deadline. Negative once expired. *)
-val remaining_ms : t -> float option
 
 (** [with_watchdog b f] runs [f] with a tick observer that {!check}s
     the clock every few dozen ticks. *)

@@ -114,22 +114,31 @@ let read_file path =
 
 let is_sexp path = Filename.check_suffix path ".sexp"
 
+let lint_input denv core =
+  match Lint.lint_result denv core with
+  | Ok _ -> ()
+  | Error err -> raise (Permanent ("ill-typed", Fmt.str "%a" Lint.pp_error err))
+
 let load_source ~no_prelude ~path src =
-  if is_sexp path then
+  if is_sexp path then (
     match Sexp.read Datacon.builtins src with
-    | core -> (Datacon.builtins, core)
+    | core ->
+        (* Lint draws uniques. Drawn from a copy of the supply, they
+           leave the keys the compile allocates, and so its output, as
+           they would be unlinted. *)
+        Ident.with_supply (Ident.copy_supply ()) (fun () ->
+            lint_input Datacon.builtins core);
+        (Datacon.builtins, core)
     | exception exn ->
-        raise (Permanent ("bad-sexp", Printexc.to_string exn))
+        raise (Permanent ("bad-sexp", Printexc.to_string exn)))
   else
     match
       if no_prelude then Fj_surface.Infer.compile src
       else Fj_surface.Prelude.compile src
     with
-    | denv, core -> (
-        match Lint.lint_result denv core with
-        | Ok _ -> (denv, core)
-        | Error err ->
-            raise (Permanent ("ill-typed", Fmt.str "%a" Lint.pp_error err)))
+    | denv, core ->
+        lint_input denv core;
+        (denv, core)
     | exception Fj_surface.Parser.Parse_error (msg, _) ->
         raise (Permanent ("parse-error", msg))
     | exception Fj_surface.Lexer.Lex_error (msg, _) ->
@@ -221,10 +230,18 @@ let transient_of_exn = function
   | Pipeline.Pass_broke_lint (pass, _) -> ("lint", pass)
   | exn -> ("exn", Printexc.to_string exn)
 
-(* --- one attempt, isolated (fork) ---------------------------------- *)
+(* An attempt's verdict: [`P] is permanent (bad input, never retried),
+   [`T] transient (fed to the ladder); both carry (cause, detail). *)
+type verdict =
+  (attempt_ok, [ `P of string * string | `T of string * string ]) result
 
-(* The attempt result codec: across the fork boundary, and the
-   request cache's payload. *)
+let attempt_in_process cfg ~rung ~path ~src : verdict =
+  match compile_attempt cfg ~rung ~path ~src with
+  | a -> Ok a
+  | exception Permanent (kind, detail) -> Error (`P (kind, detail))
+  | exception exn -> Error (`T (transient_of_exn exn))
+
+(* The attempt result codec: the request cache's payload. *)
 let attempt_ok_json a =
   Telemetry.Json.(
     Obj
@@ -276,111 +293,93 @@ let attempt_ok_of_json = function
       Some { a_rung; a_output; a_output_size; a_ticks; a_decisions; a_incidents }
   | _ -> None
 
-(* Child exit codes for the isolate protocol. *)
-let exit_ok = 0
-let exit_permanent = 4
-let exit_transient = 5
+(* --- one attempt, isolated (fork) ---------------------------------- *)
 
-(* In [--isolate] mode service faults must be claimed by the parent:
-   the forked child inherits a {e copy} of the fault registry, so a
-   fire limit decremented in the child would never reach the parent
-   and a "transient" fault would fire in every retry forever. The
-   claimed behaviour crosses the fork through this flag. *)
-let inject_slow = ref false
-
-let isolated_attempt cfg ~rung ~path ~src : (attempt_ok, [ `P of string * string | `T of string * string ]) result =
-  let crash = Fault.trigger "service/worker" <> None in
-  inject_slow := Fault.trigger "service/slow-pass" <> None;
-  let result_file =
-    Filename.temp_file "fjc-isolate" (Fmt.str ".%d.json" (Unix.getpid ()))
+(* Read [fd] to end of file; [None] if [deadline] passes first. *)
+let read_to_eof fd ~deadline =
+  let buf = Buffer.create 4096 and chunk = Bytes.create 65536 in
+  let rec go () =
+    let timeout =
+      match deadline with
+      | None -> -1.0
+      | Some d -> Float.max 0.0 ((d -. Telemetry.now_ms ()) /. 1000.0)
+    in
+    match Unix.select [ fd ] [] [] timeout with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+    | [], _, _ -> None
+    | _ -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+        | 0 -> Some (Buffer.contents buf)
+        | n ->
+            Buffer.add_subbytes buf chunk 0 n;
+            go ())
   in
-  Fun.protect ~finally:(fun () ->
-      inject_slow := false;
-      try Sys.remove result_file with Sys_error _ -> ())
-  @@ fun () ->
+  go ()
+
+let rec reap pid =
+  match Unix.waitpid [] pid with
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
+  | _, status -> status
+
+(* The child runs the in-process attempt and sends back its verdict
+   with the fault points it fired. The parent replays those, so fire
+   limits count down across attempts as they do in process; it claims
+   only [service/worker] itself, because that fault must show up as a
+   real child death. *)
+let isolated_attempt cfg ~rung ~path ~src : verdict =
+  let crash = Fault.trigger "service/worker" <> None in
+  let rd, wr = Unix.pipe () in
   flush stdout;
   flush stderr;
   match Unix.fork () with
-  | 0 ->
-      (* Child: one attempt, result through the file, verdict through
-         the exit code. The injected worker crash dies uncleanly on
-         purpose — the parent must see a crash, not a verdict. *)
-      let code =
-        try
-          if crash then raise (Fault.Injected "service/worker");
-          if !inject_slow then Budget.burn (Budget.start cfg.budget);
-          let a = compile_attempt cfg ~rung ~path ~src in
-          let oc = open_out_bin result_file in
-          output_string oc (Telemetry.Json.to_string (attempt_ok_json a));
-          close_out oc;
-          exit_ok
-        with
-        | Permanent (kind, detail) ->
-            let oc = open_out_bin result_file in
-            output_string oc
-              (Telemetry.Json.to_string
-                 Telemetry.Json.(
-                   Obj [ ("kind", Str kind); ("detail", Str detail) ]));
-            close_out oc;
-            exit_permanent
-        | Fault.Injected _ -> 70 (* simulated crash: die uncleanly *)
-        | _ -> exit_transient
-      in
-      (* Skip at_exit (the parent owns the terminal and any recorders). *)
-      Unix._exit code
+  | exception exn ->
+      Unix.close rd;
+      Unix.close wr;
+      raise exn
+  | 0 -> (
+      (* Every path ends in [_exit]: an exception escaping here would
+         run the parent's loop in the child, and [_exit] skips the
+         parent's [at_exit] handlers. [Marshal] is safe across the
+         pipe because both ends are the same binary. *)
+      try
+        if crash then Unix._exit 70;
+        Fault.reset_fired ();
+        let verdict = attempt_in_process cfg ~rung ~path ~src in
+        let bytes = Marshal.to_bytes (verdict, Fault.fired ()) [] in
+        ignore (Unix.write wr bytes 0 (Bytes.length bytes));
+        Unix._exit 0
+      with _ -> Unix._exit 70)
   | pid -> (
-      (* Parent: reap, with a hard kill at the deadline — the real
-         watchdog isolate mode buys us. *)
+      Unix.close wr;
+      (* A hard kill past the deadline: the watchdog isolate mode buys. *)
+      let wall_ms = cfg.budget.Budget.wall_ms in
       let deadline =
-        Option.map (fun w -> Telemetry.now_ms () +. w +. 100.0) cfg.budget.Budget.wall_ms
+        Option.map (fun w -> Telemetry.now_ms () +. w +. 100.0) wall_ms
       in
-      let rec reap () =
-        match Unix.waitpid [ Unix.WNOHANG ] pid with
-        | 0, _ ->
-            (match deadline with
-            | Some d when Telemetry.now_ms () > d ->
-                (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-            | _ -> ());
-            Unix.sleepf 0.002;
-            reap ()
-        | _, status -> status
+      let payload =
+        Fun.protect
+          ~finally:(fun () -> Unix.close rd)
+          (fun () -> read_to_eof rd ~deadline)
       in
-      let read_result () =
-        try Ok (read_file result_file)
-        with Sys_error msg -> Error msg
-      in
-      match reap () with
-      | Unix.WEXITED c when c = exit_ok -> (
-          match Result.bind (read_result ()) Telemetry.Json.parse with
-          | Ok j -> (
-              match attempt_ok_of_json j with
-              | Some a -> Ok a
-              | None -> Error (`T ("exn", "unreadable isolate result")))
-          | Error e -> Error (`T ("exn", "unreadable isolate result: " ^ e)))
-      | Unix.WEXITED c when c = exit_permanent -> (
-          match Result.bind (read_result ()) Telemetry.Json.parse with
-          | Ok (Telemetry.Json.Obj fields) ->
-              let str k =
-                match List.assoc_opt k fields with
-                | Some (Telemetry.Json.Str s) -> Some s
-                | _ -> None
-              in
-              Error
-                (`P
-                   ( Option.value ~default:"error" (str "kind"),
-                     Option.value ~default:"" (str "detail") ))
-          | _ -> Error (`P ("error", "unreadable isolate result"))
-        )
-      | Unix.WEXITED c when c = exit_transient -> Error (`T ("exn", "transient failure in isolated child"))
-      | Unix.WEXITED c -> Error (`T ("worker-crash", Fmt.str "child exited %d" c))
-      | Unix.WSIGNALED s when s = Sys.sigkill && deadline <> None ->
+      if Option.is_none payload then (
+        try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      match (payload, reap pid) with
+      | None, _ ->
           Error
             (`T
                ( "deadline",
-                 Fmt.str "killed after %.0fms deadline"
-                   (Option.get cfg.budget.Budget.wall_ms) ))
-      | Unix.WSIGNALED s -> Error (`T ("worker-crash", Fmt.str "child killed by signal %d" s))
-      | Unix.WSTOPPED _ -> Error (`T ("worker-crash", "child stopped")))
+                 Fmt.str "killed after %.0fms deadline" (Option.get wall_ms) ))
+      | Some bytes, Unix.WEXITED 0 ->
+          let verdict, fired =
+            (Marshal.from_string bytes 0 : verdict * string list)
+          in
+          List.iter (fun p -> ignore (Fault.trigger p)) fired;
+          verdict
+      | Some _, Unix.WEXITED c ->
+          Error (`T ("worker-crash", Fmt.str "child exited %d" c))
+      | Some _, (Unix.WSIGNALED s | Unix.WSTOPPED s) ->
+          Error (`T ("worker-crash", Fmt.str "child killed by signal %d" s)))
 
 (* --- the retry/degrade ladder -------------------------------------- *)
 
@@ -389,21 +388,16 @@ let next_rung = function
   | Degraded -> Some Check_only
   | Check_only -> None
 
-let run_attempt cfg ~rung ~path ~src :
-    (attempt_ok, [ `P of string * string | `T of string * string ]) result =
+let run_attempt cfg ~rung ~path ~src : verdict =
   if cfg.isolate then
     (* [Unix.fork] itself can fail — most notably it refuses outright
        once any domain has ever been spawned in this process. That is
        an environmental (transient-class) failure of the attempt, not
-       a crash: it must feed the ladder, never the supervisor. *)
+       a crash: it must feed the ladder, never the crash rerun. *)
     match isolated_attempt cfg ~rung ~path ~src with
-    | r -> r
+    | v -> v
     | exception exn -> Error (`T (transient_of_exn exn))
-  else
-    match compile_attempt cfg ~rung ~path ~src with
-    | a -> Ok a
-    | exception Permanent (kind, detail) -> Error (`P (kind, detail))
-    | exception exn -> Error (`T (transient_of_exn exn))
+  else attempt_in_process cfg ~rung ~path ~src
 
 (* The request entry's key: everything that decides what the [Full]
    rung makes of this source. *)
@@ -420,8 +414,8 @@ let decode_attempt payload =
 
 let process_one cfg ~id ~path : outcome =
   (* The worker-crash injection point: in domain mode the raise
-     escapes all the way to the supervisor's trampoline (isolate mode
-     claims the fault itself, per attempt, in the parent). *)
+     escapes to [handle_request], which reruns the request (isolate
+     mode claims the fault itself, per attempt, in the parent). *)
   if not cfg.isolate then (
     match Fault.trigger "service/worker" with
     | Some _ -> raise (Fault.Injected "service/worker")
@@ -484,6 +478,58 @@ let process_one cfg ~id ~path : outcome =
   in
   { id; path; status; failures = List.rev !failures; ms = Telemetry.now_ms () -. t0 }
 
+(* --- draining the queue -------------------------------------------- *)
+
+(* A request whose handling raises (a bug, or the armed
+   [service/worker] fault) is rerun in place, each crash recorded on its
+   own outcome; one that crashes this often is poison and is dropped. *)
+let max_crashes = 3
+
+let handle_request cfg (id, path) =
+  let unanswered status failures = { id; path; status; failures; ms = 0.0 } in
+  match Shutdown.requested () with
+  | Some r ->
+      (* Draining: in-flight work finished; queued work is dropped
+         with an explicit marker, and partial results still land. *)
+      unanswered (Dropped { reason = Shutdown.reason_name r }) []
+  | None ->
+      let rec run crashes =
+        match process_one cfg ~id ~path with
+        | o -> { o with failures = List.rev_append crashes o.failures }
+        | exception exn ->
+            let detail = Printexc.to_string exn in
+            let crashes =
+              {
+                f_rung = "pool";
+                f_attempt = List.length crashes;
+                f_cause = "worker-crash";
+                f_detail = detail;
+                f_backoff_ms = 0.0;
+              }
+              :: crashes
+            in
+            if List.length crashes < max_crashes then run crashes
+            else
+              unanswered
+                (Dropped { reason = "worker crashed: " ^ detail })
+                (List.rev crashes)
+      in
+      run []
+
+(* [jobs] workers pop requests until [queue] is closed and drained,
+   passing each outcome to [emit]; with [jobs <= 1] the one worker is
+   the calling domain. *)
+let drain cfg ~jobs ~queue ~emit =
+  let rec worker () =
+    match Workqueue.pop queue with
+    | None -> ()
+    | Some req ->
+        emit (handle_request cfg req);
+        worker ()
+  in
+  if jobs <= 1 then worker ()
+  else List.iter Domain.join (List.init jobs (fun _ -> Domain.spawn worker))
+
 (* --- batch --------------------------------------------------------- *)
 
 type batch = {
@@ -493,9 +539,10 @@ type batch = {
   b_shutdown : Shutdown.reason option;
 }
 
+let count p l = List.length (List.filter p l)
+
 let run_batch cfg sources =
   let t0 = Telemetry.now_ms () in
-  Supervisor.reset_respawns ();
   let queue = Workqueue.create ~capacity:cfg.queue_capacity in
   let lock = Mutex.create () in
   let results : (string, outcome) Hashtbl.t = Hashtbl.create 64 in
@@ -511,65 +558,18 @@ let run_batch cfg sources =
           record { id; path; status = Shed; failures = []; ms = 0.0 })
     sources;
   Workqueue.close queue;
-  let handle ~worker:_ (id, path) =
-    match Shutdown.requested () with
-    | Some r ->
-        (* Draining: in-flight work finished; queued work is dropped
-           with an explicit marker, and partial results still land. *)
-        record
-          {
-            id;
-            path;
-            status = Dropped { reason = Shutdown.reason_name r };
-            failures = [];
-            ms = 0.0;
-          }
-    | None -> record (process_one cfg ~id ~path)
-  in
-  let crashes = ref [] in
-  let on_crash (c : (string * string) Supervisor.crash) =
-    let id, path = c.Supervisor.c_request in
-    Mutex.protect lock (fun () -> crashes := (id, c) :: !crashes);
-    if not c.Supervisor.c_requeued then
-      record
-        {
-          id;
-          path;
-          status = Dropped { reason = "worker crashed: " ^ c.Supervisor.c_exn };
-          failures = [];
-          ms = 0.0;
-        }
-  in
   (* Isolate mode forks; forking a process that has running sibling
      domains is a hazard, so the pool is forced inline on this domain. *)
-  let jobs = if cfg.isolate then 1 else cfg.jobs in
-  Supervisor.run ~jobs ~queue ~handle ~on_crash ();
-  (* Fold the supervisor's crash log into each outcome's failure
-     history (a crash is one more absorbed transient). *)
+  drain cfg ~jobs:(if cfg.isolate then 1 else cfg.jobs) ~queue ~emit:record;
   let outcomes =
-    List.filter_map (fun (id, _) -> Hashtbl.find_opt results id)
-      (List.sort_uniq compare (List.map (fun (id, p) -> (id, p)) sources))
+    List.sort
+      (fun a b -> String.compare a.id b.id)
+      (Hashtbl.fold (fun _ o acc -> o :: acc) results [])
   in
-  let outcomes =
-    List.map
-      (fun o ->
-        let mine =
-          List.filter (fun (id, _) -> String.equal id o.id) !crashes
-          |> List.map (fun (_, c) ->
-                 {
-                   f_rung = "pool";
-                   f_attempt = c.Supervisor.c_respawn - 1;
-                   f_cause = "worker-crash";
-                   f_detail = c.Supervisor.c_exn;
-                   f_backoff_ms = 0.0;
-                 })
-        in
-        { o with failures = mine @ o.failures })
-      outcomes
-  in
+  let crashes o = count (fun f -> String.equal f.f_rung "pool") o.failures in
   {
-    b_outcomes = List.sort (fun a b -> String.compare a.id b.id) outcomes;
-    b_respawns = Supervisor.respawns ();
+    b_outcomes = outcomes;
+    b_respawns = List.fold_left (fun n o -> n + crashes o) 0 outcomes;
     b_wall_ms = Telemetry.now_ms () -. t0;
     b_shutdown = Shutdown.requested ();
   }
@@ -620,8 +620,6 @@ let outcome_row o =
           ("ms", Float o.ms);
           ("failures", Arr (List.map failure_json o.failures));
         ]))
-
-let count p l = List.length (List.filter p l)
 
 let batch_json cfg b =
   let status_is name o = String.equal (status_name o.status) name in
@@ -737,78 +735,37 @@ let parse_request line =
   | None -> (sanitize_id line, line)
 
 let serve_channels cfg ~input ~output =
-  let queue = Workqueue.create ~capacity:cfg.queue_capacity in
   let out_lock = Mutex.create () in
   let respond o =
     Mutex.protect out_lock (fun () ->
         output_string output (Telemetry.Json.to_string (response_json o) ^ "\n");
         flush output)
   in
-  let handle ~worker:_ (id, path) =
+  let rec read submit =
     match Shutdown.requested () with
-    | Some r ->
-        respond
-          {
-            id;
-            path;
-            status = Dropped { reason = Shutdown.reason_name r };
-            failures = [];
-            ms = 0.0;
-          }
-    | None -> respond (process_one cfg ~id ~path)
+    | Some _ -> ()
+    | None -> (
+        match input_line input with
+        | exception End_of_file -> ()
+        | line when String.trim line = "" -> read submit
+        | line ->
+            submit (parse_request (String.trim line));
+            read submit)
   in
-  let on_crash (c : (string * string) Supervisor.crash) =
-    if not c.Supervisor.c_requeued then
-      let id, path = c.Supervisor.c_request in
-      respond
-        {
-          id;
-          path;
-          status = Dropped { reason = "worker crashed: " ^ c.Supervisor.c_exn };
-          failures = [];
-          ms = 0.0;
-        }
-  in
-  if cfg.isolate then begin
+  if cfg.isolate then
     (* Fork-per-attempt is only legal while this process has never
        spawned a domain, so isolate mode serves serially on the main
        domain: read a request, answer it, read the next. *)
-    let rec serial () =
-      match Shutdown.requested () with
-      | Some _ -> ()
-      | None -> (
-          match input_line input with
-          | exception End_of_file -> ()
-          | line when String.trim line = "" -> serial ()
-          | line ->
-              handle ~worker:0 (parse_request (String.trim line));
-              serial ())
-    in
-    serial ();
-    Workqueue.close queue
-  end
+    read (fun req -> respond (handle_request cfg req))
   else begin
+    let queue = Workqueue.create ~capacity:cfg.queue_capacity in
     let pool =
-      Domain.spawn (fun () ->
-          Supervisor.run ~jobs:cfg.jobs ~queue ~handle ~on_crash ())
+      Domain.spawn (fun () -> drain cfg ~jobs:cfg.jobs ~queue ~emit:respond)
     in
-    let rec loop () =
-      match Shutdown.requested () with
-      | Some _ -> ()
-      | None -> (
-          match input_line input with
-          | exception End_of_file -> ()
-          | line when String.trim line = "" -> loop ()
-          | line -> (
-              let id, path = parse_request (String.trim line) in
-              match Workqueue.try_push queue (id, path) with
-              | `Ok -> loop ()
-              | `Shed ->
-                  respond { id; path; status = Shed; failures = []; ms = 0.0 };
-                  loop ()
-              | `Closed -> ()))
-    in
-    loop ();
+    read (fun (id, path) ->
+        match Workqueue.try_push queue (id, path) with
+        | `Ok | `Closed -> ()
+        | `Shed -> respond { id; path; status = Shed; failures = []; ms = 0.0 });
     Workqueue.close queue;
     Domain.join pool
   end;

@@ -13,9 +13,10 @@
     deterministic jittered exponential backoff; when a rung's attempts
     are exhausted the request {e degrades}: the full requested
     pipeline, then the [Baseline] pass set, then parse+typecheck only
-    — each step a recorded {!failure}. A worker that crashes outright
-    is the supervisor's problem ({!Supervisor}): respawn, requeue,
-    rerun. Nothing hangs: overload is shed at admission
+    — each step a recorded {!failure}. A request whose handling
+    crashes outright is rerun in place by the worker that saw it, each
+    crash a [pool] failure on its own outcome, and dropped at the third
+    crash. Nothing hangs: overload is shed at admission
     ({!Workqueue}), deadlines are watchdogged ({!Budget}), and every
     admitted request ends in exactly one {!outcome}. *)
 
@@ -26,7 +27,9 @@ val rung_name : rung -> string
 (** One absorbed transient failure. *)
 type failure = {
   f_rung : string;
-  f_attempt : int;  (** 0-based attempt index within the rung. *)
+  f_attempt : int;
+      (** 0-based attempt index within the rung; for a [pool] crash,
+          the request's own crash index. *)
   f_cause : string;  (** ["deadline" | "injected" | "lint" | "exn" | "worker-crash"]. *)
   f_detail : string;
   f_backoff_ms : float;  (** Backoff slept after this failure. *)
@@ -102,10 +105,9 @@ val backoff_ms :
     flag that can change what a compile produces. *)
 val fingerprint : config -> rung -> string
 
-(** The [attempt_ok] codec, used across [--isolate]'s fork boundary
-    and as the request cache's payload. Decoding is all-or-nothing: a
-    missing field, or a single tick, decision or incident that does
-    not decode, refuses the whole document. *)
+(** The [attempt_ok] codec: the request cache's payload. Decoding is
+    all-or-nothing: a missing field, or a single tick, decision or
+    incident that does not decode, refuses the whole document. *)
 val attempt_ok_json : attempt_ok -> Fj_core.Telemetry.Json.t
 
 val attempt_ok_of_json : Fj_core.Telemetry.Json.t -> attempt_ok option
@@ -118,12 +120,15 @@ val attempt_ok_of_json : Fj_core.Telemetry.Json.t -> attempt_ok option
     no front end, Lint or pipeline run. On a miss the result is stored
     only if it compiled at [Full] with no incidents. Never raises —
     except an armed ["service/worker"] fault, which escapes
-    {e deliberately} so the supervisor's crash path is exercised. *)
+    {e deliberately} so the crash rerun of {!run_batch} and {!serve}
+    is exercised. *)
 val process_one : config -> id:string -> path:string -> outcome
 
 type batch = {
   b_outcomes : outcome list;  (** Sorted by id; one per source. *)
-  b_respawns : int;  (** Worker crashes absorbed by the supervisor. *)
+  b_respawns : int;
+      (** Worker crashes: the [pool]/[worker-crash] failures across
+          the outcomes. *)
   b_wall_ms : float;
   b_shutdown : Shutdown.reason option;
       (** A drain was triggered mid-batch by SIGINT/SIGTERM. *)
@@ -131,10 +136,10 @@ type batch = {
 
 (** Compile a batch of [(id, path)] sources. Admission is performed
     up front (so the shed set depends only on capacity and input
-    order, not scheduling), then [jobs] supervised workers drain the
-    queue. Polls {!Shutdown.requested}: after a signal, in-flight
-    requests finish, the rest drain as [Dropped], and partial results
-    are still returned. *)
+    order, not scheduling), then [jobs] workers drain the queue.
+    Polls {!Shutdown.requested}: after a signal, in-flight requests
+    finish, the rest drain as [Dropped], and partial results are still
+    returned. *)
 val run_batch : config -> (string * string) list -> batch
 
 (** Write a batch's artifacts under [dir]: per-request [<id>.sexp] and

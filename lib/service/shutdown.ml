@@ -27,4 +27,3 @@ let install () =
   end
 
 let requested () = of_code (Atomic.get state)
-let reset () = Atomic.set state 0

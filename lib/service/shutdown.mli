@@ -21,8 +21,5 @@ val exit_code : reason -> int
     domain only. *)
 val install : unit -> unit
 
-(** The first signal received since {!install}/{!reset}, if any. *)
+(** The first signal received since {!install}, if any. *)
 val requested : unit -> reason option
-
-(** Clear the flag (tests). *)
-val reset : unit -> unit

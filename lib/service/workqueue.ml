@@ -3,8 +3,7 @@
 type 'a t = {
   lock : Mutex.t;
   nonempty : Condition.t;
-  normal : 'a Queue.t;  (* bounded admission lane *)
-  urgent : 'a Queue.t;  (* unbounded requeue lane *)
+  items : 'a Queue.t;
   capacity : int;
   mutable closed : bool;
 }
@@ -14,8 +13,7 @@ let create ~capacity =
   {
     lock = Mutex.create ();
     nonempty = Condition.create ();
-    normal = Queue.create ();
-    urgent = Queue.create ();
+    items = Queue.create ();
     capacity;
     closed = false;
   }
@@ -23,19 +21,9 @@ let create ~capacity =
 let try_push t x =
   Mutex.protect t.lock (fun () ->
       if t.closed then `Closed
-      else if Queue.length t.normal >= t.capacity then `Shed
+      else if Queue.length t.items >= t.capacity then `Shed
       else begin
-        Queue.push x t.normal;
-        Condition.signal t.nonempty;
-        `Ok
-      end)
-
-let push_urgent t x =
-  Mutex.protect t.lock (fun () ->
-      if t.closed && Queue.is_empty t.normal && Queue.is_empty t.urgent then
-        `Closed
-      else begin
-        Queue.push x t.urgent;
+        Queue.push x t.items;
         Condition.signal t.nonempty;
         `Ok
       end)
@@ -43,8 +31,7 @@ let push_urgent t x =
 let pop t =
   Mutex.protect t.lock (fun () ->
       let rec wait () =
-        if not (Queue.is_empty t.urgent) then Some (Queue.pop t.urgent)
-        else if not (Queue.is_empty t.normal) then Some (Queue.pop t.normal)
+        if not (Queue.is_empty t.items) then Some (Queue.pop t.items)
         else if t.closed then None
         else begin
           Condition.wait t.nonempty t.lock;
@@ -58,9 +45,3 @@ let close t =
       t.closed <- true;
       (* Wake every blocked consumer so it can observe the close. *)
       Condition.broadcast t.nonempty)
-
-let is_closed t = Mutex.protect t.lock (fun () -> t.closed)
-
-let length t =
-  Mutex.protect t.lock (fun () ->
-      Queue.length t.normal + Queue.length t.urgent)

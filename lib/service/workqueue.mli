@@ -3,35 +3,23 @@
 
     The queue never blocks a producer: {!try_push} on a full queue
     returns [`Shed] immediately, and the caller turns that into a
-    structured rejection (ISSUE: overload must produce an explicit
-    refusal, never a hang). Consumers block in {!pop} until an item
-    arrives or the queue is {!close}d and drained.
-
-    A second, unbounded lane ({!push_urgent}) exists for {e requeues}:
-    when a supervised worker crashes mid-request, its in-flight
-    request must not be lost to the same admission control that
-    (deliberately) drops fresh work — the request was already
-    admitted. Urgent items are popped before queued ones.
+    structured rejection (overload must produce an explicit refusal,
+    never a hang). Consumers block in {!pop} until an item arrives or
+    the queue is {!close}d and drained.
 
     All operations are safe to call from any domain. *)
 
 type 'a t
 
-(** [create ~capacity] — [capacity] bounds the normal lane only
-    (must be positive). *)
+(** [create ~capacity] — [capacity] bounds the queued items (must be
+    positive). *)
 val create : capacity:int -> 'a t
 
-(** Admit an item, or refuse: [`Shed] when the normal lane is at
-    capacity, [`Closed] after {!close}. Never blocks. *)
+(** Admit an item, or refuse: [`Shed] when the queue is at capacity,
+    [`Closed] after {!close}. Never blocks. *)
 val try_push : 'a t -> 'a -> [ `Ok | `Shed | `Closed ]
 
-(** Re-admit an already-admitted item (a crashed worker's in-flight
-    request), bypassing the capacity bound. [`Closed] after {!close}
-    with an empty queue means the drain has ended and the item is the
-    caller's to account for. *)
-val push_urgent : 'a t -> 'a -> [ `Ok | `Closed ]
-
-(** Next item, urgent lane first; blocks while the queue is empty and
+(** Next item, first in first out; blocks while the queue is empty and
     open. [None] once the queue is closed {e and} drained — the
     consumer's signal to exit. *)
 val pop : 'a t -> 'a option
@@ -39,8 +27,3 @@ val pop : 'a t -> 'a option
 (** Stop admissions. Blocked consumers drain what remains, then get
     [None]. Idempotent. *)
 val close : 'a t -> unit
-
-val is_closed : 'a t -> bool
-
-(** Items currently queued (both lanes). *)
-val length : 'a t -> int

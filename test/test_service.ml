@@ -2,10 +2,10 @@
     deterministic backoff, deadline watchdog, load shedding, the
     content-addressed cache (per-pass hook and request entry:
     round-trip, key, incident-free stores, integrity quarantine), the
-    all-or-nothing attempt codec, the retry/degradation ladder, worker
-    respawn, and the acceptance criterion behind it all — batch outputs
-    are byte-identical at any [--jobs] level, cold or warm cache, faults
-    or no faults. *)
+    all-or-nothing attempt codec, the retry/degradation ladder, the
+    worker crash rerun, [serve], and the acceptance criterion behind it
+    all — batch outputs are byte-identical at any [--jobs] level, cold
+    or warm cache, faults or no faults. *)
 
 open Fj_core
 module Service = Fj_service.Service
@@ -233,10 +233,7 @@ let queue_sheds_at_capacity () =
   Alcotest.(check bool) "first" true (Workqueue.try_push q 1 = `Ok);
   Alcotest.(check bool) "second" true (Workqueue.try_push q 2 = `Ok);
   Alcotest.(check bool) "third is shed" true (Workqueue.try_push q 3 = `Shed);
-  (* The urgent lane bypasses capacity and jumps the queue. *)
-  Alcotest.(check bool) "urgent" true (Workqueue.push_urgent q 99 = `Ok);
-  Alcotest.(check (option int)) "urgent first" (Some 99) (Workqueue.pop q);
-  Alcotest.(check (option int)) "then fifo" (Some 1) (Workqueue.pop q);
+  Alcotest.(check (option int)) "fifo" (Some 1) (Workqueue.pop q);
   Workqueue.close q;
   Alcotest.(check bool) "closed refuses" true (Workqueue.try_push q 4 = `Closed);
   Alcotest.(check (option int)) "drains after close" (Some 2) (Workqueue.pop q);
@@ -560,7 +557,7 @@ let batch_deterministic_under_faults () =
     "the crash was supervised" true
     (faulted.Service.b_respawns >= 1)
 
-let worker_crash_is_requeued () =
+let worker_crash_is_rerun () =
   let sources = corpus () in
   let b =
     with_faults
@@ -603,13 +600,66 @@ let batch_sheds_deterministically () =
     (List.length (shed_ids a));
   Alcotest.(check int) "shed batches exit 3" 3 (Service.batch_exit_code a)
 
+(* Every failure in a batch, oldest first within each request. *)
+let failures (b : Service.batch) =
+  List.concat_map
+    (fun (o : Service.outcome) ->
+      List.map
+        (fun (f : Service.failure) ->
+          Printf.sprintf "%s %s/%d %s: %s" o.Service.id f.Service.f_rung
+            f.Service.f_attempt f.Service.f_cause f.Service.f_detail)
+        o.Service.failures)
+    b.Service.b_outcomes
+
+let causes (b : Service.batch) =
+  List.concat_map
+    (fun (o : Service.outcome) ->
+      List.map
+        (fun (f : Service.failure) -> f.Service.f_cause)
+        o.Service.failures)
+    b.Service.b_outcomes
+
+let all_compiled what (b : Service.batch) =
+  List.iter
+    (fun (o : Service.outcome) ->
+      match o.Service.status with
+      | Service.Compiled _ -> ()
+      | st ->
+          Alcotest.failf "%s: %s: expected compiled, got %s" what o.Service.id
+            (Service.status_name st))
+    b.Service.b_outcomes
+
 let isolate_matches_inline () =
   let sources = corpus () in
-  let inline_b = Service.run_batch (config ()) sources in
-  let forked = Service.run_batch (config ~isolate:true ()) sources in
+  let both faults =
+    let run isolate =
+      with_faults faults (fun () ->
+          Service.run_batch (config ~isolate ()) sources)
+    in
+    (run false, run true)
+  in
+  let inline_b, forked = both [] in
   Alcotest.(check string)
     "fork-per-request agrees with in-process byte-for-byte"
-    (batch_sig inline_b) (batch_sig forked)
+    (batch_sig inline_b) (batch_sig forked);
+  (* A point a child fires counts down the parent's fire limit, so the
+     fault fires once in all, as it does in process. *)
+  let inline_b, forked = both [ ("simplify/result", Fault.Raise, Some 1) ] in
+  Alcotest.(check string)
+    "and under a fire-limited pass fault" (batch_sig inline_b)
+    (batch_sig forked);
+  Alcotest.(check (list string))
+    "one injected failure" [ "injected" ] (causes inline_b);
+  Alcotest.(check (list string))
+    "the same failure isolated" (failures inline_b) (failures forked);
+  (* The parent claims a worker crash; the child dies of it. *)
+  let inline_b, forked = both [ ("service/worker", Fault.Raise, Some 1) ] in
+  List.iter
+    (fun (what, b) ->
+      all_compiled what b;
+      Alcotest.(check (list string))
+        (what ^ ": one worker crash") [ "worker-crash" ] (causes b))
+    [ ("in process", inline_b); ("isolated", forked) ]
 
 (* --- shutdown ------------------------------------------------------ *)
 
@@ -654,6 +704,137 @@ let truncated_char_literal_rejected () =
   Alcotest.(check bool) "no failed attempts" true
     (List.assoc_opt "failures" row = Some (Telemetry.Json.Arr []))
 
+(* --- crash rerun, serve, .sexp input --------------------------------- *)
+
+(* A crash is rerun by the worker that saw it, so it cannot lose a
+   request to a queue that has already closed and drained. *)
+let crash_on_only_request () =
+  let b =
+    with_faults
+      [ ("service/worker", Fault.Raise, Some 1) ]
+      (fun () -> Service.run_batch (config ()) [ ("r", one_request ()) ])
+  in
+  all_compiled "only request" b;
+  Alcotest.(check (list string))
+    "one crash on record"
+    [ "r pool/0 worker-crash: Fj_core.Fault.Injected(\"service/worker\")" ]
+    (failures b);
+  Alcotest.(check int) "one respawn" 1 b.Service.b_respawns;
+  Alcotest.(check int) "exit 0" 0 (Service.batch_exit_code b)
+
+(* A request that crashes every time is dropped after exactly three
+   crashes, numbered per request. *)
+let poison_requests_capped () =
+  let b =
+    with_faults
+      [ ("service/worker", Fault.Raise, None) ]
+      (fun () -> Service.run_batch (config ()) (corpus ()))
+  in
+  List.iter
+    (fun (o : Service.outcome) ->
+      (match o.Service.status with
+      | Service.Dropped _ -> ()
+      | st ->
+          Alcotest.failf "%s: expected dropped, got %s" o.Service.id
+            (Service.status_name st));
+      Alcotest.(check (list (pair string int)))
+        (o.Service.id ^ ": three crashes")
+        [ ("worker-crash", 0); ("worker-crash", 1); ("worker-crash", 2) ]
+        (List.map
+           (fun (f : Service.failure) ->
+             (f.Service.f_cause, f.Service.f_attempt))
+           o.Service.failures))
+    b.Service.b_outcomes;
+  Alcotest.(check int) "three per request" 9 b.Service.b_respawns
+
+(* [serve] answers each request line once, with the id it was sent
+   under, and a worker crash costs a rerun, not an answer. *)
+let serve_answers_each_request () =
+  let path = one_request () in
+  let dir = fresh_dir "serve" in
+  let requests = Filename.concat dir "requests" in
+  let responses = Filename.concat dir "responses" in
+  write_file requests
+    (String.concat "\n" [ path; "x\t" ^ path; "no/such.fj" ] ^ "\n");
+  let stopped =
+    In_channel.with_open_bin requests (fun input ->
+        Out_channel.with_open_bin responses (fun output ->
+            with_faults
+              [ ("service/worker", Fault.Raise, Some 1) ]
+              (fun () -> Service.serve (config ()) ~input ~output)))
+  in
+  Alcotest.(check bool) "returns at end of input" true (stopped = None);
+  let answer line =
+    match Telemetry.Json.parse line with
+    | Ok (Telemetry.Json.Obj fields) ->
+        let str k =
+          match List.assoc_opt k fields with
+          | Some (Telemetry.Json.Str s) -> s
+          | _ -> "-"
+        in
+        (str "id", str "status", str "error")
+    | _ -> Alcotest.failf "not a JSON object: %s" line
+  in
+  let answers =
+    In_channel.with_open_bin responses In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> List.map answer
+  in
+  Alcotest.(check (list (triple string string string)))
+    "compiled, compiled, unreadable"
+    (List.sort compare
+       [
+         (Service.sanitize_id path, "compiled", "-");
+         ("x", "compiled", "-");
+         ("no_such.fj", "rejected", "unreadable");
+       ])
+    (List.sort compare answers)
+
+(* Core sent as a .sexp is linted like an elaborated .fj source, on a
+   copy of the unique supply: ill-typed Core is rejected, and
+   well-typed Core compiles to the bytes it would unlinted. *)
+let sexp_input_linted () =
+  let dir = fresh_dir "req" in
+  let p = Filename.concat dir "bad.sexp" in
+  write_file p "(app (lit (int 0)) (lit (int 1)))\n";
+  let cfg = config () in
+  let b = Service.run_batch cfg [ ("bad", p) ] in
+  (match b.Service.b_outcomes with
+  | [ { Service.status = Service.Rejected { kind; _ }; failures; _ } ] ->
+      Alcotest.(check string) "kind" "ill-typed" kind;
+      Alcotest.(check int) "no failures" 0 (List.length failures)
+  | _ -> Alcotest.fail "expected one rejected outcome");
+  Alcotest.(check int) "exit 1" 1 (Service.batch_exit_code b);
+  let pipeline =
+    {
+      cfg.Service.pipeline with
+      Pipeline.datacons = Datacon.builtins;
+      limits = Budget.limits cfg.Service.budget;
+    }
+  in
+  for seed = 1 to 20 do
+    let text =
+      Context.with_fresh (fun () ->
+          Sexp.write (Gen.program_of_seed ~size:40 seed))
+    in
+    let p = Filename.concat dir (Printf.sprintf "gen-%d.sexp" seed) in
+    write_file p text;
+    let unlinted =
+      Context.with_fresh (fun () ->
+          let core = Sexp.read Datacon.builtins text in
+          Sexp.write (fst (Pipeline.run_report pipeline core)))
+    in
+    match (Service.process_one cfg ~id:"gen" ~path:p).Service.status with
+    | Service.Compiled a ->
+        Alcotest.(check string)
+          (Printf.sprintf "gen %d: as unlinted" seed)
+          unlinted a.Service.a_output
+    | st ->
+        Alcotest.failf "gen %d: expected compiled, got %s" seed
+          (Service.status_name st)
+  done
+
 let tests =
   [
     Alcotest.test_case "backoff: deterministic, jittered, capped" `Quick
@@ -663,7 +844,7 @@ let tests =
     Alcotest.test_case "budget: watchdog interrupts a runaway pass" `Quick
       deadline_watchdog_fires;
     Alcotest.test_case "telemetry: observers chain" `Quick observers_chain;
-    Alcotest.test_case "workqueue: sheds, urgent lane, drains" `Quick
+    Alcotest.test_case "workqueue: sheds, drains" `Quick
       queue_sheds_at_capacity;
     Alcotest.test_case "cache: round-trip, supply in key" `Quick
       cache_round_trip;
@@ -687,7 +868,7 @@ let tests =
     Alcotest.test_case "batch: fault drill matches fault-free run" `Quick
       batch_deterministic_under_faults;
     Alcotest.test_case "batch: crashed worker respawned and requeued" `Quick
-      worker_crash_is_requeued;
+      worker_crash_is_rerun;
     Alcotest.test_case "batch: load shedding is deterministic" `Quick
       batch_sheds_deterministically;
     Alcotest.test_case "shutdown: documented exit codes" `Quick
@@ -700,4 +881,12 @@ let tests =
       attempt_codec_all_or_nothing;
     Alcotest.test_case "batch: truncated char literal is a parse error" `Quick
       truncated_char_literal_rejected;
+    Alcotest.test_case "batch: a crash on the only request is rerun" `Quick
+      crash_on_only_request;
+    Alcotest.test_case "batch: a poison request is dropped after 3 crashes"
+      `Quick poison_requests_capped;
+    Alcotest.test_case "serve: one answer per request, crash rerun" `Quick
+      serve_answers_each_request;
+    Alcotest.test_case "batch: .sexp input is linted, output unchanged" `Quick
+      sexp_input_linted;
   ]
