@@ -70,9 +70,20 @@ type loaded = { denv : Datacon.env; core : Syntax.expr }
 
 let load ~no_prelude path =
   let src = read_file path in
+  let reject what msg (p : Fj_surface.Ast.pos) =
+    if p.line > 0 then Fmt.epr "%s:%d:%d: %s: %s@." path p.line p.col what msg
+    else Fmt.epr "%s: %s: %s@." path what msg;
+    exit 2
+  in
   let denv, core =
-    if no_prelude then Fj_surface.Infer.compile src
-    else Fj_surface.Prelude.compile src
+    match
+      if no_prelude then Fj_surface.Infer.compile src
+      else Fj_surface.Prelude.compile src
+    with
+    | r -> r
+    | exception Fj_surface.Lexer.Lex_error (m, p) -> reject "lex error" m p
+    | exception Fj_surface.Parser.Parse_error (m, p) -> reject "parse error" m p
+    | exception Fj_surface.Infer.Type_error (m, p) -> reject "type error" m p
   in
   (match Lint.lint_result denv core with
   | Ok _ -> ()

@@ -682,7 +682,8 @@ let check_program ?(datacons = Datacon.builtins) (prog : program) : checked =
       { env = !denv; defs = List.rev !defs; main = m }
 
 (** Link a checked program into one closed core expression: nested lets
-    around (an instantiation of) [main]. *)
+    around (an instantiation of) [main], binding only the definitions
+    [main] reaches, in source order. *)
 let link (c : checked) : Syntax.expr =
   let body =
     (* main may have been generalized; instantiate residual quantifiers
@@ -693,9 +694,20 @@ let link (c : checked) : Syntax.expr =
         Syntax.ty_apps (Syntax.Var v) (List.map (fun _ -> Types.unit) qs)
     | e -> e
   in
+  (* A definition sees only those before it, so one backward walk
+     closes the live set. *)
+  let _, kept =
+    List.fold_right
+      (fun ((_, v, rhs) as d) (live, kept) ->
+        if Ident.Set.mem v.Syntax.v_name live then
+          (Ident.Set.union (Syntax.free_vars rhs) live, d :: kept)
+        else (live, kept))
+      c.defs
+      (Syntax.free_vars body, [])
+  in
   List.fold_right
     (fun (_, v, rhs) acc -> Syntax.Let (Syntax.NonRec (v, rhs), acc))
-    c.defs body
+    kept body
 
 (** Parse, typecheck, elaborate and link in one step. *)
 let compile ?(datacons = Datacon.builtins) (src : string) :

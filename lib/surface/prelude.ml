@@ -135,6 +135,19 @@ def lookupList k kvs =
   } in go kvs
 |}
 
-(** [compile src]: compile the prelude followed by [src]. *)
+(* Lines that precede the program's first line: the prelude's and the
+   newline [compile] puts after it. *)
+let lines =
+  String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 1 source
+
+(** [compile src]: compile the prelude followed by [src]. The lex, parse
+    and type errors it raises carry [src]'s own line numbers. *)
 let compile ?(datacons = Fj_core.Datacon.builtins) (src : string) =
-  Infer.compile ~datacons (source ^ "\n" ^ src)
+  let own (p : Ast.pos) =
+    if p.line > lines then { p with line = p.line - lines } else p
+  in
+  match Infer.compile ~datacons (source ^ "\n" ^ src) with
+  | r -> r
+  | exception Lexer.Lex_error (m, p) -> raise (Lexer.Lex_error (m, own p))
+  | exception Parser.Parse_error (m, p) -> raise (Parser.Parse_error (m, own p))
+  | exception Infer.Type_error (m, p) -> raise (Infer.Type_error (m, own p))

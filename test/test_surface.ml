@@ -210,6 +210,54 @@ let prelude_zip () =
   let t, _ = run core in
   Alcotest.(check string) "result" "32" (Fmt.str "%a" Eval.pp_tree t)
 
+(* ---------------- linking ---------------- *)
+
+(* Compile after the prelude, check the linked core lints, and return
+   the names bound on the let spine around [main], outermost first. *)
+let linked src =
+  let denv, core = Fj_surface.Prelude.compile src in
+  ignore (lints ~env:denv core);
+  let rec spine = function
+    | Syntax.Let (Syntax.NonRec (v, _), body) ->
+        Ident.name v.Syntax.v_name :: spine body
+    | _ -> []
+  in
+  spine core
+
+let link_keeps_reached () =
+  Alcotest.(check (list string))
+    "prelude: only what main uses, in source order"
+    [ "sum"; "enumFromTo"; "main" ]
+    (linked "def main = sum (enumFromTo 1 10)");
+  Alcotest.(check (list string))
+    "program: unused definitions are dropped too" [ "f"; "main" ]
+    (linked
+       "data T = A | B\ndef f t = case t of { A -> 1; B -> 2 }\n\
+        def g = f A\ndef main = f B")
+
+let link_keeps_transitive () =
+  Alcotest.(check (list string))
+    "elem reaches any, which reaches find"
+    [ "find"; "any"; "elem"; "main" ]
+    (linked "def main = elem 3 [1,2,3]")
+
+(* [bad] is unreachable from [main], and still checked. *)
+let link_after_checking () = type_errors "def bad = 1 + True\ndef main = 0"
+
+(* The prelude precedes the program in the text [Prelude.compile]
+   parses; its errors still name the program's own lines. *)
+let prelude_error_lines () =
+  let line src =
+    match Fj_surface.Prelude.compile src with
+    | exception Fj_surface.Infer.Type_error (_, p) -> p.line
+    | exception Fj_surface.Parser.Parse_error (_, p) -> p.line
+    | exception Fj_surface.Lexer.Lex_error (_, p) -> p.line
+    | _ -> Alcotest.failf "%S compiled" src
+  in
+  Alcotest.(check int) "type error" 2 (line "def main =\n  1 + True\n");
+  Alcotest.(check int) "parse error" 2 (line "def main = 1\ndef f = )");
+  Alcotest.(check int) "lex error" 2 (line "def main = 1\ndef c = 'ab")
+
 (* laziness is preserved by elaboration *)
 let elaboration_preserves_laziness () =
   runs_to "1"
@@ -255,4 +303,8 @@ let tests =
     test "elaboration preserves laziness" elaboration_preserves_laziness;
     test "escaped char literal at end of input" escaped_char_at_eof;
     test "keywords lex as KW, near-misses as identifiers" keywords_lex;
+    test "link binds only what main reaches" link_keeps_reached;
+    test "link follows definitions transitively" link_keeps_transitive;
+    test "link prunes only after checking every definition" link_after_checking;
+    test "prelude errors carry the program's line numbers" prelude_error_lines;
   ]

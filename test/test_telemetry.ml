@@ -8,14 +8,14 @@ open Util
 let compile src = Fj_surface.Prelude.compile src
 
 (* A program whose optimisation is known to need case-of-case and
-   jfloat: a loop returning a boolean that is immediately scrutinised
-   (the Sec. 2 shape). *)
+   jfloat: a loop that scrutinises the boolean [elem] returns, which
+   is itself a case on [find]'s loop (the Sec. 5 [any]/[find] shape). *)
 let cc_src =
   {|
 def main =
   let rec go i acc =
     if i > 50 then acc
-    else if odd i then go (i + 1) (acc + i)
+    else if elem i (enumFromTo 1 10) then go (i + 1) (acc + i)
     else go (i + 1) acc
   in go 1 0
 |}
