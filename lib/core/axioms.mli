@@ -9,11 +9,6 @@ type frame =
   | FTyApp of Types.t
   | FCase of Syntax.alt list
 
-val plug : frame -> Syntax.expr -> Syntax.expr
-
-(** Result type of [plug frame e] given [e : ty]. *)
-val frame_result_ty : frame -> Types.t -> Types.t option
-
 (** [(\x. e) v = let x = v in e]. *)
 val beta : Syntax.expr -> Syntax.expr option
 

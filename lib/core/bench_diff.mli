@@ -64,23 +64,14 @@ type t = {
     program of a whole-file metric. Empty iff exit code 0. *)
 val regressions : t -> (string * metric) list
 
-(** [diff ?gate_pct ?gate_timing ~old_label ~new_label old new] over
-    two parsed [fj-bench/1] documents. [Error] on a non-bench
-    document. The labels (usually file names) are used in reports.
-    [gate_timing] (default [false]) lets the gate also trip on eval
-    timing medians; off by default because wall-clock comparisons are
-    only meaningful between runs on the same machine — counts and
-    [delta_pct] gate machine-independently. *)
-val diff :
-  ?gate_pct:float ->
-  ?gate_timing:bool ->
-  old_label:string ->
-  new_label:string ->
-  Telemetry.Json.t ->
-  Telemetry.Json.t ->
-  (t, string) result
-
-(** As {!diff}, from raw file contents (parses both sides). *)
+(** [of_strings ?gate_pct ?gate_timing ~old_label ~new_label old new]
+    over the raw contents of two [fj-bench/1] files. [Error] on a file
+    that does not parse or is not a bench document. The labels
+    (usually file names) are used in reports. [gate_timing] (default
+    [false]) lets the gate also trip on eval timing medians; off by
+    default because wall-clock comparisons are only meaningful between
+    runs on the same machine — counts and [delta_pct] gate
+    machine-independently. *)
 val of_strings :
   ?gate_pct:float ->
   ?gate_timing:bool ->

@@ -27,7 +27,6 @@ let mul a b = Prim (Primop.Mul, [ a; b ])
 let div_ a b = Prim (Primop.Div, [ a; b ])
 let mod_ a b = Prim (Primop.Mod, [ a; b ])
 let eq a b = Prim (Primop.Eq, [ a; b ])
-let ne a b = Prim (Primop.Ne, [ a; b ])
 let lt a b = Prim (Primop.Lt, [ a; b ])
 let le a b = Prim (Primop.Le, [ a; b ])
 let gt a b = Prim (Primop.Gt, [ a; b ])
@@ -42,9 +41,6 @@ let ge a b = Prim (Primop.Ge, [ a; b ])
 let lam name ty (body : expr -> expr) : expr =
   let x = mk_var name ty in
   Lam (x, body (Var x))
-
-let lam2 n1 t1 n2 t2 body =
-  lam n1 t1 (fun x -> lam n2 t2 (fun y -> body x y))
 
 let lam3 n1 t1 n2 t2 n3 t3 body =
   lam n1 t1 (fun x -> lam n2 t2 (fun y -> lam n3 t3 (fun z -> body x y z)))
@@ -115,7 +111,6 @@ let con ?(env = dc) name phis args : expr =
 
 let true_ = con "True" [] []
 let false_ = con "False" [] []
-let unit_ = con "MkUnit" [] []
 let nothing phi = con "Nothing" [ phi ] []
 let just phi e = con "Just" [ phi ] [ e ]
 let nil phi = con "Nil" [ phi ] []

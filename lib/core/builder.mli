@@ -5,9 +5,6 @@
 
 open Syntax
 
-(** The builtin datatype environment used by the constructors below. *)
-val dc : Datacon.env
-
 (** {1 Literals and primops} *)
 
 val int : int -> expr
@@ -19,7 +16,6 @@ val mul : expr -> expr -> expr
 val div_ : expr -> expr -> expr
 val mod_ : expr -> expr -> expr
 val eq : expr -> expr -> expr
-val ne : expr -> expr -> expr
 val lt : expr -> expr -> expr
 val le : expr -> expr -> expr
 val gt : expr -> expr -> expr
@@ -28,7 +24,6 @@ val ge : expr -> expr -> expr
 (** {1 Binders (HOAS)} *)
 
 val lam : string -> Types.t -> (expr -> expr) -> expr
-val lam2 : string -> Types.t -> string -> Types.t -> (expr -> expr -> expr) -> expr
 
 val lam3 :
   string -> Types.t -> string -> Types.t -> string -> Types.t ->
@@ -60,10 +55,8 @@ val joinrec1 :
 
 (** {1 Datatypes} *)
 
-val con : ?env:Datacon.env -> string -> Types.t list -> expr list -> expr
 val true_ : expr
 val false_ : expr
-val unit_ : expr
 val nothing : Types.t -> expr
 val just : Types.t -> expr -> expr
 val nil : Types.t -> expr
@@ -72,7 +65,6 @@ val pair : Types.t -> Types.t -> expr -> expr -> expr
 val list_ty : Types.t -> Types.t
 val maybe_ty : Types.t -> Types.t
 val pair_ty : Types.t -> Types.t -> Types.t
-val list_of : Types.t -> expr list -> expr
 val int_list : int list -> expr
 
 (** {1 Case expressions} *)

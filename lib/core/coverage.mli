@@ -29,8 +29,6 @@ type dim =
           can actually record for it. *)
   | Guards  (** One point per {!Guard.cause} of a pass rollback. *)
 
-val dims : dim list
-
 (** ["ticks" | "decisions" | "guards"]. *)
 val dim_name : dim -> string
 
@@ -88,9 +86,6 @@ val unknown_hits : t -> int
 (** Hit count of a point; 0 for unknown names. *)
 val count : t -> dim -> string -> int
 
-(** The full universe with hit counts, in canonical order. *)
-val hits : t -> (dim * string * int) list
-
 (** Points with a nonzero count. *)
 val covered : t -> int
 
@@ -105,10 +100,6 @@ val dim_covered : t -> dim -> int * int
     [fjc cover --require] enforces — a corpus exercises an axiom if
     any of the three compilers fires it. *)
 val axioms_covered : t -> int * int
-
-(** Tick names (see {!Telemetry.tick_name}) never fired under any
-    configuration. *)
-val axioms_never : t -> string list
 
 (** Points never hit, in canonical order — the actionable listing. *)
 val never_fired : t -> (dim * string) list

@@ -6,10 +6,6 @@
 
 exception Unsupported of string
 
-(** CPS-transform a type with answer type [r]:
-    arrows become double-barrelled. *)
-val cps_ty : r:Types.t -> Types.t -> Types.t
-
 (** CPS-transform a whole program; the result is applied to the
     identity continuation, so it has the same type and value as the
     input. Raises {!Unsupported} on polymorphism, join points

@@ -28,15 +28,6 @@ type env = { tycons : tycon Stringmap.t; cons : t Stringmap.t }
 
 let arity (dc : t) = List.length dc.arg_tys
 
-(** Result type [T a1 ... an] of a constructor, at its universal
-    variables. *)
-let result_ty (dc : t) =
-  Types.apps (Types.Con dc.tycon) (List.map Types.var dc.univ)
-
-(** [typeof K]: the full System F type of the constructor. *)
-let ty (dc : t) =
-  Types.foralls dc.univ (Types.arrows dc.arg_tys (result_ty dc))
-
 (** [instantiate_args dc phis]: the field types of [dc] with its
     universal variables instantiated to [phis]. *)
 let instantiate_args (dc : t) (phis : Types.t list) =
@@ -86,12 +77,6 @@ let declare env ~name ~tyvars (cons : (string * Types.t list) list) =
 
 let find_con env name = Stringmap.find_opt name env.cons
 let find_tycon env name = Stringmap.find_opt name env.tycons
-
-(** [ctors T]: all constructors of a datatype, in declaration order. *)
-let constructors_of env tycon_name =
-  match find_tycon env tycon_name with
-  | Some tc -> tc.tc_cons
-  | None -> []
 
 (** The environment containing the wired-in datatypes every program may
     assume: [Bool], [Unit], [Pair], [Maybe], [Either], [List],

@@ -19,19 +19,11 @@ type env
 
 val arity : t -> int
 
-(** Result type [T a1 ... an] at the constructor's own variables. *)
-val result_ty : t -> Types.t
-
-(** [typeof K]: the full System F type. *)
-val ty : t -> Types.t
-
 (** Field types with the universal variables instantiated. *)
 val instantiate_args : t -> Types.t list -> Types.t list
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-
-val empty_env : env
 
 exception Duplicate of string
 
@@ -42,9 +34,6 @@ val declare :
 val find_con : env -> string -> t option
 val find_tycon : env -> string -> tycon option
 
-(** [ctors T], in declaration order. *)
-val constructors_of : env -> string -> t list
-
 (** Wired-in datatypes: Bool, Unit, Pair, Maybe, Either, List,
     Ordering. *)
 val builtins : env
@@ -52,6 +41,4 @@ val builtins : env
 (** Look up a builtin constructor; raises on unknown names. *)
 val builtin : string -> t
 
-val true_con : t
-val false_con : t
 val of_bool : bool -> t

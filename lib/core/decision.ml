@@ -109,14 +109,6 @@ type event = {
   d_verdict : verdict;
 }
 
-let pp_event ppf e =
-  match e.d_verdict with
-  | Fired ->
-      Format.fprintf ppf "%s of `%s` fired" (action_name e.d_action) e.d_site
-  | Rejected r ->
-      Format.fprintf ppf "%s of `%s` rejected: %a" (action_name e.d_action)
-        e.d_site pp_reason r
-
 type t = { mutable events_rev : event list; mutable n : int }
 
 let create () = { events_rev = []; n = 0 }

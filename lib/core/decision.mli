@@ -97,8 +97,6 @@ val pp_reason : Format.formatter -> reason -> unit
 
 type verdict = Fired | Rejected of reason
 
-val verdict_name : verdict -> string
-
 (** One decision: which pass considered which rewrite at which site,
     and what it concluded. *)
 type event = {
@@ -107,9 +105,6 @@ type event = {
   d_site : string;  (** {!Ident.site} of the binder concerned. *)
   d_verdict : verdict;
 }
-
-(** ["inline of `f` rejected: size 74 > threshold 60"]. *)
-val pp_event : Format.formatter -> event -> unit
 
 (** {1 Collection} *)
 

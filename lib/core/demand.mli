@@ -9,9 +9,6 @@ type fenv = (int * bool list) Ident.Map.t
     WHNF, under the given masks for in-scope join points/functions. *)
 val strict_vars : fenv -> Syntax.expr -> Ident.Set.t
 
-(** Which of [params] are strictly demanded by [body]. *)
-val strict_params : fenv -> Syntax.var list -> Syntax.expr -> bool list
-
 (** Turn demanded lazy lets into strict bindings and force the strict
     arguments of jumps and saturated known calls (fixpoint masks for
     recursive groups). Typing- and meaning-preserving. Each

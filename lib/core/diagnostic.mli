@@ -16,8 +16,6 @@
 
 type severity = Error | Warning
 
-val severity_name : severity -> string
-
 type t = {
   d_check : string;  (** Stable check slug, e.g. ["jump-arity"]. *)
   d_severity : severity;

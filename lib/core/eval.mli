@@ -20,7 +20,6 @@ type stats = Mstats.t = {
   mutable max_stack : int;
 }
 
-val fresh_stats : unit -> stats
 val pp_stats : Format.formatter -> stats -> unit
 
 (** Machine values (weak head normal forms). *)
@@ -28,8 +27,6 @@ type value
 
 (** Machine environments. *)
 type env
-
-val empty_env : env
 
 exception Stuck of string
 exception Out_of_fuel

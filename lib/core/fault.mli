@@ -43,9 +43,6 @@ type behaviour = Raise | Ill_typed | Burn_fuel | Grow
 
 val behaviour_name : behaviour -> string
 
-(** Parse ["raise" | "ill-typed" | "burn-fuel" | "grow"]. *)
-val behaviour_of_string : string -> behaviour option
-
 (** Raised by a point armed with [Raise]. *)
 exception Injected of string
 
@@ -54,9 +51,6 @@ val points : string list
 
 (** The tree-valued pass points ({!point}). *)
 val pass_points : string list
-
-(** The service-layer points ({!trigger}). *)
-val service_points : string list
 
 (** Arm a point. [limit] (if given, positive) bounds how many times
     the point fires before auto-disarming — the syntax for injecting
@@ -70,10 +64,6 @@ val arm : ?limit:int -> string -> behaviour -> unit
 val parse_spec : string -> (string * behaviour * int option, string) result
 
 val disarm : string -> unit
-val disarm_all : unit -> unit
-
-(** Currently armed points, with their behaviour. *)
-val armed : unit -> (string * behaviour) list
 
 (** Points that have triggered (acted while armed) since the last
     {!reset_fired}. *)

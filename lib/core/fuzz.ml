@@ -15,9 +15,10 @@ let fail mode kind detail = Fail { mode; kind; detail }
 
 (* The three pipeline configurations under test. Baseline and No_cc
    model compilers without first-class join points, so (as in the
-   property suite) they compile the erased program. Strict policy and
-   per-pass lint: a pass bug must surface as a failure here, not be
-   healed by the recovery machinery it is meant to exercise. *)
+   property suite) they compile the erased program. Each compiles
+   under [Recover], the harness that ships: {!Guard} Lints, meters and
+   size-checks every pass, and any incident is a failure here — a pass
+   bug must surface, not be healed by the recovery it exercises. *)
 let configurations =
   [ Pipeline.Baseline; Pipeline.Join_points; Pipeline.No_cc ]
 
@@ -26,21 +27,21 @@ let optimize ?cover mode (e : expr) : (expr, string) result =
     if mode = Pipeline.Join_points then e else Erase.erase e
   in
   let cfg =
-    Pipeline.default_config ~mode ~datacons:dc ~policy:Guard.Strict
-      ~lint_every_pass:true ()
+    Pipeline.default_config ~mode ~datacons:dc ~policy:Guard.Recover ()
   in
   match Pipeline.run_report cfg e with
-  | e', r ->
-      (* Coverage is of the compile, whatever the later oracle stages
-         conclude: ticks under this mode, ledger outcomes, incident
-         causes (none under Strict — faults abort instead). *)
-      (match cover with
-      | Some c -> Coverage.observe_report c r
-      | None -> ());
-      Ok e'
-  | exception Pipeline.Pass_broke_lint (pass, err) ->
-      Error (Fmt.str "pass %s broke lint: %a" pass Lint.pp_error err)
   | exception exn -> Error (Printexc.to_string exn)
+  | e', r -> (
+      match Pipeline.incidents r with
+      | i :: _ -> Error (Fmt.str "%a" Guard.pp_incident i)
+      | [] ->
+          (* Coverage is of the compile, whatever the later oracle
+             stages conclude: ticks under this mode and ledger
+             outcomes. *)
+          (match cover with
+          | Some c -> Coverage.observe_report c r
+          | None -> ());
+          Ok e')
 
 (* The analysis-soundness oracle ([--absint]): the discipline verifier
    must be clean on a Lint-clean tree, and the concrete machine result

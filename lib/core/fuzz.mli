@@ -1,15 +1,17 @@
 (** The differential fuzzing harness behind [fjc fuzz]: generate a
     seeded well-typed program ({!Gen}), compile it under all three
-    pipeline configurations, and compare every observable against the
-    unoptimised seed program — results (the Fig. 3 evaluator, fuel
-    bounded), typing (Lint on every output), evaluation-strategy
-    agreement (call-by-name vs call-by-need), and the paper's
-    allocation invariant — optimisation must not introduce allocation
-    at a join-labelled cost centre whose label was allocation-free in
-    the unoptimised run (checked via {!Profile}; a join {e body} is
-    free to allocate its result). A failing program is greedily
-    minimized ({!Gen.minimize}) and reported as a reproducible
-    s-expression plus its generation seed. *)
+    pipeline configurations with the [Recover] policy — any
+    {!Guard.incident} is a ["pass-aborted"] failure whose detail is the
+    incident as {!Guard.pp_incident} prints it — and compare every
+    observable against the unoptimised seed program — results (the
+    Fig. 3 evaluator, fuel bounded), typing (Lint on every output),
+    evaluation-strategy agreement (call-by-name vs call-by-need), and
+    the paper's allocation invariant — optimisation must not introduce
+    allocation at a join-labelled cost centre whose label was
+    allocation-free in the unoptimised run (checked via {!Profile}; a
+    join {e body} is free to allocate its result). A failing program
+    is greedily minimized ({!Gen.minimize}) and reported as a
+    reproducible s-expression plus its generation seed. *)
 
 (** What one fuzz case concluded. *)
 type verdict =
@@ -104,11 +106,10 @@ val heartbeat_json : heartbeat -> Telemetry.Json.t
 
 type recorder
 
-val default_ring_cap : int
 val default_heartbeat_every : int
 
 (** [recorder ()] — [ring_cap] bounds the retained spans (default
-    {!default_ring_cap}), [every] is the heartbeat period in cases
+    256), [every] is the heartbeat period in cases
     (default {!default_heartbeat_every}; a final heartbeat is always
     emitted), [on_heartbeat] is called on each emission. *)
 val recorder :

@@ -135,8 +135,8 @@ let protect ~limits ~datacons ~pass ~restored ~size_before f (e : Syntax.expr)
     : (Syntax.expr * Syntax.measure * float, incident) result =
   (* A rollback is a structural decision, not timed work, but marking
      it as a (near-zero) span puts the guard's verdict on the same
-     Perfetto track as the phases it judged; the cause counters feed
-     the metrics registry the heartbeats snapshot. *)
+     Perfetto track as the phases it judged; the cause counters land
+     in the registry {!Pipeline.run_report} installs for the run. *)
   let fail cause =
     Span.with_span ~cat:"guard" "rollback" (fun () ->
         Span.annotate "cause" (Telemetry.Json.Str (cause_name cause)));

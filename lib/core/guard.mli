@@ -49,8 +49,6 @@ type cause =
 (** Stable external name: ["exception" | "lint" | "fuel" | "size"]. *)
 val cause_name : cause -> string
 
-val pp_cause : Format.formatter -> cause -> unit
-
 (** One recovery event: which pass failed, why, and the provenance of
     the tree compilation resumed from (the label of the last pass whose
     output survived — the rolled-back-to tree). *)

@@ -72,8 +72,6 @@ let site t = t.name
 (** Pretty-print as [name_id]; stable and unambiguous within a run. *)
 let pp ppf t = Fmt.pf ppf "%s_%d" t.name t.id
 
-let to_string t = Fmt.str "%a" pp t
-
 module Ord = struct
   type nonrec t = t
 

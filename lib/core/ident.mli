@@ -11,7 +11,6 @@ val refresh : t -> t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val name : t -> string
 val id : t -> int
 
@@ -21,8 +20,6 @@ val site : t -> string
 
 (** Prints as [name_id]. *)
 val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t

@@ -8,9 +8,5 @@ exception Lint_error of error
 
 val pp_error : Format.formatter -> error -> unit
 
-(** Typecheck a closed term; returns its type or raises
-    {!Lint_error}. *)
-val lint : Datacon.env -> Syntax.expr -> Types.t
-
 val lint_result : Datacon.env -> Syntax.expr -> (Types.t, error) result
 val well_typed : Datacon.env -> Syntax.expr -> bool

@@ -55,10 +55,9 @@ val counter_value : t -> string -> int
 val gauge_value : t -> string -> float option
 val histogram : t -> string -> summary option
 
-(** All counters / gauges / histogram summaries, sorted by name. *)
+(** All counters / histogram summaries, sorted by name. *)
 val counters : t -> (string * int) list
 
-val gauges : t -> (string * float) list
 val histograms : t -> (string * summary) list
 
 (** {1 Export} *)

@@ -12,12 +12,7 @@ type info = {
 
 type t = info Ident.Map.t
 
-val no_info : info
 val union : t -> t -> t
-
-(** Usage info for the free variables of an expression; [tail] says
-    whether the expression itself is in tail position. *)
-val analyze : tail:bool -> Syntax.expr -> t
 
 (** Analysis of a complete (tail-position) expression. *)
 val of_expr : Syntax.expr -> t
@@ -30,8 +25,8 @@ val with_binder_info : Syntax.expr -> t * info Ident.Map.t
 
     A node's usage from its children's, each child analysed as if in
     tail position: a rule marks its non-tail positions itself, and
-    marking erases the difference ([analyze ~tail:false] and
-    [analyze ~tail:true] agree once marked). {!Contify} builds the
+    marking erases the difference (a child's usage analysed in or out
+    of tail position agrees once marked). {!Contify} builds the
     usage of the tree it returns bottom-up with these, so a binding
     reads its binder's usage off its scope instead of re-analysing it.
     The optional [acc] is {!with_binder_info}'s binder accumulator. *)

@@ -15,8 +15,9 @@
       the Sec. 2 claim that they are "tremendously important in
       practice".
 
-    [run] optionally Lints between every pass, which is how the test
-    suite "forensically identifies" any pass that destroys typing. *)
+    Under the [Recover] policy [run] Lints after every pass
+    ({!Guard.protect}), which is how the test suite and the fuzzer
+    "forensically identify" any pass that destroys typing. *)
 
 open Syntax
 
@@ -71,10 +72,6 @@ type config = {
           (only effective on recursive join points, i.e. under
           [Join_points]). *)
   datacons : Datacon.env;
-  lint_every_pass : bool;
-      (** Under [Strict] only: typecheck between passes; raise
-          {!Pass_broke_lint} on failure. Under [Recover] the lint gate
-          is always on (it is what triggers rollback). *)
   policy : Guard.policy;
       (** [Strict] (the default): any pass failure aborts compilation,
           today's behaviour. [Recover]: a pass that raises, breaks
@@ -90,19 +87,17 @@ type config = {
 let default_config ?(mode = Join_points) ?(iterations = 3)
     ?(inline_threshold = 60) ?(dup_threshold = 12) ?(strictness = true)
     ?(cse = true) ?(spec_constr = true) ?(rules = [])
-    ?(datacons = Datacon.builtins) ?(lint_every_pass = false)
-    ?(policy = Guard.Strict) ?(limits = Guard.default_limits) ?cache () =
+    ?(datacons = Datacon.builtins) ?(policy = Guard.Strict)
+    ?(limits = Guard.default_limits) ?cache () =
   { mode; iterations; inline_threshold; dup_threshold; strictness; cse;
-    rules; spec_constr; datacons; lint_every_pass; policy; limits; cache }
-
-exception Pass_broke_lint of string * Lint.error
+    rules; spec_constr; datacons; policy; limits; cache }
 
 (** One pass execution in the trace: what ran, how long it took, what
     it did to the term, and which ticks it fired. *)
 type pass_record = {
   pass : string;  (** e.g. ["simplify (0)"]. *)
   duration_ms : float;
-  lint_ms : float;  (** 0 unless [lint_every_pass]. *)
+  lint_ms : float;  (** {!Guard}'s lint time; 0 under [Strict]. *)
   size_before : int;
   size_after : int;
   joins_after : int;  (** Join-point definitions after the pass. *)
@@ -160,13 +155,11 @@ let total_gc r = r.total_gc
 let folded ?weight r = Span.folded ?weight r.span_collector
 let folded_stacks ?weight r = Span.folded_stacks ?weight r.span_collector
 let spans r = Span.spans r.span_collector
-let metrics r = r.metrics
 let trail r = List.map (fun p -> (p.pass, p.size_after)) (passes r)
 let ticks r = Telemetry.nonzero r.counters
 let total_ticks r = Telemetry.total r.counters
 let contified r = Telemetry.get r.counters Telemetry.Contified
 let decisions r = Decision.events r.ledger
-let decision_summary r = Decision.summary (decisions r)
 
 (** Rollbacks suffered during the run, in execution order (empty under
     [Strict], which aborts instead). *)
@@ -375,10 +368,10 @@ let run_report (c : config) (e : expr) : expr * report =
   (* The label of the last pass whose output survived: under [Recover]
      it is the provenance a rollback restores to. *)
   let last_good = ref "input" in
-  (* Time + size + tick-delta accounting around one pass. The optional
-     Lint check is timed separately so the trace distinguishes forensic
-     overhead from optimisation work. Under [Recover] the pass runs
-     inside {!Guard.protect}: on failure the pre-pass tree is kept and
+  (* Time + size + tick-delta accounting around one pass. Under
+     [Recover] the pass runs inside {!Guard.protect}, whose Lint check
+     is timed separately so the trace distinguishes forensic overhead
+     from optimisation work: on failure the pre-pass tree is kept and
      the incident lands in the pass record. *)
   let step pass f e =
     let size_before = (measure_of e).m_size in
@@ -386,54 +379,16 @@ let run_report (c : config) (e : expr) : expr * report =
     let dsnap = Decision.snapshot report.ledger in
     (* Pass cache: consult before running. A hit replays the pass
        verbatim — output tree, tick firings, ledger entries, and the
-       unique-supply position — inside a span of the usual shape, so
-       warm compiles differ from cold ones only in wall-clock. The
-       identity "input" pass is never cached. The supply position is
-       read before anything runs: it is part of the key. *)
+       unique-supply position — inside the usual span, so warm
+       compiles differ from cold ones only in wall-clock. The identity
+       "input" pass is never cached. The supply position is read
+       before anything runs: it is part of the key. *)
     let supply = Ident.counter_value () in
     let hit =
       match c.cache with
       | Some pc when pass <> "input" -> pc.cache_lookup ~pass ~supply ~input:e
       | _ -> None
     in
-    match hit with
-    | Some cp ->
-        let after = measure_of cp.cp_output in
-        let (), duration_ms, gc =
-          Span.with_span_stats ~cat:"pass" pass (fun () ->
-              List.iter
-                (fun (name, n) ->
-                  match Telemetry.tick_of_name name with
-                  | Some t -> Telemetry.tick ~n t
-                  | None -> ())
-                cp.cp_ticks;
-              List.iter Decision.record_event cp.cp_decisions;
-              Ident.restore_counter cp.cp_ident_after;
-              Span.annotate "cached" (Telemetry.Json.Bool true);
-              Span.annotate "size_before" (Telemetry.Json.Int size_before);
-              Span.annotate "size_after" (Telemetry.Json.Int after.m_size))
-        in
-        last_good := pass;
-        Metrics.incr "pipeline.passes";
-        Metrics.incr "cache.pass_hits";
-        report.passes_rev <-
-          {
-            pass;
-            duration_ms;
-            lint_ms = 0.0;
-            size_before;
-            size_after = after.m_size;
-            joins_after = after.m_joins;
-            shape_after = after;
-            gc;
-            ticks = Telemetry.delta_since snap report.counters;
-            decisions = Decision.events_since dsnap report.ledger;
-            incident = None;
-            cached = true;
-          }
-          :: report.passes_rev;
-        cp.cp_output
-    | None ->
     (* The pass runs inside a span whose measured duration {e is} the
        record's [duration_ms] — the exported Perfetto event and the
        trace-JSON field come from the same two clock reads, so they
@@ -441,20 +396,22 @@ let run_report (c : config) (e : expr) : expr * report =
     let (e', after, lint_ms, incident), duration_ms, gc =
       Span.with_span_stats ~cat:"pass" pass (fun () ->
           let result =
-            match c.policy with
-            | Guard.Strict ->
+            match (hit, c.policy) with
+            | Some cp, _ ->
+                List.iter
+                  (fun (name, n) ->
+                    match Telemetry.tick_of_name name with
+                    | Some t -> Telemetry.tick ~n t
+                    | None -> ())
+                  cp.cp_ticks;
+                List.iter Decision.record_event cp.cp_decisions;
+                Ident.restore_counter cp.cp_ident_after;
+                Span.annotate "cached" (Telemetry.Json.Bool true);
+                (cp.cp_output, measure_of cp.cp_output, 0.0, None)
+            | None, Guard.Strict ->
                 let e' = f e in
-                let lint_ms =
-                  if not c.lint_every_pass then 0.0
-                  else
-                    snd
-                      (Span.with_span_timed ~cat:"guard" "lint" (fun () ->
-                           match Lint.lint_result c.datacons e' with
-                           | Ok _ -> ()
-                           | Error err -> raise (Pass_broke_lint (pass, err))))
-                in
-                (e', measure_of e', lint_ms, None)
-            | Guard.Recover -> (
+                (e', measure_of e', 0.0, None)
+            | None, Guard.Recover -> (
                 match
                   Guard.protect ~limits:c.limits ~datacons:c.datacons ~pass
                     ~restored:!last_good ~size_before f e
@@ -473,25 +430,29 @@ let run_report (c : config) (e : expr) : expr * report =
           result)
     in
     measured := (e', after);
-    if incident = None then last_good := pass;
-    (* The histogram family strips the round index: every "simplify
-       (i)" lands in one "pass.simplify.ms" distribution. *)
-    let family =
-      match String.index_opt pass ' ' with
-      | Some i -> String.sub pass 0 i
-      | None -> pass
-    in
+    if Option.is_none incident then last_good := pass;
     Metrics.incr "pipeline.passes";
-    Metrics.observe "pass.duration_ms" duration_ms;
-    Metrics.observe (Fmt.str "pass.%s.ms" family) duration_ms;
-    Metrics.observe "pass.alloc_words" (Gcstats.alloc_words gc);
+    (match hit with
+    | Some _ -> Metrics.incr "cache.pass_hits"
+    | None ->
+        (* The histogram family strips the round index: every "simplify
+           (i)" lands in one "pass.simplify.ms" distribution. *)
+        let family =
+          match String.index_opt pass ' ' with
+          | Some i -> String.sub pass 0 i
+          | None -> pass
+        in
+        Metrics.observe "pass.duration_ms" duration_ms;
+        Metrics.observe (Fmt.str "pass.%s.ms" family) duration_ms;
+        Metrics.observe "pass.alloc_words" (Gcstats.alloc_words gc));
     let ticks_delta = Telemetry.delta_since snap report.counters in
     let decisions_delta = Decision.events_since dsnap report.ledger in
     (* Offer successful, un-rolled-back pass results to the cache.
        Rolled-back passes are excluded: their stored "result" would be
-       the input tree but their ticks describe the failed attempt. *)
-    (match c.cache with
-    | Some pc when pass <> "input" && incident = None ->
+       the input tree but their ticks describe the failed attempt. A
+       hit is not stored again. *)
+    (match (c.cache, hit) with
+    | Some pc, None when pass <> "input" && Option.is_none incident ->
         pc.cache_store ~pass ~supply ~input:e
           {
             cp_output = e';
@@ -513,7 +474,7 @@ let run_report (c : config) (e : expr) : expr * report =
         ticks = ticks_delta;
         decisions = decisions_delta;
         incident;
-        cached = false;
+        cached = Option.is_some hit;
       }
       :: report.passes_rev;
     e'

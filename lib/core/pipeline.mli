@@ -50,11 +50,12 @@ type config = {
   rules : Rules.rule list;
   spec_constr : bool;
   datacons : Datacon.env;
-  lint_every_pass : bool;
   policy : Guard.policy;
-      (** [Strict] (default): pass failures abort compilation.
-          [Recover]: failed passes are rolled back and recorded as
-          {!Guard.incident}s — every optimisation pass is optional. *)
+      (** [Strict] (default): passes run bare and any failure aborts
+          compilation. [Recover]: every pass runs under
+          {!Guard.protect} — fuel-metered, size-checked and Linted —
+          and a failed pass is rolled back and recorded as a
+          {!Guard.incident}; every optimisation pass is optional. *)
   limits : Guard.limits;
       (** Per-pass fuel / size-growth budgets enforced under
           [Recover]. *)
@@ -73,22 +74,17 @@ val default_config :
   ?spec_constr:bool ->
   ?rules:Rules.rule list ->
   ?datacons:Datacon.env ->
-  ?lint_every_pass:bool ->
   ?policy:Guard.policy ->
   ?limits:Guard.limits ->
   ?cache:pass_cache ->
   unit ->
   config
 
-(** Raised by {!run_report} when [lint_every_pass] is set and a pass
-    breaks typing — the paper's "forensic" use of Core Lint (Sec. 7). *)
-exception Pass_broke_lint of string * Lint.error
-
 (** One pass execution in the trace. *)
 type pass_record = {
   pass : string;
   duration_ms : float;
-  lint_ms : float;  (** 0 unless [lint_every_pass]. *)
+  lint_ms : float;  (** {!Guard}'s lint time; 0 under [Strict]. *)
   size_before : int;
   size_after : int;
   joins_after : int;
@@ -129,10 +125,6 @@ val report_mode : report -> string
     ["guard"]: ["body"], ["lint"], ["rollback"]). *)
 val spans : report -> Span.span list
 
-(** The run's metrics registry: pass-duration histograms
-    ([pass.<family>.ms]), guard rollback counters, etc. *)
-val metrics : report -> Metrics.t
-
 (** The run's span tree as collapsed flamegraph stacks
     ({!Span.folded_stacks}): exclusive weights, every span exactly
     once, the line weights under the [compile] root summing to the
@@ -157,10 +149,6 @@ val contified : report -> int
 (** The whole-run decision ledger, oldest first: every rewrite any
     pass accepted or refused, with its site and structured reason. *)
 val decisions : report -> Decision.event list
-
-(** {!Decision.summary} of {!decisions}: counts keyed
-    ["action:verdict[:reason]"], sorted. *)
-val decision_summary : report -> (string * int) list
 
 (** Rollbacks suffered during the run, in execution order. Always
     empty under [Strict] (which aborts instead of rolling back). *)

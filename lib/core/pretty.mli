@@ -2,13 +2,6 @@
     ([join j x = rhs in body], [jump j @phi e tau]) — the Core dumps
     users pore over (Sec. 8). *)
 
-val pp_var_bind : Format.formatter -> Syntax.var -> unit
-val pp_var_occ : Format.formatter -> Syntax.var -> unit
-val pp_bind : Format.formatter -> Syntax.bind -> unit
-val pp_jbind : Format.formatter -> Syntax.jbind -> unit
-val pp_alt : Format.formatter -> Syntax.alt -> unit
-val pp_pat : Format.formatter -> Syntax.pat -> unit
-
 (** Print a whole expression. *)
 val pp : Format.formatter -> Syntax.expr -> unit
 

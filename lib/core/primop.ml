@@ -41,8 +41,6 @@ let signature = function
   | StrLen -> ([ Types.string ], Types.int)
   | StrIdx -> ([ Types.string; Types.int ], Types.char)
 
-let arity op = List.length (fst (signature op))
-
 let name = function
   | Add -> "+#"
   | Sub -> "-#"

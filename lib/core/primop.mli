@@ -11,7 +11,6 @@ val all : t list
 (** Argument types and result type. *)
 val signature : t -> Types.t list * Types.t
 
-val arity : t -> int
 val name : t -> string
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -167,9 +167,6 @@ let find p label = Hashtbl.find_opt p.tbl label
 let total_words p =
   Hashtbl.fold (fun _ s acc -> acc + s.s_words) p.tbl 0
 
-let total_steps p =
-  Hashtbl.fold (fun _ s acc -> acc + s.s_steps) p.tbl 0
-
 (** Every site, heaviest (words, then steps) first; ties broken by
     label so output is deterministic. *)
 let sites p =
@@ -265,23 +262,3 @@ let to_json ?stats p =
     (match stats with
     | None -> base
     | Some s -> ("machine", Mstats.to_json s) :: base)
-
-(* ------------------------------------------------------------------ *)
-(* The cost-centre table                                               *)
-(* ------------------------------------------------------------------ *)
-
-let pct total n =
-  if total = 0 then 0.0 else float_of_int n /. float_of_int total *. 100.0
-
-let pp_table ppf p =
-  let total = total_words p in
-  Fmt.pf ppf "%-24s %-8s %10s %6s %10s %8s %8s@," "SITE" "KIND" "words" "%"
-    "steps" "jumps" "updates";
-  List.iter
-    (fun s ->
-      Fmt.pf ppf "%-24s %-8s %10d %6.1f %10d %8d %8d@," s.site_label
-        (kind_name s.site_kind) s.s_words
-        (pct total s.s_words)
-        s.s_steps s.s_jumps s.s_updates)
-    (sites p);
-  Fmt.pf ppf "%-24s %-8s %10d %6.1f@," "TOTAL" "" total 100.0

@@ -54,7 +54,6 @@ val join_bind : t -> string -> unit
 
 val find : t -> string -> site option
 val total_words : t -> int
-val total_steps : t -> int
 
 (** All sites, heaviest first (deterministic order). *)
 val sites : t -> site list
@@ -69,16 +68,9 @@ val dropped : t -> int
 
 (** {1 JSON} *)
 
-val event_json : event -> Telemetry.Json.t
-val event_of_json : Telemetry.Json.t -> (event, string) result
 val events_json : t -> Telemetry.Json.t
 val events_of_json : Telemetry.Json.t -> (event list, string) result
-val site_json : site -> Telemetry.Json.t
 
 (** The whole profile; [?stats] inlines the machine's aggregate
     counters under ["machine"]. *)
 val to_json : ?stats:Mstats.t -> t -> Telemetry.Json.t
-
-(** The cost-centre table: site, kind, words, %, steps, jumps,
-    updates. *)
-val pp_table : Format.formatter -> t -> unit

@@ -22,12 +22,6 @@ type binding = {
   types : Types.t Ident.Map.t;
 }
 
-(** Match a rule against the root of an expression. *)
-val match_rule : rule -> Syntax.expr -> binding option
-
-(** Apply the first matching rule at the root. *)
-val apply_at : rule list -> Syntax.expr -> (string * Syntax.expr) option
-
 (** One bottom-up pass; returns the rewritten term and the names of the
     rules fired (in order). *)
 val rewrite : rule list -> Syntax.expr -> Syntax.expr * string list

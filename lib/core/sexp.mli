@@ -13,17 +13,11 @@ val to_string : t -> string
 
 exception Parse_error of string
 
-val parse_string : string -> t
-
 (** Writers. *)
 
-val of_ty : Types.t -> t
 val of_expr : Syntax.expr -> t
 
 (** Readers (constructors resolved in the datatype environment). *)
-
-val to_ty : t -> Types.t
-val to_expr : Datacon.env -> t -> Syntax.expr
 
 (** Whole-expression convenience. *)
 

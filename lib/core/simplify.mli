@@ -25,10 +25,6 @@ val default_config :
   unit ->
   config
 
-(** One simplifier pass; returns the new term and whether anything
-    changed. *)
-val run_pass : config -> Syntax.expr -> Syntax.expr * bool
-
-(** Iterate {!run_pass} (interleaved with {!Cleanup.cleanup}) to a
-    fixpoint or [max_iters]. *)
+(** Iterate one simplifier pass (interleaved with {!Cleanup.cleanup})
+    to a fixpoint or [max_iters]. *)
 val simplify : ?max_iters:int -> config -> Syntax.expr -> Syntax.expr

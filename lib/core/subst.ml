@@ -14,19 +14,12 @@ open Syntax
 type t = { terms : expr Ident.Map.t; types : Types.t Ident.Map.t }
 
 let empty = { terms = Ident.Map.empty; types = Ident.Map.empty }
-let is_empty s = Ident.Map.is_empty s.terms && Ident.Map.is_empty s.types
 
 (** Extend with a term-variable mapping. *)
 let add_term x e s = { s with terms = Ident.Map.add x e s.terms }
 
 (** Extend with a type-variable mapping. *)
 let add_type a ty s = { s with types = Ident.Map.add a ty s.types }
-
-let of_list ?(types = []) terms =
-  let s =
-    List.fold_left (fun s (x, e) -> add_term x e s) empty terms
-  in
-  List.fold_left (fun s (a, t) -> add_type a t s) s types
 
 let subst_ty s ty = Types.subst s.types ty
 

@@ -7,12 +7,8 @@ type t = {
 }
 
 val empty : t
-val is_empty : t -> bool
 val add_term : Ident.t -> Syntax.expr -> t -> t
 val add_type : Ident.t -> Types.t -> t -> t
-
-val of_list :
-  ?types:(Ident.t * Types.t) list -> (Ident.t * Syntax.expr) list -> t
 
 val subst_ty : t -> Types.t -> Types.t
 

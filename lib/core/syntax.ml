@@ -71,7 +71,6 @@ and pat =
 (* ------------------------------------------------------------------ *)
 
 let mk_var name ty = { v_name = Ident.fresh name; v_ty = ty }
-let var_occ v = Var v
 
 (** Refresh a binder's identifier, keeping its type. *)
 let refresh_var v = { v with v_name = Ident.refresh v.v_name }
@@ -128,14 +127,6 @@ let mk_join_var name tyvars (params : var list) =
 (* ------------------------------------------------------------------ *)
 (* Predicates                                                          *)
 (* ------------------------------------------------------------------ *)
-
-(** Answers [A] of Fig. 1: lambdas, type lambdas and constructor
-    applications to values. Literals are also answers. *)
-let rec is_answer = function
-  | Lam _ | TyLam _ | Lit _ -> true
-  | Con (_, _, args) -> List.for_all is_answer args
-  | Var _ -> false
-  | _ -> false
 
 (** Values for the purpose of the [inline] axiom: anything whose
     evaluation is complete (a WHNF). Variable occurrences are treated as

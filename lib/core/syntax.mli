@@ -52,7 +52,6 @@ and pat =
 (** {1 Smart constructors} *)
 
 val mk_var : string -> Types.t -> var
-val var_occ : var -> expr
 
 (** New unique, same name hint and type. *)
 val refresh_var : var -> var
@@ -84,9 +83,6 @@ val pat_binders : pat -> var list
 val mk_join_var : string -> Ident.t list -> var list -> var
 
 (** {1 Predicates} *)
-
-(** Answers [A] of Fig. 1. *)
-val is_answer : expr -> bool
 
 (** Weak head normal forms (the [inline] axiom's values). *)
 val is_whnf : expr -> bool

@@ -21,7 +21,6 @@ type t =
 (* ------------------------------------------------------------------ *)
 
 let var a = Var a
-let con s = Con s
 
 (** [apps t args] applies the type [t] to [args] left-associatively. *)
 let apps head args = List.fold_left (fun acc a -> App (acc, a)) head args

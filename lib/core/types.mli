@@ -10,7 +10,6 @@ type t =
   | Forall of Ident.t * t
 
 val var : Ident.t -> t
-val con : string -> t
 
 (** Left-associated type application. *)
 val apps : t -> t list -> t

@@ -2,14 +2,6 @@
     (unfold/destroy) and skip-ful combinator libraries in surface
     syntax, plus the canonical benchmark pipelines. *)
 
-(** Skipless combinators: [Step s a = Done | Yield s a]; [sFilter] has
-    a recursive stepper (the join-point test case). *)
-val skipless_source : string
-
-(** Skip-ful combinators: [Step3 s a = Done3 | Skip3 s | Yield3 s a];
-    [tFilter] is non-recursive, [tZipWith] needs a buffered state. *)
-val skipful_source : string
-
 (** Both libraries concatenated. *)
 val source : string
 

@@ -38,8 +38,4 @@ type code = {
 
 type program = { codes : code Ident.Map.t; main : block_expr }
 
-val pp_atom : Format.formatter -> atom -> unit
-val pp_rhs : Format.formatter -> rhs -> unit
-val pp_block_expr : Format.formatter -> block_expr -> unit
-val pp_code : Format.formatter -> code -> unit
 val pp_program : Format.formatter -> program -> unit

@@ -72,15 +72,6 @@ let empty_env = { vars = Ident.Map.empty; blocks = Ident.Map.empty }
 
 type frame = { fr_var : Ident.t; fr_cont : block_expr; fr_env : env }
 
-let rec pp_value ppf = function
-  | VLit l -> Literal.pp ppf l
-  | VCon (c, _, [||]) -> Fmt.string ppf c
-  | VCon (c, _, fields) ->
-      Fmt.pf ppf "(%s%a)" c
-        Fmt.(array ~sep:nop (fun ppf v -> Fmt.pf ppf " %a" pp_value v))
-        fields
-  | VClos _ | VPap _ -> Fmt.string ppf "<fun>"
-
 (** Run a program. [fuel] bounds the instruction count; [profile]
     attaches a per-site profiler. *)
 let run_machine ?(fuel = max_int) ?profile (p : program) : value * stats =

@@ -17,7 +17,6 @@ type stats = Fj_core.Mstats.t = {
   mutable max_stack : int;
 }
 
-val fresh_stats : unit -> stats
 val pp_stats : Format.formatter -> stats -> unit
 
 type value
@@ -27,8 +26,6 @@ exception Out_of_fuel
 
 val run :
   ?fuel:int -> ?profile:Fj_core.Profile.t -> Blockir.program -> value * stats
-
-val pp_value : Format.formatter -> value -> unit
 
 (** First-order view, comparable with the core evaluator's. *)
 val tree_of_value : value -> Fj_core.Eval.tree

@@ -227,7 +227,6 @@ let transient_of_exn = function
   | Budget.Deadline_exceeded { wall_ms } ->
       ("deadline", Fmt.str "exceeded %.0fms deadline" wall_ms)
   | Fault.Injected point -> ("injected", point)
-  | Pipeline.Pass_broke_lint (pass, _) -> ("lint", pass)
   | exn -> ("exn", Printexc.to_string exn)
 
 (* An attempt's verdict: [`P] is permanent (bad input, never retried),

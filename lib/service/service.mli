@@ -30,12 +30,10 @@ type failure = {
   f_attempt : int;
       (** 0-based attempt index within the rung; for a [pool] crash,
           the request's own crash index. *)
-  f_cause : string;  (** ["deadline" | "injected" | "lint" | "exn" | "worker-crash"]. *)
+  f_cause : string;  (** ["deadline" | "injected" | "exn" | "worker-crash"]. *)
   f_detail : string;
   f_backoff_ms : float;  (** Backoff slept after this failure. *)
 }
-
-val failure_json : failure -> Fj_core.Telemetry.Json.t
 
 (** A successful compilation (possibly degraded). [a_output] is the
     round-trippable Sexp of the final Core — with [a_ticks],

@@ -398,12 +398,3 @@ let parse (src : string) : program =
     | _ -> go (parse_decl st :: acc)
   in
   go []
-
-(** Parse a single expression (for tests and the REPL-ish driver). *)
-let parse_expr_string (src : string) : expr =
-  let st = { toks = Lexer.tokenize src } in
-  let e = parse_expr st in
-  (match peek st with
-  | EOF, _ -> ()
-  | t, _ -> error st "trailing input: %a" pp_token t);
-  e

@@ -5,6 +5,3 @@ exception Parse_error of string * Ast.pos
 (** Parse a whole program (a sequence of [data] and [def]
     declarations). *)
 val parse : string -> Ast.program
-
-(** Parse a single expression (tests / tooling). *)
-val parse_expr_string : string -> Ast.expr

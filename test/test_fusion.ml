@@ -69,21 +69,25 @@ let zip_skipful_worse () =
     true (skipful > skipless)
 
 let results_agree_everywhere () =
-  (* One shared value across: lists, skipless, skip-ful × both modes. *)
-  let value src =
+  (* One shared value across: lists, skipless, skip-ful × both modes,
+     each the value of its own unoptimised program. *)
+  let value mode src =
     let denv, core = Fj_fusion.Streams.compile_pipeline src in
-    let cfg =
-      Pipeline.default_config ~mode:Pipeline.Join_points ~datacons:denv ()
-    in
+    let cfg = Pipeline.default_config ~mode ~datacons:denv () in
+    let t0, _ = run core in
     let t, _ = run (Pipeline.run cfg core) in
+    Alcotest.check tree_testable "pipeline preserves meaning" t0 t;
     Fmt.str "%a" Eval.pp_tree t
   in
   let open Fj_fusion.Streams in
-  let a = value (sum_map_filter_skipless 50) in
-  let b = value (sum_map_filter_skipful 50) in
-  let c = value (sum_map_filter_lists 50) in
-  Alcotest.(check string) "skipless = skipful" a b;
-  Alcotest.(check string) "skipless = lists" a c
+  List.iter
+    (fun mode ->
+      let a = value mode (sum_map_filter_skipless 50) in
+      let b = value mode (sum_map_filter_skipful 50) in
+      let c = value mode (sum_map_filter_lists 50) in
+      Alcotest.(check string) "skipless = skipful" a b;
+      Alcotest.(check string) "skipless = lists" a c)
+    [ Pipeline.Baseline; Pipeline.Join_points ]
 
 let to_list_round_trip () =
   let denv, core =

@@ -100,6 +100,30 @@ let oracle_catches_injected_bug () =
         (Syntax.size f.Fuzz.f_program <= f.Fuzz.f_size_orig))
     s.Fuzz.failures
 
+let runaway_passes_fail_the_case () =
+  (* The fuzzer compiles under [Recover], the harness that ships, and
+     fails a case on any incident: a pass cut off by its fuel budget or
+     by the size ceiling aborts the case like one that raises, its
+     detail the incident as Guard prints it. *)
+  List.iter
+    (fun (behaviour, cause) ->
+      let name = Fault.behaviour_name behaviour in
+      match
+        Fault.with_armed
+          [ ("simplify/result", behaviour) ]
+          (fun () -> Fuzz.check_program (Gen.program_of_seed 42))
+      with
+      | Fuzz.Fail { kind = "pass-aborted"; detail; _ } ->
+          let prefix = Fmt.str "pass simplify (0) rolled back (%s: " cause in
+          if not (String.starts_with ~prefix detail) then
+            Alcotest.failf "%s: expected %S..., got %s" name prefix detail
+      | Fuzz.Fail { kind; detail; _ } ->
+          Alcotest.failf "%s: expected pass-aborted, got %s: %s" name kind
+            detail
+      | Fuzz.Pass -> Alcotest.failf "%s: the case passed" name
+      | Fuzz.Skip m -> Alcotest.failf "%s: the case was skipped: %s" name m)
+    [ (Fault.Burn_fuel, "fuel"); (Fault.Grow, "size") ]
+
 let failure_json_shape () =
   let s =
     Fault.with_armed
@@ -299,4 +323,5 @@ let tests =
     test "mutants stay closed and mostly lint" mutants_are_well_typed;
     test "guided runs accumulate coverage" guided_run_accumulates_coverage;
     test "guided runs replay deterministically" guided_run_replays;
+    test "runaway passes fail the case" runaway_passes_fail_the_case;
   ]

@@ -17,15 +17,12 @@ let exercise ?(check_machine = true) name denv core =
   let t0, _ = run core in
   List.iter
     (fun mode ->
-      let cfg =
-        Pipeline.default_config ~mode ~datacons:denv ~inline_threshold:300
-          ~lint_every_pass:true ()
-      in
       let opt =
-        try Pipeline.run cfg core
-        with Pipeline.Pass_broke_lint (pass, err) ->
-          Alcotest.failf "%s [%s]: pass %s broke lint: %a" name
-            (Pipeline.mode_name mode) pass Lint.pp_error err
+        compile_clean
+          (Fmt.str "%s [%s]" name (Pipeline.mode_name mode))
+          (Pipeline.default_config ~mode ~datacons:denv ~inline_threshold:300
+             ~policy:Guard.Recover ())
+          core
       in
       let t, _ = run opt in
       if not (Eval.equal_tree t0 t) then
@@ -85,6 +82,13 @@ let example_programs () =
     |> List.sort String.compare
     |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
 
+(* A pipeline shape no example file has: map over filter, summed. *)
+let inline_programs =
+  [
+    ( "map-filter",
+      "def main = sum (map (\\x -> x * 2) (filter odd (enumFromTo 1 100)))" );
+  ]
+
 let test_examples () =
   let progs = example_programs () in
   Alcotest.(check bool) "found example programs" true (List.length progs >= 4);
@@ -96,7 +100,7 @@ let test_examples () =
          strict, so skip it for programs marked lazy. *)
       let lazy_program = name = "primes.fj" in
       exercise ~check_machine:(not lazy_program) name denv core)
-    progs
+    (progs @ inline_programs)
 
 (* ---------------- benchmark workloads ---------------- *)
 
@@ -108,15 +112,11 @@ let test_bench_programs_compile () =
   List.iter
     (fun (prog : Bench_programs.program) ->
       let denv, core = Bench_programs.compile prog in
-      let cfg =
-        Pipeline.default_config ~mode:Pipeline.Join_points ~datacons:denv
-          ~inline_threshold:300 ~lint_every_pass:true ()
-      in
       let opt =
-        try Pipeline.run cfg core
-        with Pipeline.Pass_broke_lint (pass, err) ->
-          Alcotest.failf "%s: pass %s broke lint: %a" prog.name pass
-            Lint.pp_error err
+        compile_clean prog.name
+          (Pipeline.default_config ~mode:Pipeline.Join_points ~datacons:denv
+             ~inline_threshold:300 ~policy:Guard.Recover ())
+          core
       in
       let t0, _ = run core in
       let t, _ = run opt in

@@ -75,17 +75,16 @@ let baseline_skips_contify () =
        (fun p -> String.length p >= 7 && String.sub p 0 7 = "contify")
        passes)
 
-let lint_every_pass_catches () =
-  (* The forensic mode must lint-check between passes and report the
-     failing pass name (we can only check it does not fire on healthy
-     programs here; pass-bug injection is covered by the fact that all
-     integration tests run with it on). *)
+let recover_healthy_no_incident () =
+  (* [Recover] Lints between passes and names the failing pass in an
+     incident; on a healthy program it must record none (test_guard
+     injects the pass bugs it catches). *)
   let denv, core = compile "def main = length [1,2,3]" in
-  let cfg =
-    Pipeline.default_config ~mode:Pipeline.Join_points ~datacons:denv
-      ~lint_every_pass:true ()
-  in
-  ignore (Pipeline.run cfg core)
+  ignore
+    (compile_clean "length [1,2,3]"
+       (Pipeline.default_config ~mode:Pipeline.Join_points ~datacons:denv
+          ~policy:Guard.Recover ())
+       core)
 
 let strictness_ablation () =
   let on = words Pipeline.Join_points ~strictness:true fusion_src in
@@ -121,6 +120,48 @@ let idempotent_ish () =
   let twice = Pipeline.run cfg once in
   let _ = lints ~env:denv twice in
   same_result once twice
+
+let pass_cache_replays () =
+  (* A warm run from the same supply position replays every pass from
+     an in-memory pass cache: same tree, trail, ticks and ledger as the
+     cold run, every pass but "input" marked cached, nothing stored. *)
+  let denv, core = compile "def main = any even [1,3,5,6]" in
+  let tbl = Hashtbl.create 64 in
+  let stores = ref 0 in
+  let key pass supply input = (pass, supply, Sexp.write input) in
+  let cache =
+    {
+      Pipeline.cache_lookup =
+        (fun ~pass ~supply ~input -> Hashtbl.find_opt tbl (key pass supply input));
+      cache_store =
+        (fun ~pass ~supply ~input cp ->
+          incr stores;
+          Hashtbl.replace tbl (key pass supply input) cp);
+    }
+  in
+  let cfg =
+    Pipeline.default_config ~mode:Pipeline.Join_points ~datacons:denv
+      ~policy:Guard.Recover ~cache ()
+  in
+  let supply = Ident.counter_value () in
+  let cold, rc = Pipeline.run_report cfg core in
+  let cold_stores = !stores in
+  Ident.restore_counter supply;
+  let warm, rw = Pipeline.run_report cfg core in
+  Alcotest.(check string) "same tree" (Sexp.write cold) (Sexp.write warm);
+  Alcotest.(check (list (pair string int)))
+    "same trail" (Pipeline.trail rc) (Pipeline.trail rw);
+  Alcotest.(check (list (pair string int)))
+    "same ticks" (Pipeline.ticks rc) (Pipeline.ticks rw);
+  Alcotest.(check int) "same ledger"
+    (List.length (Pipeline.decisions rc))
+    (List.length (Pipeline.decisions rw));
+  Alcotest.(check int) "warm run stores nothing" cold_stores !stores;
+  List.iter
+    (fun (p : Pipeline.pass_record) ->
+      Alcotest.(check bool) p.Pipeline.pass (p.Pipeline.pass <> "input")
+        p.Pipeline.cached)
+    (Pipeline.passes rw)
 
 (* User rewrite RULES fire through the pipeline (GHC-style: the rule
    meets its redex only after inlining exposes it). *)
@@ -211,10 +252,11 @@ let tests =
     test "user RULES fire through the pipeline" rules_through_pipeline;
     test "report records the pass trail" report_trail;
     test "baseline never contifies" baseline_skips_contify;
-    test "lint-every-pass on healthy input" lint_every_pass_catches;
+    test "Recover: no incident when healthy" recover_healthy_no_incident;
     test "strictness ablation" strictness_ablation;
     test "mode names" mode_names;
     test "run_all_modes agree" run_all_modes_consistent;
     test "re-optimisation is stable" idempotent_ish;
     test "per-binder passes allocate linearly" passes_allocate_linearly;
+    test "pass cache hits replay the pass" pass_cache_replays;
   ]

@@ -42,6 +42,15 @@ let result_is ?fuel expected e =
   let got = Fmt.str "%a" Eval.pp_tree t in
   Alcotest.(check string) "result" expected got
 
+(** Compile under [cfg] (a [Recover] config: {!Guard} Lints every
+    pass) and fail the test on any incident, printing it. *)
+let compile_clean what cfg e =
+  let e', report = Pipeline.run_report cfg e in
+  (match Pipeline.incidents report with
+  | [] -> ()
+  | i :: _ -> Alcotest.failf "%s: %a" what Guard.pp_incident i);
+  e'
+
 let tree_testable =
   Alcotest.testable Eval.pp_tree Eval.equal_tree
 
