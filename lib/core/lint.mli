@@ -4,8 +4,6 @@
 
 type error = { message : string; context : Syntax.expr option }
 
-exception Lint_error of error
-
 val pp_error : Format.formatter -> error -> unit
 
 val lint_result : Datacon.env -> Syntax.expr -> (Types.t, error) result

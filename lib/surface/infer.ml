@@ -615,71 +615,79 @@ type checked = {
   main : Syntax.expr;  (** The elaborated body of [main]. *)
 }
 
+(* What the declarations checked so far leave in scope: the top-level
+   environment (no locals) and the elaborated definitions, newest
+   first. *)
+type scope = { top : env; rev_defs : (string * Syntax.var * Syntax.expr) list }
+
+let initial datacons =
+  { top = { datacons; tops = []; locals = [] }; rev_defs = [] }
+
+let check_decl (s : scope) decl : scope =
+  match decl with
+  | DData { name; tyvars; cons; pos } ->
+      let ids = List.map (fun v -> (v, Ident.fresh v)) tyvars in
+      let cons' =
+        List.map
+          (fun (cname, fields) -> (cname, List.map (sty_to_core pos ids) fields))
+          cons
+      in
+      let datacons =
+        try Datacon.declare s.top.datacons ~name ~tyvars:(List.map snd ids) cons'
+        with Datacon.Duplicate d -> err pos "duplicate declaration of %s" d
+      in
+      { s with top = { s.top with datacons } }
+  | DDef { name; params; rhs; pos } ->
+      let fn_ty = fresh_tv () in
+      let v_placeholder = Syntax.mk_var name Types.unit in
+      let rhs_expr =
+        if params = [] then rhs else { it = ELam (params, rhs); pos }
+      in
+      (* Self-recursion: monomorphic binding of the def's own name. *)
+      let mono_var = Syntax.mk_var name Types.unit in
+      let rec_env = { s.top with locals = [ (name, (fn_ty, mono_var)) ] } in
+      let rhs_ty, rhs_l = infer rec_env rhs_expr in
+      unify pos fn_ty rhs_ty;
+      (* Generalize. *)
+      let qtvs = free_tvs fn_ty [] in
+      let qids = List.map (fun _ -> Ident.fresh "a") qtvs in
+      let z = { quant = List.combine qtvs qids } in
+      let mono_core_ty = zonk z fn_ty in
+      let poly_ty = Types.foralls qids mono_core_ty in
+      let v = { v_placeholder with Syntax.v_ty = poly_ty } in
+      let mono_var = { mono_var with Syntax.v_ty = mono_core_ty } in
+      let core_rhs_mono = rhs_l z in
+      let is_recursive = Syntax.occurs mono_var.v_name core_rhs_mono in
+      let core_rhs =
+        let inner =
+          if is_recursive then
+            Syntax.Let
+              (Syntax.Rec [ (mono_var, core_rhs_mono) ], Syntax.Var mono_var)
+          else core_rhs_mono
+        in
+        Syntax.ty_lams qids inner
+      in
+      let scheme = { q = qtvs; body = fn_ty } in
+      {
+        top = { s.top with tops = (name, (scheme, v, qids)) :: s.top.tops };
+        rev_defs = (name, v, core_rhs) :: s.rev_defs;
+      }
+
+let check_decls s prog = List.fold_left check_decl s prog
+
+let check_from s prog =
+  let s = check_decls s prog in
+  (* The last definition of [main] is the program's. *)
+  match List.find_opt (fun (n, _, _) -> String.equal n "main") s.rev_defs with
+  | None -> raise (Type_error ("program has no 'main' definition", { line = 0; col = 0 }))
+  | Some (_, v, _) ->
+      { env = s.top.datacons; defs = List.rev s.rev_defs; main = Syntax.Var v }
+
 (** Typecheck and elaborate a whole program. The result's [main] is the
     body of the [main] definition with all other definitions in scope
     via [defs]; use {!link} to obtain a single closed expression. *)
 let check_program ?(datacons = Datacon.builtins) (prog : program) : checked =
-  let denv = ref datacons in
-  let env = ref { datacons = !denv; tops = []; locals = [] } in
-  let defs = ref [] in
-  let main = ref None in
-  List.iter
-    (fun decl ->
-      match decl with
-      | DData { name; tyvars; cons; pos } ->
-          let ids = List.map (fun v -> (v, Ident.fresh v)) tyvars in
-          let cons' =
-            List.map
-              (fun (cname, fields) ->
-                (cname, List.map (sty_to_core pos ids) fields))
-              cons
-          in
-          (try
-             denv :=
-               Datacon.declare !denv ~name ~tyvars:(List.map snd ids) cons'
-           with Datacon.Duplicate d -> err pos "duplicate declaration of %s" d);
-          env := { !env with datacons = !denv }
-      | DDef { name; params; rhs; pos } ->
-          let fn_ty = fresh_tv () in
-          let v_placeholder = Syntax.mk_var name Types.unit in
-          let rhs_expr =
-            if params = [] then rhs else { it = ELam (params, rhs); pos }
-          in
-          (* Self-recursion: monomorphic binding of the def's own name. *)
-          let mono_var = Syntax.mk_var name Types.unit in
-          let rec_env =
-            { !env with locals = [ (name, (fn_ty, mono_var)) ] }
-          in
-          let rhs_ty, rhs_l = infer rec_env rhs_expr in
-          unify pos fn_ty rhs_ty;
-          (* Generalize. *)
-          let qtvs = free_tvs fn_ty [] in
-          let qids = List.map (fun _ -> Ident.fresh "a") qtvs in
-          let z = { quant = List.combine qtvs qids } in
-          let mono_core_ty = zonk z fn_ty in
-          let poly_ty = Types.foralls qids mono_core_ty in
-          let v = { v_placeholder with Syntax.v_ty = poly_ty } in
-          let mono_var = { mono_var with Syntax.v_ty = mono_core_ty } in
-          let core_rhs_mono = rhs_l z in
-          let is_recursive = Syntax.occurs mono_var.v_name core_rhs_mono in
-          let core_rhs =
-            let inner =
-              if is_recursive then
-                Syntax.Let
-                  (Syntax.Rec [ (mono_var, core_rhs_mono) ], Syntax.Var mono_var)
-              else core_rhs_mono
-            in
-            Syntax.ty_lams qids inner
-          in
-          let scheme = { q = qtvs; body = fn_ty } in
-          env := { !env with tops = (name, (scheme, v, qids)) :: !env.tops };
-          defs := (name, v, core_rhs) :: !defs;
-          if name = "main" then main := Some (Syntax.Var v))
-    prog;
-  match !main with
-  | None -> raise (Type_error ("program has no 'main' definition", { line = 0; col = 0 }))
-  | Some m ->
-      { env = !denv; defs = List.rev !defs; main = m }
+  check_from (initial datacons) prog
 
 (** Link a checked program into one closed core expression: nested lets
     around (an instantiation of) [main], binding only the definitions

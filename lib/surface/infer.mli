@@ -11,7 +11,24 @@ type checked = {
   main : Fj_core.Syntax.expr;
 }
 
-(** Typecheck and elaborate a parsed program (requires a [main]). *)
+(** What the declarations checked so far leave in scope: the datatype
+    environment, the top-level type schemes and the elaborated
+    definitions. A check reads a scope and never writes to it, so one
+    scope can start any number of checks. *)
+type scope
+
+(** The scope before the first declaration, over the given datatypes. *)
+val initial : Fj_core.Datacon.env -> scope
+
+(** Check declarations in order, starting from the given scope; each
+    sees the scope and the declarations before it. *)
+val check_decls : scope -> Ast.program -> scope
+
+(** {!check_decls}, then require a [main] (the last one defined). *)
+val check_from : scope -> Ast.program -> checked
+
+(** Typecheck and elaborate a parsed program (requires a [main]):
+    {!check_from} the {!initial} scope. *)
 val check_program : ?datacons:Fj_core.Datacon.env -> Ast.program -> checked
 
 (** Link into one closed core expression (lets around [main]). *)

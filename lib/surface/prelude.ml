@@ -135,19 +135,37 @@ def lookupList k kvs =
   } in go kvs
 |}
 
-(* Lines that precede the program's first line: the prelude's and the
-   newline [compile] puts after it. *)
-let lines =
-  String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 1 source
+(* The prelude, checked once when this module is initialised (before
+   any worker domain exists), under a supply of its own. [position] is
+   the last key that check draws.
 
-(** [compile src]: compile the prelude followed by [src]. The lex, parse
-    and type errors it raises carry [src]'s own line numbers. *)
-let compile ?(datacons = Fj_core.Datacon.builtins) (src : string) =
-  let own (p : Ast.pos) =
-    if p.line > lines then { p with line = p.line - lines } else p
-  in
-  match Infer.compile ~datacons (source ^ "\n" ^ src) with
-  | r -> r
-  | exception Lexer.Lex_error (m, p) -> raise (Lexer.Lex_error (m, own p))
-  | exception Parser.Parse_error (m, p) -> raise (Parser.Parse_error (m, own p))
-  | exception Infer.Type_error (m, p) -> raise (Infer.Type_error (m, own p))
+   Every check that starts from [scope] only reads it. [scope] holds
+   finished core terms and type schemes, and a scheme's only mutable
+   parts are its unification cells. Generalisation quantifies over
+   every unbound cell of a definition's type ([free_tvs] collects them
+   all), so a scheme has no unbound cell outside its quantifiers, and
+   [instantiate] returns a copy that contains no cell of the scheme.
+   Unification and zonk defaulting therefore only ever write to the
+   program's own cells. *)
+let scope, position =
+  Fj_core.Context.with_fresh (fun () ->
+      let s =
+        Infer.check_decls
+          (Infer.initial Fj_core.Datacon.builtins)
+          (Parser.parse source)
+      in
+      (s, Fj_core.Ident.counter_value ()))
+
+(** [compile src]: check [src] starting from the prelude's scope, and
+    link it. The program's keys continue above [position], or above
+    the current supply's last key if that is higher; so under a fresh
+    supply they are the keys a check of the prelude's text followed by
+    [src] draws. The prelude's binders keep their keys (1 to
+    [position]), so the result must not meet terms built earlier under
+    the same supply. Errors carry [src]'s own positions. *)
+let compile (src : string) =
+  let prog = Parser.parse src in
+  if Fj_core.Ident.counter_value () < position then
+    Fj_core.Ident.restore_counter position;
+  let c = Infer.check_from scope prog in
+  (c.env, Infer.link c)

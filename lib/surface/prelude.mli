@@ -5,10 +5,10 @@
 (** The prelude source text. *)
 val source : string
 
-(** Compile the prelude followed by the given program. Positions in the
-    {!Lexer.Lex_error}, {!Parser.Parse_error} and {!Infer.Type_error} it
-    raises are lines of the given program, not of the concatenation. *)
-val compile :
-  ?datacons:Fj_core.Datacon.env ->
-  string ->
-  Fj_core.Datacon.env * Fj_core.Syntax.expr
+(** Compile the given program after the prelude. The prelude is
+    checked once per process; each call parses and checks only the
+    program, so the {!Lexer.Lex_error}, {!Parser.Parse_error} and
+    {!Infer.Type_error} it raises carry the program's own positions.
+    Under a fresh supply the result is what compiling the prelude's
+    text followed by the program would give. *)
+val compile : string -> Fj_core.Datacon.env * Fj_core.Syntax.expr

@@ -12,42 +12,14 @@ open Util
 
 module B = Builder
 
-let contains ~affix s =
-  let n = String.length affix and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
-  n = 0 || go 0
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* dune runs tests from _build/default/test; fall back to the repo
-   root for direct execution. *)
 let corpus () =
-  let dir =
-    if Sys.file_exists "../../../test/corpus" then "../../../test/corpus"
-    else "test/corpus"
-  in
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".sexp")
-  |> List.sort String.compare
-  |> List.map (fun f -> (f, Sexp.read dc (read_file (Filename.concat dir f))))
+  repo_files "test/corpus" ".sexp"
+  |> List.map (fun (f, text) -> (f, Sexp.read dc text))
 
 let examples () =
-  let dir =
-    if Sys.file_exists "../../../examples/programs" then
-      "../../../examples/programs"
-    else "examples/programs"
-  in
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".fj")
-  |> List.sort String.compare
-  |> List.map (fun f ->
-         let denv, core =
-           Fj_surface.Prelude.compile (read_file (Filename.concat dir f))
-         in
+  repo_files "examples/programs" ".fj"
+  |> List.map (fun (f, src) ->
+         let denv, core = Fj_surface.Prelude.compile src in
          (f, denv, core))
 
 (* Mirror [fjc check]'s defaults exactly so the snapshot below matches
@@ -226,7 +198,7 @@ let jump_escape_under_lambda () =
   Alcotest.(check bool)
     (Fmt.str "message names the lambda: %s" d.Diagnostic.d_message)
     true
-    (contains ~affix:"lambda body" d.Diagnostic.d_message)
+    (contains d.Diagnostic.d_message "lambda body")
 
 let jump_arity_mismatch () =
   let p = Syntax.mk_var "p" Types.int in

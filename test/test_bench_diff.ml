@@ -162,11 +162,6 @@ let self_diff_is_clean () =
 let renderings () =
   let d = diff ~gate_pct:2.0 ~gate_timing:true () in
   let md = Bench_diff.to_markdown d in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "md has table header" true
     (contains md "| program | suite |");
   Alcotest.(check bool) "md lists the program" true (contains md "queens");

@@ -7,27 +7,7 @@
 
 open Fj_core
 
-let corpus_dir = "../../../test/corpus"
-(* dune runs tests in _build/default/test; the corpus is copied in via
-   the glob dep in test/dune. *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let corpus_programs () =
-  let dir =
-    if Sys.file_exists corpus_dir then corpus_dir
-    else "test/corpus" (* when run from the repo root *)
-  in
-  if not (Sys.file_exists dir) then []
-  else
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".sexp")
-    |> List.sort String.compare
-    |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
+let corpus_programs () = Util.repo_files "test/corpus" ".sexp"
 
 let replay_corpus () =
   let cases = corpus_programs () in

@@ -60,27 +60,7 @@ let exercise ?(check_machine = true) name denv core =
 
 (* ---------------- example .fj files ---------------- *)
 
-let example_dir = "../../../examples/programs"
-(* dune runs tests in _build/default/test; examples are copied via the
-   dune rule below (deps). *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let example_programs () =
-  let dir =
-    if Sys.file_exists example_dir then example_dir
-    else "examples/programs" (* when run from the repo root *)
-  in
-  if not (Sys.file_exists dir) then []
-  else
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".fj")
-    |> List.sort String.compare
-    |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
+let example_programs () = repo_files "examples/programs" ".fj"
 
 (* A pipeline shape no example file has: map over filter, summed. *)
 let inline_programs =

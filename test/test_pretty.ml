@@ -7,11 +7,6 @@ open Syntax
 open Util
 module B = Builder
 
-let contains hay needle =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
-
 let show e = Pretty.to_string e
 
 let prints_join_and_jump () =

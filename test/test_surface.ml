@@ -130,11 +130,6 @@ let wrong_pattern_arity () =
   type_errors
     "def main = case Just 1 of { Just -> 0; Nothing -> 1 }"
 
-let contains hay needle =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
-
 let no_main () =
   match compile "def notmain = 3" with
   | exception Fj_surface.Infer.Type_error (m, _) ->
@@ -244,19 +239,141 @@ let link_keeps_transitive () =
 (* [bad] is unreachable from [main], and still checked. *)
 let link_after_checking () = type_errors "def bad = 1 + True\ndef main = 0"
 
-(* The prelude precedes the program in the text [Prelude.compile]
-   parses; its errors still name the program's own lines. *)
+(* [Prelude.compile] parses the program on its own, so its errors
+   name the program's own lines, and its first line cannot continue
+   the prelude's last definition. *)
 let prelude_error_lines () =
-  let line src =
+  let error src =
     match Fj_surface.Prelude.compile src with
-    | exception Fj_surface.Infer.Type_error (_, p) -> p.line
-    | exception Fj_surface.Parser.Parse_error (_, p) -> p.line
-    | exception Fj_surface.Lexer.Lex_error (_, p) -> p.line
+    | exception Fj_surface.Infer.Type_error (_, p) -> ("type", p.line)
+    | exception Fj_surface.Parser.Parse_error (_, p) -> ("parse", p.line)
+    | exception Fj_surface.Lexer.Lex_error (_, p) -> ("lex", p.line)
     | _ -> Alcotest.failf "%S compiled" src
   in
-  Alcotest.(check int) "type error" 2 (line "def main =\n  1 + True\n");
-  Alcotest.(check int) "parse error" 2 (line "def main = 1\ndef f = )");
-  Alcotest.(check int) "lex error" 2 (line "def main = 1\ndef c = 'ab")
+  let check what expected src =
+    Alcotest.(check (pair string int)) what expected (error src)
+  in
+  check "type error" ("type", 2) "def main =\n  1 + True\n";
+  check "parse error" ("parse", 2) "def main = 1\ndef f = )";
+  check "lex error" ("lex", 2) "def main = 1\ndef c = 'ab";
+  check "an operator first" ("parse", 1) "+ 0\ndef main = 0\n";
+  check "a name first" ("parse", 1) "where\ndef main = 0"
+
+(* ---------------- the shared prelude scope ---------------- *)
+
+(* The oracle: the prelude's text and the program checked as one
+   source. *)
+let reference src =
+  Fj_surface.Infer.compile (Fj_surface.Prelude.source ^ "\n" ^ src)
+
+(* Compile under a fresh supply, as the service does: the output's
+   bytes and the last key drawn. *)
+let fresh_compile compile src =
+  Context.with_fresh (fun () ->
+      let _, core = compile src in
+      (Sexp.write core, Ident.counter_value ()))
+
+let same_as_reference what src =
+  Alcotest.(check (pair string int))
+    what
+    (fresh_compile reference src)
+    (fresh_compile Fj_surface.Prelude.compile src)
+
+let shapes =
+  {|
+data Shape = Circle Int | Square Int
+data Tree a = Leaf | Node (Tree a) a (Tree a)
+def area s = case s of { Circle r -> 3 * r * r; Square a -> a * a }
+def twice f x = f (f x)
+def size t = case t of { Leaf -> 0; Node l x r -> size l + 1 + size r }
+def main =
+  sum (map area [Circle 1, Square (twice (\n -> n + 1) 0)])
+    + size (Node Leaf 'a' Leaf)
+|}
+
+let shared_scope_is_the_reference () =
+  let corpus = repo_files "fjbench/corpus" ".fj"
+  and examples = repo_files "examples/programs" ".fj" in
+  Alcotest.(check bool) "sources present" true
+    (List.length corpus >= 27 && List.length examples >= 8);
+  List.iter (fun (f, src) -> same_as_reference f src) (corpus @ examples);
+  same_as_reference "data declarations" shapes;
+  same_as_reference "a prelude name redefined"
+    "def map f xs = case xs of { Nil -> 0; Cons x rest -> f x + map f rest }\n\
+     def main = map (\\x -> x * 2) [1, 2, 3] + length (reverse [4])"
+
+(* Zonk defaults [length Nil]'s element type to Unit. Had that written
+   into [length]'s scheme, the programs after it would not type-check
+   or would differ from their references. *)
+let shared_scope_not_mutated () =
+  let defaulted = "def main = length Nil" in
+  let first = fresh_compile Fj_surface.Prelude.compile defaulted in
+  Alcotest.(check bool) "defaulted to Unit" true (contains (fst first) "Unit");
+  List.iter
+    (fun src -> same_as_reference src src)
+    [ defaulted; "def main = length [1]"; "def main = length ['a']"; defaulted ];
+  Alcotest.(check (pair string int))
+    "the first program again" first
+    (fresh_compile Fj_surface.Prelude.compile defaulted)
+
+(* Every binder key in an elaborated term, which has no join points. *)
+let rec binder_keys acc (e : Syntax.expr) =
+  let var acc (v : Syntax.var) = Ident.id v.v_name :: acc in
+  match e with
+  | Var _ | Lit _ -> acc
+  | Con (_, _, es) | Prim (_, es) -> List.fold_left binder_keys acc es
+  | App (f, a) -> binder_keys (binder_keys acc f) a
+  | TyApp (f, _) -> binder_keys acc f
+  | Lam (v, b) -> binder_keys (var acc v) b
+  | TyLam (a, b) -> binder_keys (Ident.id a :: acc) b
+  | Let (bind, b) ->
+      binder_keys
+        (List.fold_left
+           (fun acc (v, rhs) -> binder_keys (var acc v) rhs)
+           acc (Syntax.bind_pairs bind))
+        b
+  | Case (s, alts) ->
+      List.fold_left
+        (fun acc { Syntax.alt_pat; alt_rhs } ->
+          binder_keys (List.fold_left var acc (Syntax.pat_binders alt_pat)) alt_rhs)
+        (binder_keys acc s) alts
+  | Join _ | Jump _ -> Alcotest.fail "elaboration built a join point"
+
+(* A supply that has drawn keys already: the program's keys continue
+   above them, the prelude's stay below the program's, and the result
+   lints and optimises cleanly. *)
+let shared_scope_used_supply () =
+  Context.with_fresh @@ fun () ->
+  for _ = 1 to 300 do
+    ignore (Ident.fresh "used")
+  done;
+  let denv, core = Fj_surface.Prelude.compile shapes in
+  ignore (lints ~env:denv core);
+  let rec spine own prelude = function
+    | Syntax.Let (Syntax.NonRec (v, rhs), body) ->
+        let keys = binder_keys [ Ident.id v.v_name ] rhs in
+        if List.mem (Ident.name v.v_name) [ "area"; "twice"; "size"; "main" ]
+        then spine (keys @ own) prelude body
+        else spine own (keys @ prelude) body
+    | _ -> (own, prelude)
+  in
+  let own, prelude = spine [] [] core in
+  Alcotest.(check bool) "program and prelude binders on the spine" true
+    (own <> [] && prelude <> []);
+  List.iter
+    (fun k -> if k <= 300 then Alcotest.failf "program binder key %d <= 300" k)
+    own;
+  let lowest = List.fold_left min max_int own in
+  List.iter
+    (fun k ->
+      if k >= lowest then
+        Alcotest.failf "prelude binder key %d >= program key %d" k lowest)
+    prelude;
+  let cfg =
+    Pipeline.default_config ~mode:Pipeline.Join_points ~datacons:denv
+      ~policy:Guard.Recover ()
+  in
+  same_result core (compile_clean "used supply" cfg core)
 
 (* laziness is preserved by elaboration *)
 let elaboration_preserves_laziness () =
@@ -307,4 +424,10 @@ let tests =
     test "link follows definitions transitively" link_keeps_transitive;
     test "link prunes only after checking every definition" link_after_checking;
     test "prelude errors carry the program's line numbers" prelude_error_lines;
+    test "shared prelude scope: same bytes as the concatenated check"
+      shared_scope_is_the_reference;
+    test "shared prelude scope: no program writes to it"
+      shared_scope_not_mutated;
+    test "shared prelude scope: program keys continue a used supply"
+      shared_scope_used_supply;
   ]

@@ -58,6 +58,34 @@ let ty_testable = Alcotest.testable Types.pp Types.equal
 
 let test name f = Alcotest.test_case name `Quick f
 
+(** [contains hay needle]: [needle] occurs in [hay] as a substring. *)
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(** [repo_files dir suffix]: the files of [dir], a path from the
+    repository root, whose names end in [suffix], sorted by name and
+    paired with their contents; [] when [dir] is missing. dune runs the
+    tests in [_build/default/test] (the files are copied there by the
+    deps in test/dune); running from the root works too. *)
+let repo_files dir suffix =
+  let dir =
+    if Sys.file_exists ("../../../" ^ dir) then "../../../" ^ dir else dir
+  in
+  if not (Sys.file_exists dir) then []
+  else
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f suffix)
+    |> List.sort String.compare
+    |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
+
 (** Quick alias: an optimisation preserves lint and meaning. *)
 let preserves ?(env = dc) name (pass : Syntax.expr -> Syntax.expr) e =
   ignore name;
