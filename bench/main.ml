@@ -4,7 +4,8 @@
     - {b Table 1}: allocation deltas, baseline vs join points, on the
       NoFib-analogue suites (spectral / real / shootout), with
       min / max / geometric mean per suite exactly as the paper
-      reports.
+      reports. The programs are [fjbench/corpus/*.fj], the sources the
+      service benchmark runs.
     - {b Sec. 5}: the stream-fusion ablation — skipless vs skip-ful vs
       plain lists, under both compilers.
     - {b Sec. 3}: the codegen claim on the block machine — gotos vs
@@ -20,7 +21,8 @@
     suite: they are collected, the remaining programs still run, and
     the harness reports everything at the end with a nonzero exit.
 
-    Run: [dune exec bench/main.exe] (add [--quick] to skip bechamel;
+    Run from the repository root, which holds [fjbench/corpus]:
+    [dune exec bench/main.exe] (add [--quick] to skip bechamel;
     [--json PATH] additionally writes the machine-readable trajectory
     file, e.g. [BENCH_2026-08.json] — see EXPERIMENTS.md;
     [--warmup N] / [--samples N] control the wall-clock measurement
@@ -114,11 +116,68 @@ let report_failures () =
       1
 
 (* ------------------------------------------------------------------ *)
+(* The NoFib corpus                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Table 1's suites and row order. Each name is a file of the corpus
+   fjbench runs, found as fjbench finds it: relative to the working
+   directory. NoFib itself is tens of thousands of lines of Haskell;
+   these are surface-language analogues named after the NoFib programs
+   whose workload style they imitate (see DESIGN.md, "Substitutions"). *)
+let corpus_dir = "fjbench/corpus"
+
+let suites =
+  [
+    ( "spectral",
+      [ "fibheaps"; "ida"; "nucleic2"; "para"; "primetest"; "simple"; "solid";
+        "sphere"; "transform"; "queens"; "cichelli"; "wheel-sieve"; "boyer" ] );
+    ( "real",
+      [ "anna"; "cacheprof"; "fem"; "gamteb"; "hpg"; "parser"; "rsa";
+        "compress"; "infer"; "fulsom" ] );
+    ("shootout", [ "n-body"; "k-nucleotide"; "spectral-norm"; "fannkuch" ]);
+  ]
+
+type program = { name : string; source : string }
+
+let corpus_path name = Filename.concat corpus_dir (name ^ ".fj")
+
+(* The suites with their sources. Every corpus file must sit in exactly
+   one suite, so Table 1 covers what the benchmark runs; a file that
+   does not, or a name with no readable file, is a failure. *)
+let load_suites () =
+  if not (Sys.file_exists corpus_dir && Sys.is_directory corpus_dir) then begin
+    Fmt.epr "bench: no %s directory here; run from the repository root@."
+      corpus_dir;
+    exit 2
+  end;
+  let listed = List.concat_map snd suites in
+  Array.iter
+    (fun f ->
+      if Filename.check_suffix f ".fj" then
+        let n =
+          List.length
+            (List.filter (String.equal (Filename.chop_suffix f ".fj")) listed)
+        in
+        if n <> 1 then
+          fail "%s/%s is in %d Table 1 suites, not exactly one" corpus_dir f n)
+    (Sys.readdir corpus_dir);
+  let load name =
+    match In_channel.with_open_bin (corpus_path name) In_channel.input_all with
+    | source -> Some { name; source }
+    | exception Sys_error m ->
+        fail "%s: %s" name m;
+        None
+  in
+  List.map (fun (group, names) -> (group, List.filter_map load names)) suites
+
+let compile prog = Fj_surface.Prelude.compile prog.source
+
+(* ------------------------------------------------------------------ *)
 (* Measurement                                                         *)
 (* ------------------------------------------------------------------ *)
 
 type measurement = {
-  prog : Bench_programs.program;
+  prog : program;
   base_words : int;
   join_words : int;
   base_steps : int;
@@ -158,8 +217,8 @@ let report_ms r =
     (fun acc (p : Pipeline.pass_record) -> acc +. p.duration_ms)
     0.0 (Pipeline.passes r)
 
-let measure (prog : Bench_programs.program) : measurement option =
-  let denv, core = Bench_programs.compile prog in
+let measure (prog : program) : measurement option =
+  let denv, core = compile prog in
   match Lint.lint_result denv core with
   | Error err ->
       fail "%s does not lint: %a" prog.name Lint.pp_error err;
@@ -240,7 +299,7 @@ let geomean deltas =
 let pp_delta ppf d =
   if d > 0.0 then Fmt.pf ppf "+%.1f%%" d else Fmt.pf ppf "%.1f%%" d
 
-let table1_group (group : string) (progs : Bench_programs.program list) =
+let table1_group (group : string) (progs : program list) =
   Fmt.pr "@.%s@." (String.make 64 '-');
   Fmt.pr "Table 1 / %-10s %14s %12s %10s@." group "base words" "join words"
     "Allocs";
@@ -416,15 +475,15 @@ let machine_table () =
 (* Sec. 2: commuting conversions ablation                               *)
 (* ------------------------------------------------------------------ *)
 
-let cc_ablation () =
+let cc_ablation programs =
   Fmt.pr "@.%s@." (String.make 72 '-');
   Fmt.pr
     "Commuting conversions ablation (Sec. 2)   join-points   no-case-of-case@.";
   Fmt.pr "%s@." (String.make 72 '-');
   List.iter
-    (fun (prog : Bench_programs.program) ->
+    (fun prog ->
       try
-        let denv, core = Bench_programs.compile prog in
+        let denv, core = compile prog in
         let t0, _ = run_bounded ~what:prog.name core in
         let words mode =
           let e = optimize mode denv core in
@@ -439,7 +498,9 @@ let cc_ablation () =
           (words Pipeline.Join_points)
           (words Pipeline.No_cc)
       with Skip_row -> ())
-    [ Bench_programs.k_nucleotide; Bench_programs.n_body; Bench_programs.transform ]
+    (List.filter_map
+       (fun name -> List.find_opt (fun p -> String.equal p.name name) programs)
+       [ "k-nucleotide"; "n-body"; "transform" ])
 
 (* ------------------------------------------------------------------ *)
 (* Sec. 8: direct style vs CPS                                          *)
@@ -521,25 +582,6 @@ let rec rm_rf path =
     end
     else Sys.remove path
 
-(* Write the bench corpus out as .fj files (the service compiles
-   files, not in-memory sources) under [dir]. *)
-let service_sources dir =
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  List.map
-    (fun (pr : Bench_programs.program) ->
-      let path = Filename.concat dir (pr.Bench_programs.name ^ ".fj") in
-      let oc = open_out_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          if pr.Bench_programs.uses_streams then begin
-            output_string oc Fj_fusion.Streams.source;
-            output_char oc '\n'
-          end;
-          output_string oc pr.Bench_programs.source);
-      (pr.Bench_programs.name, path))
-    (Bench_programs.spectral @ Bench_programs.real @ Bench_programs.shootout)
-
 let service_batch ?cache ~jobs sources =
   let cfg =
     { (Service.default_config ()) with Service.jobs; cache }
@@ -555,10 +597,10 @@ let service_batch ?cache ~jobs sources =
     b.Service.b_outcomes;
   b
 
-let service_table () =
-  let src_dir = scratch_dir "service" and cache_dir = scratch_dir "cache" in
-  Fun.protect ~finally:(fun () -> rm_rf src_dir; rm_rf cache_dir) @@ fun () ->
-  let sources = service_sources src_dir in
+let service_table programs =
+  let cache_dir = scratch_dir "cache" in
+  Fun.protect ~finally:(fun () -> rm_rf cache_dir) @@ fun () ->
+  let sources = List.map (fun p -> (p.name, corpus_path p.name)) programs in
   let n = List.length sources in
   Fmt.pr "@.%s@." (String.make 64 '-');
   Fmt.pr "Compile service: batch throughput (%d programs)@." n;
@@ -863,6 +905,8 @@ let () =
     Fmt.epr "bench: --samples must be at least 1@.";
     exit 2
   end;
+  let corpus = load_suites () in
+  let programs = List.concat_map snd corpus in
   Fmt.pr "System F_J benchmark harness — reproducing PLDI'17 Table 1@.";
   Fmt.pr "(allocation words counted by the Fig. 3 abstract machine;@.";
   Fmt.pr " Allocs column = (join-points - baseline) / baseline)@.";
@@ -871,22 +915,21 @@ let () =
      publishes into it for the duration of the suite. *)
   let metrics = Metrics.create () in
   Metrics.with_registry metrics @@ fun () ->
-  let m1 = table1_group "spectral" Bench_programs.spectral in
-  let m2 = table1_group "real" Bench_programs.real in
-  let m3 = table1_group "shootout" Bench_programs.shootout in
-  telemetry_table (m1 @ m2 @ m3);
-  timing_table (m1 @ m2 @ m3);
-  decision_table (m1 @ m2 @ m3);
+  let groups =
+    List.map (fun (group, progs) -> (group, table1_group group progs)) corpus
+  in
+  let ms = List.concat_map snd groups in
+  telemetry_table ms;
+  timing_table ms;
+  decision_table ms;
   fusion_table 400;
   machine_table ();
-  cc_ablation ();
+  cc_ablation programs;
   cps_table ();
-  let service = service_table () in
+  let service = service_table programs in
   if not quick then bechamel_benches ();
   (match json_path with
-  | Some path ->
-      write_json path ~quick ~metrics ~service
-        [ ("spectral", m1); ("real", m2); ("shootout", m3) ]
+  | Some path -> write_json path ~quick ~metrics ~service groups
   | None -> ());
   let rc = report_failures () in
   Fmt.pr "@.done.@.";

@@ -194,9 +194,6 @@ let pp_report ppf r =
    end);
   Fmt.pf ppf "@]"
 
-let ticks_json l =
-  Telemetry.Json.Obj (List.map (fun (k, v) -> (k, Telemetry.Json.Int v)) l)
-
 let pass_record_json (p : pass_record) =
   Telemetry.Json.(
     Obj
@@ -215,7 +212,7 @@ let pass_record_json (p : pass_record) =
                ("heap_words", Int p.shape_after.Syntax.m_heap_words);
              ] );
          ("gc", Gcstats.to_json p.gc);
-         ("ticks", ticks_json p.ticks);
+         ("ticks", Telemetry.ticks_json p.ticks);
          ("decisions", Decision.summary_json p.decisions);
        ]
       @ (if p.cached then [ ("cached", Bool true) ] else [])
@@ -236,7 +233,7 @@ let report_json (r : report) =
         ("total_gc", Gcstats.to_json r.total_gc);
         ("total_ticks", Int (total_ticks r));
         ("contified", Int (contified r));
-        ("ticks", ticks_json (ticks r));
+        ("ticks", Telemetry.ticks_json (ticks r));
         ("decisions", Decision.summary_json (decisions r));
         ("incidents", Arr (List.map Guard.incident_json (incidents r)));
         ("passes", Arr (List.map pass_record_json (passes r)));
@@ -258,7 +255,7 @@ let summary_json (r : report) =
         ("total_gc", Gcstats.to_json r.total_gc);
         ("total_ticks", Int (total_ticks r));
         ("contified", Int (contified r));
-        ("ticks", ticks_json (ticks r));
+        ("ticks", Telemetry.ticks_json (ticks r));
         ("decisions", Decision.summary_json (decisions r));
         ("metrics", Metrics.to_json r.metrics);
       ])
@@ -577,7 +574,7 @@ let run_report (c : config) (e : expr) : expr * report =
 let run c e = fst (run_report c e)
 
 (** Convenience: optimise under every mode and return the association
-    list (used by the benchmark harness). *)
+    list. *)
 let run_all_modes ?(iterations = 3) ?(datacons = Datacon.builtins) e =
   List.map
     (fun mode ->

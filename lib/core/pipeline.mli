@@ -188,7 +188,7 @@ val run_report : config -> Syntax.expr -> Syntax.expr * report
 
 val run : config -> Syntax.expr -> Syntax.expr
 
-(** Optimise under every mode (used by the benchmark harness). *)
+(** Optimise under every mode, as an association list. *)
 val run_all_modes :
   ?iterations:int ->
   ?datacons:Datacon.env ->

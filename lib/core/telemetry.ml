@@ -434,3 +434,13 @@ module Json = struct
 
   let is_well_formed s = Result.is_ok (parse s)
 end
+
+let ticks_json l = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) l)
+
+let ticks_of_json = function
+  | Json.Obj kvs ->
+      let ts =
+        List.filter_map (function k, Json.Int n -> Some (k, n) | _ -> None) kvs
+      in
+      if List.compare_lengths ts kvs = 0 then Some ts else None
+  | _ -> None

@@ -142,3 +142,11 @@ module Json : sig
 
   val is_well_formed : string -> bool
 end
+
+(** A [(name, count)] tick list as the JSON object [{name: count}], the
+    shape of trace passes, [fj-meta/1] documents and cache payloads. *)
+val ticks_json : (string * int) list -> Json.t
+
+(** The inverse of {!ticks_json}, all or nothing: [None] unless the
+    value is an object whose every value is an integer. *)
+val ticks_of_json : Json.t -> (string * int) list option

@@ -50,9 +50,6 @@ let entry_path t key =
 
 (* --- entry encoding ----------------------------------------------- *)
 
-let ticks_json l =
-  Telemetry.Json.Obj (List.map (fun (k, v) -> (k, Telemetry.Json.Int v)) l)
-
 let payload_of (cp : Pipeline.cached_pass) =
   Telemetry.Json.(
     to_string
@@ -61,7 +58,7 @@ let payload_of (cp : Pipeline.cached_pass) =
            ("v", Str version);
            ("output", Str (Sexp.write cp.Pipeline.cp_output));
            ("ident_after", Int cp.Pipeline.cp_ident_after);
-           ("ticks", ticks_json cp.Pipeline.cp_ticks);
+           ("ticks", Telemetry.ticks_json cp.Pipeline.cp_ticks);
            ( "decisions",
              Arr (List.map Decision.event_json cp.Pipeline.cp_decisions) );
          ]))
@@ -82,15 +79,7 @@ let payload_to ~datacons s : Pipeline.cached_pass option =
       match (str "v", str "output", int "ident_after") with
       | Some v, Some out, Some ident_after when String.equal v version -> (
           let ticks =
-            match List.assoc_opt "ticks" fields with
-            | Some (Obj kvs) ->
-                let ts =
-                  List.filter_map
-                    (function k, Int n -> Some (k, n) | _ -> None)
-                    kvs
-                in
-                if List.length ts = List.length kvs then Some ts else None
-            | _ -> None
+            Option.bind (List.assoc_opt "ticks" fields) Telemetry.ticks_of_json
           in
           let decisions =
             match List.assoc_opt "decisions" fields with

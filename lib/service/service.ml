@@ -248,8 +248,7 @@ let attempt_ok_json a =
         ("rung", Str (rung_name a.a_rung));
         ("output", Str a.a_output);
         ("output_size", Int a.a_output_size);
-        ( "ticks",
-          Obj (List.map (fun (k, v) -> (k, Int v)) a.a_ticks) );
+        ("ticks", Telemetry.ticks_json a.a_ticks);
         ("decisions", Arr (List.map Decision.event_json a.a_decisions));
         ("incidents", Arr (List.map Guard.incident_json a.a_incidents));
       ])
@@ -273,12 +272,7 @@ let attempt_ok_of_json = function
       let* a_output_size =
         match field "output_size" with Some (Int n) -> Some n | _ -> None
       in
-      let* a_ticks =
-        match field "ticks" with
-        | Some (Obj kvs) ->
-            all (function k, Int n -> Some (k, n) | _ -> None) kvs
-        | _ -> None
-      in
+      let* a_ticks = Option.bind (field "ticks") Telemetry.ticks_of_json in
       let* a_decisions =
         match field "decisions" with
         | Some (Arr es) -> all Decision.event_of_json es
@@ -575,9 +569,6 @@ let run_batch cfg sources =
 
 (* --- reporting ----------------------------------------------------- *)
 
-let ticks_json l =
-  Telemetry.Json.Obj (List.map (fun (k, v) -> (k, Telemetry.Json.Int v)) l)
-
 (* The deterministic per-request document: everything here must be
    byte-identical across --jobs levels and cold/warm cache, so no
    timings, no cache counters, no backoff history. *)
@@ -589,7 +580,7 @@ let meta_json id (a : attempt_ok) =
         ("id", Str id);
         ("rung", Str (rung_name a.a_rung));
         ("output_size", Int a.a_output_size);
-        ("ticks", ticks_json a.a_ticks);
+        ("ticks", Telemetry.ticks_json a.a_ticks);
         ("decisions", Arr (List.map Decision.event_json a.a_decisions));
         ("incidents", Arr (List.map Guard.incident_json a.a_incidents));
       ])

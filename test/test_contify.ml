@@ -208,16 +208,15 @@ let returned_usage_is_of_expr () =
       Alcotest.failf "%s: contify's usage differs from Occur.of_expr" name
   in
   List.iter
-    (fun (pr : Bench_programs.program) ->
-      let datacons, core = Bench_programs.compile pr in
-      let name = pr.Bench_programs.name in
+    (fun (name, src) ->
+      let datacons, core = Fj_surface.Prelude.compile src in
       check name core;
       check (name ^ " after float-in") (Float_in.run core);
       check (name ^ " compiled")
         (Pipeline.run
            (Pipeline.default_config ~mode:Pipeline.Join_points ~datacons ())
            core))
-    Bench_programs.all;
+    (nofib ());
   let st = Random.State.make [| 5 |] in
   for i = 1 to 300 do
     check (Fmt.str "generated program %d" i) (Gen.program st)

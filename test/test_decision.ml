@@ -225,8 +225,8 @@ let passes_unaffected_without_ledger () =
 let bench_reports =
   lazy
     (List.map
-       (fun (pr : Bench_programs.program) ->
-         let datacons, core = Bench_programs.compile pr in
+       (fun (name, src) ->
+         let datacons, core = Fj_surface.Prelude.compile src in
          let reports =
            List.map
              (fun mode ->
@@ -238,8 +238,8 @@ let bench_reports =
                (mode, r))
              [ Pipeline.Baseline; Pipeline.Join_points ]
          in
-         (pr.Bench_programs.name, core, datacons, reports))
-       Bench_programs.all)
+         (name, core, datacons, reports))
+       (nofib ()))
 
 let tick_count r name =
   Option.value ~default:0 (List.assoc_opt name (Pipeline.ticks r))

@@ -84,28 +84,37 @@ let test_examples () =
 
 (* ---------------- benchmark workloads ---------------- *)
 
-let test_bench_programs_compile () =
+let test_nofib_compile () =
   (* The full matrix on every benchmark program would be slow under the
      test runner; exercising compilation + join-points mode with lint
      between passes covers the interesting surface (the bench harness
-     itself cross-checks results across modes on every run). *)
+     itself cross-checks results across modes on every run). The
+     unoptimised result is also the answer the file pins in its
+     [-- expected: N] header, the one fjbench checks every output
+     against. *)
   List.iter
-    (fun (prog : Bench_programs.program) ->
-      let denv, core = Bench_programs.compile prog in
+    (fun (name, src) ->
+      let denv, core = Fj_surface.Prelude.compile src in
       let opt =
-        compile_clean prog.name
+        compile_clean name
           (Pipeline.default_config ~mode:Pipeline.Join_points ~datacons:denv
              ~inline_threshold:300 ~policy:Guard.Recover ())
           core
       in
       let t0, _ = run core in
+      (match Scanf.sscanf_opt src "-- expected: %d" Fun.id with
+      | Some n when Eval.equal_tree t0 (Eval.TLit (Literal.Int n)) -> ()
+      | Some n ->
+          Alcotest.failf "%s: pinned answer is %d, got %a" name n Eval.pp_tree
+            t0
+      | None -> Alcotest.failf "%s: no \"-- expected: N\" header" name);
       let t, _ = run opt in
       if not (Eval.equal_tree t0 t) then
-        Alcotest.failf "%s: optimised result differs" prog.name)
-    Bench_programs.all
+        Alcotest.failf "%s: optimised result differs" name)
+    (nofib ())
 
 let tests =
   [
     test "example .fj programs, full matrix" test_examples;
-    test "benchmark workloads compile and agree" test_bench_programs_compile;
+    test "benchmark workloads compile and agree" test_nofib_compile;
   ]

@@ -101,20 +101,16 @@ let corpus ?(with_bad = false) () =
   if with_bad then sources @ [ add "d_bad.fj" "def main = 1 + true\n" ]
   else sources
 
-(* The bench corpus on disk, with the stream library prepended where a
-   program uses it (as bench/main.ml writes it): 27 programs with
-   enough pass work that any compile state shared between worker
-   domains shows up in the artifacts. *)
+(* The NoFib corpus (fjbench/corpus): 27 programs with enough pass
+   work that any compile state shared between worker domains shows up
+   in the artifacts. *)
 let bench_corpus () =
-  let dir = fresh_dir "bench" in
+  let dir = Util.repo_path "fjbench/corpus" in
   List.map
-    (fun (pr : Bench_programs.program) ->
-      let p = Filename.concat dir (pr.name ^ ".fj") in
-      write_file p
-        ((if pr.uses_streams then Fj_fusion.Streams.source ^ "\n" else "")
-        ^ pr.source);
+    (fun (f, _) ->
+      let p = Filename.concat dir f in
       (Service.sanitize_id p, p))
-    Bench_programs.all
+    (Util.repo_files "fjbench/corpus" ".fj")
 
 (* The deterministic signature of an outcome: everything the .meta.json
    carries, nothing wall-clock. Two runs agree iff these agree. *)

@@ -158,9 +158,8 @@ let layout_pass_boundaries () =
   List.iter
     (fun mode ->
       List.iter
-        (fun (pr : Bench_programs.program) ->
-          let datacons, core = Bench_programs.compile pr in
-          let name = pr.Bench_programs.name in
+        (fun (name, src) ->
+          let datacons, core = Fj_surface.Prelude.compile src in
           let cache =
             {
               Pipeline.cache_lookup =
@@ -175,7 +174,7 @@ let layout_pass_boundaries () =
             Pipeline.run (Pipeline.default_config ~mode ~datacons ~cache ()) core
           in
           check (name ^ ": final") out)
-        Bench_programs.all)
+        (nofib ()))
     [ Pipeline.Join_points; Pipeline.Baseline; Pipeline.No_cc ];
   Alcotest.(check bool) "pass boundaries seen" true (!seen > 1000)
 

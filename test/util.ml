@@ -70,21 +70,36 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(** [repo_files dir suffix]: the files of [dir], a path from the
-    repository root, whose names end in [suffix], sorted by name and
-    paired with their contents; [] when [dir] is missing. dune runs the
-    tests in [_build/default/test] (the files are copied there by the
-    deps in test/dune); running from the root works too. *)
+(** [repo_path dir]: where [dir], a path from the repository root, is
+    found. dune runs the tests in [_build/default/test] (the files are
+    copied there by the deps in test/dune); running from the root works
+    too. *)
+let repo_path dir =
+  if Sys.file_exists ("../../../" ^ dir) then "../../../" ^ dir else dir
+
+(** [repo_files dir suffix]: the files of [dir] (see {!repo_path})
+    whose names end in [suffix], sorted by name and paired with their
+    contents. Fails the test when there are none, so a loop over them
+    never passes having checked nothing. *)
 let repo_files dir suffix =
-  let dir =
-    if Sys.file_exists ("../../../" ^ dir) then "../../../" ^ dir else dir
+  let path = repo_path dir in
+  let files =
+    if not (Sys.file_exists path) then []
+    else
+      Sys.readdir path |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f suffix)
+      |> List.sort String.compare
   in
-  if not (Sys.file_exists dir) then []
-  else
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f suffix)
-    |> List.sort String.compare
-    |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
+  if files = [] then Alcotest.failf "no %s files in %s" suffix dir;
+  List.map (fun f -> (f, read_file (Filename.concat path f))) files
+
+(** The 27 NoFib-shaped programs of Table 1 and fjbench, as
+    [(name, source)]: each file's text, [-- expected: N] header
+    included. *)
+let nofib () =
+  List.map
+    (fun (f, src) -> (Filename.chop_suffix f ".fj", src))
+    (repo_files "fjbench/corpus" ".fj")
 
 (** Quick alias: an optimisation preserves lint and meaning. *)
 let preserves ?(env = dc) name (pass : Syntax.expr -> Syntax.expr) e =
