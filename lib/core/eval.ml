@@ -1,39 +1,27 @@
 (** The abstract machine of Fig. 3, with allocation accounting.
 
-    A configuration is (focus expression, stack, heap). We implement it
-    as an environment machine: variables map to heap addresses rather
-    than being substituted, so evaluation is constant-time per step and
-    large benchmark programs run quickly.
+    A configuration is (focus expression, stack, heap). [eval]
+    translates the term once into OCaml closures, one per node, each
+    taking exactly that node's Fig. 3 transition: a machine step is a
+    call, not a [match] on the term. Variables resolve during the
+    translation to {e slots}, a position among the locals bound since
+    the enclosing lambda or an index into that lambda's flat capture
+    array, found while its body is translated. Join labels resolve to a
+    position among the join points in scope; a lambda body sees none,
+    as Lint resets the join context under [Lam] and [TyLam]. The
+    environment stays persistent, one cons per binding: a recursive
+    join re-enters its right-hand side while thunks built by the
+    previous iteration still hold theirs.
 
-    Two evaluation strategies are provided: call-by-name, exactly as in
-    Fig. 3, and call-by-need, which is Fig. 3 plus standard update
-    frames (the paper: "switching to call-by-need by pushing an update
-    frame is absolutely standard"). Benchmarks use call-by-need since
-    the paper measures GHC.
-
-    {b Join points are stack-allocated}: a [join] binding captures the
-    current stack; a [jump] truncates the stack back to it ("adjust the
-    stack and jump", Sec. 2). Neither allocates heap. Everything
-    heap-allocated is counted:
-
-    - a constructor with [n > 0] fields costs [n + 1] words;
-    - a closure or thunk costs 2 words;
-    - literals, nullary constructors, join bindings and jumps are free.
-
-    The counter is the same quantity GHC's [-ticky]/RTS allocation
-    statistics measure, which Table 1 of the paper reports.
-
-    {b Profiling.} Passing [?profile] additionally attributes every
-    allocation to its {e site} — the name hint of the binder that
-    built the object ({!Ident.site}), which the optimiser preserves —
-    and records machine events into the profile's bounded trace. Steps
-    are charged to the most recently entered cost centre (the thunk
-    being forced, the join point jumped to, or the closure entered;
-    [Profile.main_site] outside any). Join-labelled sites accumulate
-    steps and jumps but never words: the paper's claim, per site.
-    Statistics are kept in the machine-neutral {!Mstats} shape so the
-    block machine's run of the same program can be cross-checked
-    metric by metric. *)
+    Call-by-name is Fig. 3 exactly; call-by-need, which benchmarks use
+    since the paper measures GHC, adds standard update frames. A [join]
+    binding captures the current stack and a [jump] truncates the stack
+    back to it ("adjust the stack and jump", Sec. 2): neither allocates.
+    Everything heap-allocated is counted, as GHC's [-ticky] does for
+    Table 1: a constructor with [n > 0] fields costs [n + 1] words, a
+    closure or thunk 2. [?profile] charges each allocation to its {e
+    site}, the name hint of the binder that built it ({!Ident.site}),
+    and each step to the thunk, join point or closure entered last. *)
 
 open Syntax
 
@@ -50,220 +38,504 @@ type stats = Mstats.t = {
   mutable max_stack : int;  (** Stack high-water mark, in frames. *)
 }
 
-let fresh_stats = Mstats.create
 let pp_stats = Mstats.pp
-
-(* ------------------------------------------------------------------ *)
-(* Machine representation                                              *)
-(* ------------------------------------------------------------------ *)
 
 type operand = Imm of Literal.t | Ptr of cell ref
 
 and value =
   | VLit of Literal.t
   | VCon of Datacon.t * operand list
-  | VFun of string * env * var list * expr
-      (** A function closure with its allocation-site label and its
-          {e manifest arity}: consecutive value binders are collected
-          so saturated curried calls bind all arguments in one step
-          without intermediate closures (GHC's eval/apply). A partial
-          application re-closes over the bound prefix (a PAP) and is
-          counted as an allocation. *)
-  | VTyFun of string * env * Ident.t * expr
+  | VFun of string * code * operand array * operand list * string list
+      (** Site, body, captures, arguments bound so far (innermost first)
+          and sites of the parameters still unbound: consecutive value
+          binders form one closure ({e manifest arity}, GHC's eval/apply),
+          and a partial application (a PAP) keeps the bound prefix. *)
+  | VTyFun of string * env * code
 
-and cell =
-  | Thunk of env * expr * string
-      (** Suspended computation, labelled with its allocation site. *)
-  | Value of value
-  | Blackhole
+and cell = Thunk of env * code * string | Value of value | Blackhole
 
-and env = { vars : operand Ident.Map.t; joins : jpoint Ident.Map.t }
+and env = {
+  captures : operand array;  (** The enclosing lambda's free variables. *)
+  locals : operand list;  (** Bound since that lambda, innermost first. *)
+  joins : jpoint list;  (** Join points in scope, innermost first. *)
+}
 
 and jpoint = {
-  jp_defn : join_defn;
+  jp_code : code;  (** The right-hand side, under its parameters. *)
   mutable jp_env : env;  (** Environment at the binding (tied for rec). *)
   jp_stack : frame list;  (** Stack at the binding; a jump resumes here. *)
-  jp_depth : int;  (** [List.length jp_stack], tracked incrementally. *)
+  jp_depth : int;  (** [List.length jp_stack]. *)
 }
 
 and frame =
-  | FArg of env * expr  (** [[] e]: apply the value to argument [e]. *)
+  | FArg of env * arg  (** [[] e]: apply the value to argument [e]. *)
   | FTyArg  (** [[] tau]: instantiate (types are erased). *)
-  | FCase of env * alt list  (** [case [] of alts]. *)
-  | FPrim of Primop.t * value list * (env * expr) list
+  | FCase of env * alts  (** [case [] of alts]. *)
+  | FPrim of Primop.t * value list * env * code list
       (** Primop with evaluated prefix (reversed) and pending args. *)
   | FUpdate of cell ref * string * string
-      (** Call-by-need update frame: the cell, the thunk's site (for
-          update attribution) and the cost centre to restore. *)
-  | FStrict of env * var * expr
-      (** Strict-let frame: bind the value, then run the body. *)
+      (** Call-by-need update: cell, thunk site, cost centre to restore. *)
+  | FStrict of env * code  (** Strict let: bind the value, run the body. *)
 
-let empty_env = { vars = Ident.Map.empty; joins = Ident.Map.empty }
-
-exception Stuck of string
-exception Out_of_fuel
-
-let stuck fmt = Fmt.kstr (fun m -> raise (Stuck m)) fmt
-
-(* ------------------------------------------------------------------ *)
-(* The machine                                                         *)
-(* ------------------------------------------------------------------ *)
-
-type config = {
+and config = {
   mode : mode;
   stats : stats;
   mutable fuel : int;
   prof : Profile.t option;
 }
 
+(* [code cfg site env stack depth] takes a node's transition under cost
+   centre [site]; [depth] is [List.length stack]. An [arg] builds an
+   operand, charging any allocation to the given site. [alts] selects
+   and runs an alternative for the scrutinee's value. *)
+and code = config -> string -> env -> frame list -> int -> value
+and arg = config -> string -> env -> operand
+and alts = config -> string -> env -> value -> frame list -> int -> value
+
+exception Stuck of string
+exception Out_of_fuel
+
+let stuck fmt = Fmt.kstr (fun m -> raise (Stuck m)) fmt
+
 (* Profiler hooks: no-ops when no profile is attached. *)
-let p_alloc cfg ~label ~kind ~words =
-  match cfg.prof with
-  | Some p -> Profile.alloc p ~label ~kind ~words
-  | None -> ()
+let p_enter c l = match c.prof with Some p -> Profile.enter p l | None -> ()
+let p_jump c l = match c.prof with Some p -> Profile.jump p l | None -> ()
+let p_update c l = match c.prof with Some p -> Profile.update p l | None -> ()
+let p_bind c l = match c.prof with Some p -> Profile.join_bind p l | None -> ()
 
-let p_enter cfg label =
-  match cfg.prof with Some p -> Profile.enter p label | None -> ()
-
-let p_jump cfg label =
-  match cfg.prof with Some p -> Profile.jump p label | None -> ()
-
-let p_update cfg label =
-  match cfg.prof with Some p -> Profile.update p label | None -> ()
-
-let p_join_bind cfg label =
-  match cfg.prof with Some p -> Profile.join_bind p label | None -> ()
-
-let alloc_cell cfg ~site ~kind ~words c =
+let count cfg ~site ~kind ~words =
   cfg.stats.objects <- cfg.stats.objects + 1;
   cfg.stats.words <- cfg.stats.words + words;
-  p_alloc cfg ~label:site ~kind ~words;
-  ref c
+  match cfg.prof with
+  | Some p -> Profile.alloc p ~label:site ~kind ~words
+  | None -> ()
 
-let closure_words = 2
+(* A closure, a thunk or a PAP. *)
+let count2 cfg ~site kind = count cfg ~site ~kind ~words:2
 
-(* Evaluate "cheap" expressions speculatively: literals, variables
-   already pointing at values, and a {e bounded} number of primops over
-   cheap arguments. This mirrors the effect of GHC's strictness
-   analysis / ok-for-speculation on strict loop arguments (an [Int]
-   counter does not allocate a thunk per iteration); like GHC, the
-   amount of speculated work is bounded, so a large deferred
-   computation still costs a thunk. The speculation applies identically
-   under every compiler pipeline, so allocation deltas still isolate
-   the join-point effects. *)
-let speculation_budget = 8
+let tick cfg site depth =
+  let s = cfg.stats in
+  s.steps <- s.steps + 1;
+  if depth > s.max_stack then s.max_stack <- depth;
+  (match cfg.prof with Some p -> Profile.step p site | None -> ());
+  cfg.fuel <- cfg.fuel - 1;
+  if cfg.fuel <= 0 then raise Out_of_fuel
 
-let rec eval_cheap_b budget env e : value option =
-  if !budget < 0 then None
-  else
-    match e with
-    | Lit l -> Some (VLit l)
-    | Var v -> (
-        match Ident.Map.find_opt v.v_name env.vars with
-        | Some (Imm l) -> Some (VLit l)
-        | Some (Ptr cell) -> (
-            match !cell with Value v -> Some v | _ -> None)
-        | None -> None)
-    | Prim (op, args) ->
-        decr budget;
-        if !budget < 0 then None
-        else
-          let rec go acc = function
-            | [] -> Some (List.rev acc)
-            | a :: rest -> (
-                match eval_cheap_b budget env a with
-                | Some v -> go (v :: acc) rest
-                | None -> None)
-          in
-          Option.bind (go [] args) (fun vs -> apply_prim_opt op vs)
-    | TyApp (f, _) -> eval_cheap_b budget env f
-    | Let ((NonRec (x, rhs) | Strict (x, rhs)), body) -> (
-        (* Look through cheap bindings (e.g. demand-analysis wrappers)
-           so they do not defeat speculation. *)
-        decr budget;
-        match eval_cheap_b budget env rhs with
-        | Some (VLit l) ->
-            eval_cheap_b budget
-              { env with vars = Ident.Map.add x.v_name (Imm l) env.vars }
-              body
-        | Some v ->
-            eval_cheap_b budget
-              { env with
-                vars = Ident.Map.add x.v_name (Ptr (ref (Value v))) env.vars
-              }
-              body
-        | None -> None)
-    | _ -> None
+let push op env = { env with locals = op :: env.locals }
 
-and eval_cheap env e : value option =
-  eval_cheap_b (ref speculation_budget) env e
+let push_all ops env =
+  match ops with
+  | [] -> env
+  | _ -> { env with locals = List.rev_append ops env.locals }
 
-and apply_prim_opt op vs : value option =
-  let lits =
-    List.filter_map (function VLit l -> Some l | _ -> None) vs
-  in
-  if List.length lits <> List.length vs then None
-  else
-    match Primop.fold_lit op lits with
-    | Some l -> Some (VLit l)
-    | None -> (
-        match Primop.fold_bool op lits with
-        | Some b -> Some (VCon (Datacon.of_bool b, []))
-        | None -> None)
+(* An already-evaluated (and already-counted) value as an operand. *)
+let operand_of_value = function VLit l -> Imm l | v -> Ptr (ref (Value v))
+
+let thunk cfg site c =
+  count2 cfg ~site Profile.Thunk;
+  Ptr (ref c)
+
+exception Not_cheap
+
+(* A primop's result, or [Not_cheap] when an argument is not a literal
+   or the operation is undefined on them. *)
+let fold_prim op vs =
+  let lit = function VLit l -> l | _ -> raise_notrace Not_cheap in
+  let lits = List.map lit vs in
+  match Primop.fold_lit op lits with
+  | Some l -> VLit l
+  | None -> (
+      match Primop.fold_bool op lits with
+      | Some b -> VCon (Datacon.of_bool b, [])
+      | None -> raise_notrace Not_cheap)
 
 let apply_prim op vs =
-  match apply_prim_opt op vs with
-  | Some v -> v
-  | None -> stuck "primop %s applied to bad arguments" (Primop.name op)
+  try fold_prim op vs
+  with Not_cheap -> stuck "primop %s applied to bad arguments" (Primop.name op)
+
+(* Return a value to the topmost frame. *)
+let rec ret cfg site (v : value) (stack : frame list) (depth : int) : value =
+  match stack with
+  | [] -> v
+  | FUpdate (cell, tsite, restore) :: rest ->
+      cell := Value v;
+      cfg.stats.updates <- cfg.stats.updates + 1;
+      p_update cfg tsite;
+      ret cfg restore v rest (depth - 1)
+  | FStrict (senv, body) :: rest ->
+      body cfg site (push (operand_of_value v) senv) rest (depth - 1)
+  | FArg _ :: _ -> (
+      match v with
+      | VFun (fsite, body, caps, bound, params) ->
+          cfg.stats.calls <- cfg.stats.calls + 1;
+          enter cfg site fsite body caps bound params stack depth
+      | _ -> stuck "applying a non-function")
+  | FTyArg :: rest -> (
+      match v with
+      | VTyFun (fsite, cenv, body) ->
+          cfg.stats.calls <- cfg.stats.calls + 1;
+          p_enter cfg fsite;
+          body cfg fsite cenv rest (depth - 1)
+      | _ -> stuck "type-applying a non-type-function")
+  | FCase (cenv, alts) :: rest -> alts cfg site cenv v rest (depth - 1)
+  | FPrim (op, done_, penv, pending) :: rest -> (
+      let done_ = v :: done_ in
+      match pending with
+      | [] -> ret cfg site (apply_prim op (List.rev done_)) rest (depth - 1)
+      | pe :: pending' ->
+          pe cfg site penv (FPrim (op, done_, penv, pending') :: rest) depth)
+
+(* The [beta] rule: bind as many pending arguments as the closure has
+   parameters, each thunk charged to its parameter; a leftover parameter
+   suffix becomes a PAP (allocated); leftover argument frames continue
+   on the result. The entered function becomes the cost centre. *)
+and enter cfg site fsite body caps bound params stack depth =
+  match (params, stack) with
+  | [], _ ->
+      p_enter cfg fsite;
+      body cfg fsite { captures = caps; locals = bound; joins = [] } stack depth
+  | p :: params', FArg (aenv, a) :: rest ->
+      enter cfg site fsite body caps (a cfg p aenv :: bound) params' rest
+        (depth - 1)
+  | _ :: _, _ ->
+      count2 cfg ~site:fsite Profile.Pap;
+      ret cfg site (VFun (fsite, body, caps, bound, params)) stack depth
+
+(* The [look] rule. *)
+let look cfg site op stack depth =
+  match op with
+  | Imm l -> ret cfg site (VLit l) stack depth
+  | Ptr cell -> (
+      match !cell with
+      | Value v -> ret cfg site v stack depth
+      | Blackhole -> stuck "<<loop>> (blackhole entered)"
+      | Thunk (tenv, code, tsite) -> (
+          p_enter cfg tsite;
+          match cfg.mode with
+          | By_name ->
+              (* No update frame, so no restore point: the thunk's site
+                 simply becomes the cost centre. *)
+              code cfg tsite tenv stack depth
+          | By_need ->
+              cell := Blackhole;
+              code cfg tsite tenv
+                (FUpdate (cell, tsite, site) :: stack)
+                (depth + 1)))
+
+(* Operands of [args], left to right; a jump's pushed on [locals]. *)
+let rec operands cfg site env = function
+  | [] -> []
+  | a :: rest ->
+      let op = a cfg site env in
+      op :: operands cfg site env rest
+
+let rec bind_args cfg env locals args params =
+  match (args, params) with
+  | a :: args, p :: ps -> bind_args cfg env (a cfg p env :: locals) args ps
+  | _ -> locals
+
+(* ------------------------------------------------------------------ *)
+(* Translation                                                         *)
+(* ------------------------------------------------------------------ *)
+
+type slot = Local of int | Capture of int | Unbound of Ident.t
+
+(* The translation-time mirror of [env]: [vars] and [labels] map a
+   binder to its level, the count of bindings before it since the
+   enclosing lambda (a label also to its site and parameter sites). *)
+type scope = {
+  vars : int Ident.Map.t;
+  nvars : int;
+  labels : (int * string * string list) Ident.Map.t;
+  nlabels : int;
+  fn : lambda;
+}
+
+(* The enclosing lambda: its captures, slots in [outer], the scope at
+   the lambda, grow as its body is translated. *)
+and lambda = {
+  outer : scope option;
+  mutable caps : slot list;  (** Newest first. *)
+  mutable cap_index : int Ident.Map.t;
+}
+
+let new_scope outer =
+  let fn = { outer; caps = []; cap_index = Ident.Map.empty } in
+  let empty = Ident.Map.empty in
+  { vars = empty; nvars = 0; labels = empty; nlabels = 0; fn }
+
+let bind sc (x : var) =
+  let vars = Ident.Map.add x.v_name sc.nvars sc.vars in
+  { sc with vars; nvars = sc.nvars + 1 }
+
+let bind_all sc xs = List.fold_left bind sc xs
+let sites xs = List.map (fun (x : var) -> Ident.site x.v_name) xs
+
+(* A variable missing from the locals becomes a capture of the
+   enclosing lambda, resolved in turn in the scope around it. *)
+let rec resolve sc x =
+  match Ident.Map.find_opt x sc.vars with
+  | Some level -> Local (sc.nvars - 1 - level)
+  | None -> (
+      let fn = sc.fn in
+      match (Ident.Map.find_opt x fn.cap_index, fn.outer) with
+      | Some k, _ -> Capture k
+      | None, None -> Unbound x
+      | None, Some outer -> (
+          match resolve outer x with
+          | Unbound _ as s -> s
+          | s ->
+              let k = List.length fn.caps in
+              fn.caps <- s :: fn.caps;
+              fn.cap_index <- Ident.Map.add x k fn.cap_index;
+              Capture k))
+
+let read env = function
+  | Local i -> List.nth env.locals i
+  | Capture k -> env.captures.(k)
+  | Unbound x -> stuck "unbound variable %a" Ident.pp x
+
+(* Speculate "cheap" expressions (literals, variables already pointing
+   at values, a bounded number of primops and lets over cheap ones), as
+   GHC's ok-for-speculation spares a strict [Int] loop counter its
+   thunk; the bound keeps a large deferred computation a thunk. The
+   budget is spent depth-first, one unit per primop or let, and any
+   failure abandons the whole speculation, so the [n]th such node in
+   preorder always finds [n - 1] units spent: past [speculation_budget]
+   of them the translation gives up. A speculation returns the value or
+   raises [Not_cheap]. *)
+let speculation_budget = 8
+let no_spec (_ : env) : value = raise_notrace Not_cheap
+
+let rec spec_args env = function
+  | [] -> []
+  | a :: rest ->
+      let v = a env in
+      v :: spec_args env rest
+
+let rec spec sc used e : env -> value =
+  (match e with Prim _ | Let ((NonRec _ | Strict _), _) -> incr used | _ -> ());
+  if !used > speculation_budget then no_spec
+  else
+    match e with
+    | Lit l ->
+        let v = VLit l in
+        fun _ -> v
+    | Var v -> (
+        match resolve sc v.v_name with
+        | Unbound _ -> no_spec
+        | slot -> (
+            fun env ->
+              match read env slot with
+              | Imm l -> VLit l
+              | Ptr { contents = Value v } -> v
+              | Ptr _ -> raise_notrace Not_cheap))
+    | Prim (op, args) ->
+        let args = List.map (spec sc used) args in
+        fun env -> fold_prim op (spec_args env args)
+    | Let ((NonRec (x, rhs) | Strict (x, rhs)), body) ->
+        (* Look through cheap bindings (e.g. demand-analysis wrappers)
+           so they do not defeat speculation. *)
+        let rhs = spec sc used rhs in
+        let body = spec (bind sc x) used body in
+        fun env -> body (push (operand_of_value (rhs env)) env)
+    | TyApp (f, _) -> spec sc used f
+    | _ -> no_spec
+
+(* The [push], [beta], [bind], [look], [case] and [jump] transitions, one
+   case per node; each code ticks once and ends in a tail call. *)
+let rec tr sc (e : expr) : code =
+  match e with
+  | Lit l ->
+      let v = VLit l in
+      fun cfg site _ stack depth ->
+        tick cfg site depth;
+        ret cfg site v stack depth
+  | Var v ->
+      let slot = resolve sc v.v_name in
+      fun cfg site env stack depth ->
+        tick cfg site depth;
+        look cfg site (read env slot) stack depth
+  | Con _ | Lam _ | TyLam _ ->
+      let w = build sc e in
+      fun cfg site env stack depth ->
+        tick cfg site depth;
+        ret cfg site (w cfg site env) stack depth
+  | Prim (op, args) -> prim sc (spec sc (ref 0) e) op args
+  | App (f, a) ->
+      let f = tr sc f and a = arg sc a in
+      fun cfg site env stack depth ->
+        tick cfg site depth;
+        f cfg site env (FArg (env, a) :: stack) (depth + 1)
+  | TyApp (f, _) ->
+      let f = tr sc f in
+      fun cfg site env stack depth ->
+        tick cfg site depth;
+        f cfg site env (FTyArg :: stack) (depth + 1)
+  | Let (Strict (x, rhs), body) when not (is_whnf rhs) -> (
+      (* Evaluate the right-hand side to WHNF first; an unboxed result
+         binds with no allocation. *)
+      let cheap = spec sc (ref 0) rhs in
+      let rhs = shared sc cheap rhs and body = tr (bind sc x) body in
+      fun cfg site env stack depth ->
+        tick cfg site depth;
+        match cheap env with
+        | v -> body cfg site (push (operand_of_value v) env) stack depth
+        | exception Not_cheap ->
+            rhs cfg site env (FStrict (env, body) :: stack) (depth + 1))
+  | Let ((NonRec (x, rhs) | Strict (x, rhs)), body) ->
+      (* [arg] speculates cheap right-hand sides without allocating;
+         anything else becomes a thunk. *)
+      let rhs = arg sc rhs and xsite = Ident.site x.v_name in
+      let body = tr (bind sc x) body in
+      fun cfg site env stack depth ->
+        tick cfg site depth;
+        body cfg site (push (rhs cfg xsite env) env) stack depth
+  | Let (Rec pairs, body) ->
+      let sc = bind_all sc (List.map fst pairs) in
+      (* Each object is counted as its cell, allocated first so that the
+         closures can see each other. *)
+      let fill ((x : var), rhs) =
+        let xsite = Ident.site x.v_name in
+        if is_whnf rhs then
+          let b = build ~counted:false sc rhs in
+          (xsite, fun cfg env -> Value (b cfg xsite env))
+        else
+          let code = tr sc rhs in
+          (xsite, fun _ env -> Thunk (env, code, xsite))
+      in
+      let rhss = List.map fill pairs and body = tr sc body in
+      fun cfg site env stack depth ->
+        tick cfg site depth;
+        let cell (xsite, _) =
+          count2 cfg ~site:xsite Profile.Closure;
+          ref Blackhole
+        in
+        let cells = List.map cell rhss in
+        let env = List.fold_left (fun env c -> push (Ptr c) env) env cells in
+        List.iter2 (fun (_, fill) c -> c := fill cfg env) rhss cells;
+        body cfg site env stack depth
+  | Case (scrut, alts) ->
+      let scrut = tr sc scrut and alts = select sc alts in
+      fun cfg site env stack depth ->
+        tick cfg site depth;
+        scrut cfg site env (FCase (env, alts) :: stack) (depth + 1)
+  | Join (jb, body) ->
+      let ds = join_defns jb in
+      let label sc d =
+        let info = (sc.nlabels, Ident.site d.j_var.v_name, sites d.j_params) in
+        let labels = Ident.Map.add d.j_var.v_name info sc.labels in
+        { sc with labels; nlabels = sc.nlabels + 1 }
+      in
+      let body_sc = List.fold_left label sc ds in
+      let is_rec = match jb with JRec _ -> true | JNonRec _ -> false in
+      (* Recursive join points see their siblings. *)
+      let rhs_sc = if is_rec then body_sc else sc in
+      let rhs d =
+        (Ident.site d.j_var.v_name, tr (bind_all rhs_sc d.j_params) d.j_rhs)
+      in
+      let rhss = List.map rhs ds and body = tr body_sc body in
+      fun cfg site env stack depth ->
+        tick cfg site depth;
+        cfg.stats.joins_entered <- cfg.stats.joins_entered + 1;
+        let jpoint (jsite, code) =
+          p_bind cfg jsite;
+          { jp_code = code; jp_env = env; jp_stack = stack; jp_depth = depth }
+        in
+        let jps = List.map jpoint rhss in
+        let env = { env with joins = List.rev_append jps env.joins } in
+        (* Tie the knot. *)
+        if is_rec then List.iter (fun jp -> jp.jp_env <- env) jps;
+        body cfg site env stack depth
+  | Jump (j, _, args, _) -> (
+      match Ident.Map.find_opt j.v_name sc.labels with
+      | None ->
+          fun cfg site _ _ depth ->
+            tick cfg site depth;
+            stuck "jump to unbound label %a" Ident.pp j.v_name
+      | Some (level, jsite, params) ->
+          let i = sc.nlabels - 1 - level in
+          let arity_ok = List.compare_lengths params args = 0 in
+          (* Arguments are prepared in the current environment, each
+             thunk attributed to the parameter it is bound to... *)
+          let args = List.map (arg sc) args in
+          fun cfg site env _ depth ->
+            tick cfg site depth;
+            let jp = List.nth env.joins i in
+            cfg.stats.jumps <- cfg.stats.jumps + 1;
+            p_jump cfg jsite;
+            if not arity_ok then
+              stuck "jump to %a: wrong arity" Ident.pp j.v_name;
+            let locals = bind_args cfg env jp.jp_env.locals args params in
+            (* ...then the stack is truncated to the binding's: this is
+               the [jump] rule popping [s']. No allocation. Steps in the
+               right-hand side are charged to the join point. *)
+            jp.jp_code cfg jsite { jp.jp_env with locals } jp.jp_stack
+              jp.jp_depth)
 
 (* Turn an argument expression into an operand, allocating a thunk when
    it is neither trivial nor cheaply evaluable. *)
-let bind_operand (x : var) op env =
-  { env with vars = Ident.Map.add x.v_name op env.vars }
-
-(* Wrap an already-evaluated (and already-counted) value as an operand:
-   never allocates. *)
-let operand_of_value = function
-  | VLit l -> Imm l
-  | v -> Ptr (ref (Value v))
-
-(* [site] is the binder (or surrounding cost centre) any fresh thunk or
-   WHNF allocation is attributed to. *)
-let rec operand_of_arg cfg ~site env e : operand =
+and arg sc e : arg =
   match e with
-  | Lit l -> Imm l
-  | Var v -> (
-      match Ident.Map.find_opt v.v_name env.vars with
-      | Some op -> op
-      | None -> stuck "unbound variable %a" Ident.pp v.v_name)
+  | Lit l ->
+      let op = Imm l in
+      fun _ _ _ -> op
+  | Var v ->
+      let slot = resolve sc v.v_name in
+      fun _ _ env -> read env slot
   | Con _ | Lam _ | TyLam _ ->
-      (* A WHNF argument is built directly (its own allocation is
-         counted inside [value_of_whnf]); no extra thunk. *)
-      (match value_of_whnf cfg ~site env e with
-      | VLit l -> Imm l
-      | v -> Ptr (ref (Value v)))
-  | _ -> (
-      match eval_cheap env e with
-      | Some (VLit l) -> Imm l
-      | Some (VCon (_, []) as v) ->
-          (* Nullary constructors are static: share one cell, count no
-             allocation. *)
-          Ptr (ref (Value v))
-      | Some v ->
-          Ptr
-            (alloc_cell cfg ~site ~kind:Profile.Thunk ~words:closure_words
-               (Value v))
-      | None ->
-          Ptr
-            (alloc_cell cfg ~site ~kind:Profile.Thunk ~words:closure_words
-               (Thunk (env, e, site))))
+      (* A WHNF argument is built directly: no thunk around it. *)
+      let w = build sc e in
+      fun cfg site env -> Ptr (ref (Value (w cfg site env)))
+  | Prim _ | TyApp _ | Let ((NonRec _ | Strict _), _) -> (
+      let cheap = spec sc (ref 0) e in
+      let code = shared sc cheap e in
+      fun cfg site env ->
+        match cheap env with
+        | VLit l -> Imm l
+        (* Nullary constructors are static: no allocation. *)
+        | VCon (_, []) as v -> Ptr (ref (Value v))
+        | v -> thunk cfg site (Value v)
+        | exception Not_cheap -> thunk cfg site (Thunk (env, code, site)))
+  | _ ->
+      let code = tr sc e in
+      fun cfg site env -> thunk cfg site (Thunk (env, code, site))
 
-(* Evaluate a WHNF right-hand side directly to a value (used by [let]
-   so that a constructor binding allocates a constructor, not a thunk
-   around one). *)
-and value_of_whnf cfg ~site env e : value =
+(* A primop speculates first; failing that, it evaluates its arguments
+   in turn on [FPrim] frames. *)
+and prim sc cheap op args : code =
+  let args = List.map (tr sc) args in
+  fun cfg site env stack depth ->
+    tick cfg site depth;
+    match cheap env with
+    | v -> ret cfg site v stack depth
+    | exception Not_cheap -> (
+        match args with
+        | a :: rest ->
+            a cfg site env (FPrim (op, [], env, rest) :: stack) (depth + 1)
+        | [] -> ret cfg site (apply_prim op []) stack depth)
+
+(* The code of [e], whose speculation is [cheap]: a primop's code shares
+   it, as its step speculates first. *)
+and shared sc cheap e =
+  match e with Prim (op, args) -> prim sc cheap op args | _ -> tr sc e
+
+(* A WHNF, built directly and counted unless it is a recursive
+   binding's object, counted as its cell. *)
+and build ?(counted = true) sc e : config -> string -> env -> value =
   match e with
-  | Lit l -> VLit l
+  | Lit l ->
+      let v = VLit l in
+      fun _ _ _ -> v
+  | Con (dc, _, []) ->
+      let v = VCon (dc, []) in
+      fun _ _ _ -> v
+  | Con (dc, _, args) ->
+      let args = List.map (arg sc) args and words = 1 + List.length args in
+      fun cfg site env ->
+        let ops = operands cfg site env args in
+        if counted then count cfg ~site ~kind:Profile.Con ~words;
+        VCon (dc, ops)
   | Lam _ ->
       (* Collect the manifest arity: one closure for the whole chain. *)
       let rec collect acc = function
@@ -271,313 +543,56 @@ and value_of_whnf cfg ~site env e : value =
         | b -> (List.rev acc, b)
       in
       let params, body = collect [] e in
-      cfg.stats.objects <- cfg.stats.objects + 1;
-      cfg.stats.words <- cfg.stats.words + closure_words;
-      p_alloc cfg ~label:site ~kind:Profile.Closure ~words:closure_words;
-      VFun (site, env, params, body)
-  | TyLam (a, b) ->
-      cfg.stats.objects <- cfg.stats.objects + 1;
-      cfg.stats.words <- cfg.stats.words + closure_words;
-      p_alloc cfg ~label:site ~kind:Profile.Closure ~words:closure_words;
-      VTyFun (site, env, a, b)
-  | Con (dc, _, args) ->
-      let ops = List.map (operand_of_arg cfg ~site env) args in
-      if args <> [] then begin
-        cfg.stats.objects <- cfg.stats.objects + 1;
-        cfg.stats.words <- cfg.stats.words + 1 + List.length args;
-        p_alloc cfg ~label:site ~kind:Profile.Con
-          ~words:(1 + List.length args)
-      end;
-      VCon (dc, ops)
-  | _ -> invalid_arg "value_of_whnf: not a WHNF"
+      let body_sc = bind_all (new_scope (Some sc)) params in
+      let body = tr body_sc body and params = sites params in
+      let slots = Array.of_list (List.rev body_sc.fn.caps) in
+      fun cfg site env ->
+        if counted then count2 cfg ~site Profile.Closure;
+        VFun (site, body, Array.map (read env) slots, [], params)
+  | TyLam (_, b) ->
+      let b = tr sc b in
+      fun cfg site env ->
+        if counted then count2 cfg ~site Profile.Closure;
+        VTyFun (site, env, b)
+  | _ -> invalid_arg "Eval.build: not a WHNF"
 
-and bind_let cfg env (x : var) rhs =
-  let site = Ident.site x.v_name in
-  if is_whnf rhs then bind_operand x (operand_of_whnf cfg ~site env rhs) env
-  else
-    (* [operand_of_arg] speculates cheap right-hand sides (variables,
-       literals, primops over evaluated operands) without allocating;
-       anything else becomes a thunk. *)
-    bind_operand x (operand_of_arg cfg ~site env rhs) env
-
-and operand_of_whnf cfg ~site env rhs =
-  match value_of_whnf cfg ~site env rhs with
-  | VLit l -> Imm l
-  | v -> Ptr (ref (Value v))
-
-(* Note: the cell for a WHNF value was already counted inside
-   [value_of_whnf]; the [ref] above is representation, not a fresh
-   object. *)
-
-let match_alt (dc_opt : [ `Con of Datacon.t | `Lit of Literal.t ]) alts =
-  let matches { alt_pat; _ } =
-    match (alt_pat, dc_opt) with
-    | PCon (d, _), `Con dc -> Datacon.equal d dc
-    | PLit l, `Lit l' -> Literal.equal l l'
-    | _ -> false
+(* The [case] rule: the first alternative matching the constructor or
+   literal, else the first default. A function is already WHNF: casing
+   it is a seq, matched only by a default, as in the block machine's
+   [PAny] and the simplifier's case-elim. *)
+and select sc alts : alts =
+  let alt { alt_pat; alt_rhs } =
+    (alt_pat, tr (bind_all sc (pat_binders alt_pat)) alt_rhs)
   in
-  match List.find_opt matches alts with
-  | Some a -> Some a
-  | None ->
-      List.find_opt (fun { alt_pat; _ } -> alt_pat = PDefault) alts
+  let alts = List.map alt alts in
+  let default =
+    List.find_map (function PDefault, c -> Some c | _ -> None) alts
+  in
+  fun cfg site env v stack depth -> pick default cfg site env v stack depth alts
 
-(** Run [e] in [env0]. Raises {!Stuck} on type errors, {!Out_of_fuel}
-    when [fuel] machine steps are exhausted. [profile] attaches a
-    per-site profiler (see {!Profile}). *)
-let eval_machine ?(mode = By_need) ?(fuel = max_int) ?(env = empty_env)
-    ?profile e : value * stats =
-  let cfg = { mode; stats = fresh_stats (); fuel; prof = profile } in
-  let tick site depth =
-    cfg.stats.steps <- cfg.stats.steps + 1;
-    if depth > cfg.stats.max_stack then cfg.stats.max_stack <- depth;
-    (match cfg.prof with Some p -> Profile.step p site | None -> ());
-    cfg.fuel <- cfg.fuel - 1;
-    if cfg.fuel <= 0 then raise Out_of_fuel
-  in
-  (* [run site env e stack depth] — the [push]/[beta]/[bind]/[look]/
-     [case]/[jump] transitions. Written in CPS over an explicit stack,
-     tail-recursive. [site] is the current cost centre; [depth] tracks
-     [List.length stack] incrementally for the high-water mark. *)
-  let rec run site env (e : expr) (stack : frame list) (depth : int) : value =
-    tick site depth;
-    match e with
-    | Lit l -> ret site (VLit l) stack depth
-    | Var v -> (
-        match Ident.Map.find_opt v.v_name env.vars with
-        | None -> stuck "unbound variable %a" Ident.pp v.v_name
-        | Some (Imm l) -> ret site (VLit l) stack depth
-        | Some (Ptr cell) -> force site cell stack depth)
-    | Con _ -> ret site (value_of_whnf cfg ~site env e) stack depth
-    | Lam _ | TyLam _ -> ret site (value_of_whnf cfg ~site env e) stack depth
-    | Prim (op, []) -> ret site (apply_prim op []) stack depth
-    | Prim (op, a :: rest) -> (
-        match eval_cheap env e with
-        | Some v -> ret site v stack depth
-        | None ->
-            run site env a
-              (FPrim (op, [], List.map (fun e -> (env, e)) rest) :: stack)
-              (depth + 1))
-    | App (f, a) -> run site env f (FArg (env, a) :: stack) (depth + 1)
-    | TyApp (f, _) -> run site env f (FTyArg :: stack) (depth + 1)
-    | Let (NonRec (x, rhs), body) ->
-        run site (bind_let cfg env x rhs) body stack depth
-    | Let (Strict (x, rhs), body) ->
-        (* Evaluate the right-hand side to WHNF first; an unboxed
-           result binds with no allocation. *)
-        if is_whnf rhs then run site (bind_let cfg env x rhs) body stack depth
-        else (
-          match eval_cheap env rhs with
-          | Some v ->
-              run site (bind_operand x (operand_of_value v) env) body stack
-                depth
-          | None ->
-              run site env rhs (FStrict (env, x, body) :: stack) (depth + 1))
-    | Let (Rec pairs, body) ->
-        (* Allocate cells first so the closures can see each other. *)
-        let cells =
-          List.map
-            (fun (x, rhs) ->
-              ( x,
-                rhs,
-                alloc_cell cfg
-                  ~site:(Ident.site x.v_name)
-                  ~kind:Profile.Closure ~words:closure_words Blackhole ))
-            pairs
-        in
-        let env' =
-          List.fold_left
-            (fun env (x, _, cell) -> bind_operand x (Ptr cell) env)
-            env cells
-        in
-        List.iter
-          (fun ((x : var), rhs, cell) ->
-            if is_whnf rhs then
-              (* The object was already counted as the recursive cell. *)
-              cell :=
-                Value
-                  (match rhs with
-                  | Lit l -> VLit l
-                  | Lam _ ->
-                      let rec collect acc = function
-                        | Lam (x, b) -> collect (x :: acc) b
-                        | b -> (List.rev acc, b)
-                      in
-                      let params, body = collect [] rhs in
-                      VFun (Ident.site x.v_name, env', params, body)
-                  | TyLam (a, b) -> VTyFun (Ident.site x.v_name, env', a, b)
-                  | Con (dc, _, args) ->
-                      VCon
-                        ( dc,
-                          List.map
-                            (operand_of_arg cfg ~site:(Ident.site x.v_name)
-                               env')
-                            args )
-                  | _ -> assert false)
-            else cell := Thunk (env', rhs, Ident.site x.v_name))
-          cells;
-        run site env' body stack depth
-    | Case (scrut, alts) ->
-        run site env scrut (FCase (env, alts) :: stack) (depth + 1)
-    | Join (jb, body) ->
-        cfg.stats.joins_entered <- cfg.stats.joins_entered + 1;
-        let ds = join_defns jb in
-        let jps =
-          List.map
-            (fun d ->
-              p_join_bind cfg (Ident.site d.j_var.v_name);
-              ( d,
-                { jp_defn = d; jp_env = env; jp_stack = stack; jp_depth = depth }
-              ))
-            ds
-        in
-        let env' =
-          List.fold_left
-            (fun env (d, jp) ->
-              { env with joins = Ident.Map.add d.j_var.v_name jp env.joins })
-            env jps
-        in
-        (* Tie the knot: recursive join points see their siblings. *)
-        (match jb with
-        | JNonRec _ -> ()
-        | JRec _ -> List.iter (fun (_, jp) -> jp.jp_env <- env') jps);
-        run site env' body stack depth
-    | Jump (j, _, args, _) -> (
-        match Ident.Map.find_opt j.v_name env.joins with
-        | None -> stuck "jump to unbound label %a" Ident.pp j.v_name
-        | Some jp ->
-            cfg.stats.jumps <- cfg.stats.jumps + 1;
-            let jsite = Ident.site jp.jp_defn.j_var.v_name in
-            p_jump cfg jsite;
-            let d = jp.jp_defn in
-            if List.length args <> List.length d.j_params then
-              stuck "jump to %a: wrong arity" Ident.pp j.v_name;
-            (* Arguments are prepared in the current environment, each
-               thunk attributed to the parameter it is bound to... *)
-            let ops =
-              List.map2
-                (fun (p : var) a ->
-                  operand_of_arg cfg ~site:(Ident.site p.v_name) env a)
-                d.j_params args
-            in
-            let env' =
-              List.fold_left2
-                (fun env p op -> bind_operand p op env)
-                jp.jp_env d.j_params ops
-            in
-            (* ...then the stack is truncated to the binding's: this is
-               the [jump] rule popping [s']. No allocation. Steps in
-               the right-hand side are charged to the join point. *)
-            run jsite env' d.j_rhs jp.jp_stack jp.jp_depth)
-  (* Return a value to the topmost frame. *)
-  and ret site (v : value) (stack : frame list) (depth : int) : value =
-    match stack with
-    | [] -> v
-    | FUpdate (cell, tsite, restore) :: rest ->
-        cell := Value v;
-        cfg.stats.updates <- cfg.stats.updates + 1;
-        p_update cfg tsite;
-        ret restore v rest (depth - 1)
-    | FStrict (senv, x, body) :: rest ->
-        run site (bind_operand x (operand_of_value v) senv) body rest
-          (depth - 1)
-    | FArg _ :: _ -> (
-        match v with
-        | VFun (fsite, cenv, params, body) ->
-            (* Bind as many pending arguments as we have parameters;
-               a leftover parameter prefix becomes a PAP (allocated);
-               leftover argument frames continue on the result. The
-               entered function becomes the cost centre. *)
-            cfg.stats.calls <- cfg.stats.calls + 1;
-            let rec bind env params stack depth =
-              match (params, stack) with
-              | [], _ ->
-                  p_enter cfg fsite;
-                  run fsite env body stack depth
-              | p :: ps, FArg (aenv, arg) :: rest ->
-                  let op =
-                    operand_of_arg cfg
-                      ~site:(Ident.site (p : var).v_name)
-                      aenv arg
-                  in
-                  bind (bind_operand p op env) ps rest (depth - 1)
-              | _ :: _, _ ->
-                  (* Under-saturated: allocate a partial application. *)
-                  cfg.stats.objects <- cfg.stats.objects + 1;
-                  cfg.stats.words <- cfg.stats.words + closure_words;
-                  p_alloc cfg ~label:fsite ~kind:Profile.Pap
-                    ~words:closure_words;
-                  ret site (VFun (fsite, env, params, body)) stack depth
-            in
-            bind cenv params stack depth
-        | _ -> stuck "applying a non-function")
-    | FTyArg :: rest -> (
-        match v with
-        | VTyFun (fsite, cenv, _, body) ->
-            cfg.stats.calls <- cfg.stats.calls + 1;
-            p_enter cfg fsite;
-            run fsite cenv body rest (depth - 1)
-        | _ -> stuck "type-applying a non-type-function")
-    | FCase (cenv, alts) :: rest -> (
-        let alt =
-          match v with
-          | VCon (dc, _) -> match_alt (`Con dc) alts
-          | VLit l -> match_alt (`Lit l) alts
-          | _ ->
-              (* Functions are already WHNF: casing one is a seq, and
-                 only a wildcard alternative can match — agreeing with
-                 the block machine's [PAny] and the simplifier's
-                 case-elim, which discards exactly such a case. *)
-              List.find_opt (fun { alt_pat; _ } -> alt_pat = PDefault) alts
-        in
-        match alt with
-        | None -> stuck "no matching case alternative"
-        | Some { alt_pat; alt_rhs } ->
-            let env' =
-              match (alt_pat, v) with
-              | PCon (_, xs), VCon (_, ops) ->
-                  List.fold_left2
-                    (fun env x op -> bind_operand x op env)
-                    cenv xs ops
-              | _ -> cenv
-            in
-            run site env' alt_rhs rest (depth - 1))
-    | FPrim (op, done_, pending) :: rest -> (
-        let done_ = v :: done_ in
-        match pending with
-        | [] -> ret site (apply_prim op (List.rev done_)) rest (depth - 1)
-        | (penv, pe) :: pending' ->
-            run site penv pe (FPrim (op, done_, pending') :: rest) depth)
-  (* Force a heap cell. *)
-  and force site (cell : cell ref) (stack : frame list) (depth : int) : value
-      =
-    match !cell with
-    | Value v -> ret site v stack depth
-    | Blackhole -> stuck "<<loop>> (blackhole entered)"
-    | Thunk (tenv, te, tsite) -> (
-        p_enter cfg tsite;
-        match cfg.mode with
-        | By_name ->
-            (* No update frame, so no restore point: the thunk's site
-               simply becomes the cost centre. *)
-            run tsite tenv te stack depth
-        | By_need ->
-            cell := Blackhole;
-            run tsite tenv te
-              (FUpdate (cell, tsite, site) :: stack)
-              (depth + 1))
-  in
-  let v = run Profile.main_site env e [] 0 in
+and pick default cfg site env v stack depth = function
+  | (p, c) :: rest -> (
+      match (p, v) with
+      | PCon (d, _), VCon (dc, ops) when Datacon.equal d dc ->
+          c cfg site (push_all ops env) stack depth
+      | PLit l, VLit l' when Literal.equal l l' -> c cfg site env stack depth
+      | _ -> pick default cfg site env v stack depth rest)
+  | [] -> (
+      match default with
+      | Some c -> c cfg site env stack depth
+      | None -> stuck "no matching case alternative")
+
+let run_code ~mode ~fuel ?profile code env : value * stats =
+  let cfg = { mode; stats = Mstats.create (); fuel; prof = profile } in
+  let v = code cfg Profile.main_site env [] 0 in
   (v, cfg.stats)
 
-(* The public entry point: the machine run is a root span (cat
-   ["eval"]) annotated with its step/word counts, and publishes into
-   the innermost metrics registry — both no-ops unless an observability
-   collector/registry is installed (the per-step hot loop above is
-   never touched). *)
-let eval ?mode ?fuel ?env ?profile e : value * stats =
+(* A machine run is a root span (cat ["eval"]) annotated with its
+   counts, published into the innermost metrics registry. *)
+let observed run : value * stats =
   let (v, stats), dur =
     Span.with_span_timed ~cat:"eval" "eval" (fun () ->
-        let (v, stats) = eval_machine ?mode ?fuel ?env ?profile e in
+        let v, stats = run () in
         Span.annotate "steps" (Telemetry.Json.Int stats.steps);
         Span.annotate "words" (Telemetry.Json.Int stats.words);
         Span.annotate "jumps" (Telemetry.Json.Int stats.jumps);
@@ -588,40 +603,32 @@ let eval ?mode ?fuel ?env ?profile e : value * stats =
   Metrics.observe "eval.words" (float_of_int stats.words);
   (v, stats)
 
+let eval ?(mode = By_need) ?(fuel = max_int) ?profile e : value * stats =
+  let env = { captures = [||]; locals = []; joins = [] } in
+  observed (fun () -> run_code ~mode ~fuel ?profile (tr (new_scope None) e) env)
+
 (* ------------------------------------------------------------------ *)
 (* Observation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(** A fully-forced first-order view of a value, for comparing results
-    across compiler pipelines in tests and benchmarks. Functions print
-    as [<fun>]; forcing is bounded by [depth]. *)
 type tree = TLit of Literal.t | TCon of string * tree list | TFun
 
 let rec force_deep ?(depth = 1_000_000) ?(fuel = max_int) (v : value) : tree =
-  if depth <= 0 then TFun
-  else
-    match v with
-    | VLit l -> TLit l
-    | VFun _ | VTyFun _ -> TFun
-    | VCon (dc, ops) ->
-        TCon
-          ( dc.name,
-            List.map
-              (fun op ->
-                let v =
-                  match op with
-                  | Imm l -> VLit l
-                  | Ptr cell -> force_operand ~fuel cell
-                in
-                force_deep ~depth:(depth - 1) ~fuel v)
-              ops )
+  match v with
+  | _ when depth <= 0 -> TFun
+  | VLit l -> TLit l
+  | VFun _ | VTyFun _ -> TFun
+  | VCon (dc, ops) ->
+      let field = function Imm l -> VLit l | Ptr c -> observe_cell ~fuel c in
+      let force op = force_deep ~depth:(depth - 1) ~fuel (field op) in
+      TCon (dc.name, List.map force ops)
 
-and force_operand ~fuel (cell : cell ref) : value =
+and observe_cell ~fuel (cell : cell ref) : value =
   match !cell with
   | Value v -> v
   | Blackhole -> stuck "<<loop>> (blackhole entered during observation)"
-  | Thunk (tenv, te, _) ->
-      let v, _ = eval ~mode:By_need ~fuel ~env:tenv te in
+  | Thunk (tenv, code, _) ->
+      let v, _ = observed (fun () -> run_code ~mode:By_need ~fuel code tenv) in
       cell := Value v;
       v
 
@@ -671,23 +678,13 @@ let rec pp_tree ppf = function
         Fmt.(list ~sep:nop (fun ppf t -> Fmt.pf ppf " %a" pp_tree t))
         args
 
-(** Run a closed expression and return the deeply-forced result along
-    with allocation statistics. The statistics (and the profile, when
-    one is attached) do {e not} include work done while forcing the
-    result for observation. *)
+(* The statistics and profile leave out the observation's forcing. *)
 let run_deep ?(mode = By_need) ?(fuel = max_int) ?profile e : tree * stats =
   let v, stats = eval ~mode ~fuel ?profile e in
   (force_deep ~fuel v, stats)
 
-type outcome =
-  | Finished of tree * stats
-  | Fuel_exhausted
-  | Crashed of string
+type outcome = Finished of tree * stats | Fuel_exhausted | Crashed of string
 
-(** {!run_deep} with the exceptional exits reified: a program that
-    diverges (relative to the fuel budget) or gets stuck yields a
-    graceful outcome instead of killing the harness — the bench and
-    fuzz oracles run generated programs through this. *)
 let run_outcome ?mode ?(fuel = max_int) ?profile e : outcome =
   match run_deep ?mode ~fuel ?profile e with
   | t, s -> Finished (t, s)

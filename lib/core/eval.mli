@@ -25,21 +25,13 @@ val pp_stats : Format.formatter -> stats -> unit
 (** Machine values (weak head normal forms). *)
 type value
 
-(** Machine environments. *)
-type env
-
 exception Stuck of string
 exception Out_of_fuel
 
-(** Run an expression to WHNF. Defaults: call-by-need, unlimited fuel,
-    empty environment, no profiler. *)
+(** Run a closed expression to WHNF: translate it once, then run the
+    translation. Defaults: call-by-need, unlimited fuel, no profiler. *)
 val eval :
-  ?mode:mode ->
-  ?fuel:int ->
-  ?env:env ->
-  ?profile:Profile.t ->
-  Syntax.expr ->
-  value * stats
+  ?mode:mode -> ?fuel:int -> ?profile:Profile.t -> Syntax.expr -> value * stats
 
 (** A fully-forced first-order view of a value. *)
 type tree = TLit of Literal.t | TCon of string * tree list | TFun

@@ -526,21 +526,51 @@ let mutate st (e : expr) : expr =
 (* Shrinking                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Immediate subterms, as shrink candidates. Only closed ones survive
-   the filter below; openness is cheaper to test once than to track. *)
-let subterms (e : expr) : expr list =
+(* Immediate subterms, each with the function that puts a replacement
+   back in its place. *)
+let children (e : expr) : (expr * (expr -> expr)) list =
+  let each xs rebuild =
+    let put i x' = List.mapi (fun j y -> if i = j then x' else y) xs in
+    List.mapi (fun i x -> (x, fun x' -> rebuild (put i x'))) xs
+  in
   match e with
   | Var _ | Lit _ -> []
-  | Con (_, _, args) -> args
-  | Prim (_, args) -> args
-  | App (f, a) -> [ f; a ]
-  | TyApp (f, _) -> [ f ]
-  | Lam (_, b) | TyLam (_, b) -> [ b ]
-  | Let (bind, body) -> body :: List.map snd (bind_pairs bind)
-  | Case (scrut, alts) -> scrut :: List.map (fun a -> a.alt_rhs) alts
+  | Con (dc, tys, args) -> each args (fun args -> Con (dc, tys, args))
+  | Prim (op, args) -> each args (fun args -> Prim (op, args))
+  | App (f, a) -> [ (f, fun f -> App (f, a)); (a, fun a -> App (f, a)) ]
+  | TyApp (f, ty) -> [ (f, fun f -> TyApp (f, ty)) ]
+  | Lam (x, b) -> [ (b, fun b -> Lam (x, b)) ]
+  | TyLam (a, b) -> [ (b, fun b -> TyLam (a, b)) ]
+  | Let (bind, body) ->
+      let rhss =
+        match bind with
+        | NonRec (x, rhs) -> [ (rhs, fun rhs -> NonRec (x, rhs)) ]
+        | Strict (x, rhs) -> [ (rhs, fun rhs -> Strict (x, rhs)) ]
+        | Rec pairs ->
+            each (List.map snd pairs) (fun rhss ->
+                Rec (List.map2 (fun (x, _) rhs -> (x, rhs)) pairs rhss))
+      in
+      (body, fun body -> Let (bind, body))
+      :: List.map (fun (rhs, re) -> (rhs, fun rhs -> Let (re rhs, body))) rhss
+  | Case (scrut, alts) ->
+      let with_rhs a r = { a with alt_rhs = r } in
+      (scrut, fun scrut -> Case (scrut, alts))
+      :: each (List.map (fun a -> a.alt_rhs) alts) (fun rhss ->
+             Case (scrut, List.map2 with_rhs alts rhss))
   | Join (jb, body) ->
-      body :: List.map (fun d -> d.j_rhs) (join_defns jb)
-  | Jump (_, _, args, _) -> args
+      let rebuild_defns ds = function
+        | JNonRec _ -> JNonRec (List.hd ds)
+        | JRec _ -> JRec ds
+      in
+      let ds = join_defns jb in
+      (body, fun body -> Join (jb, body))
+      :: each (List.map (fun d -> d.j_rhs) ds) (fun rhss ->
+             Join
+               ( rebuild_defns
+                   (List.map2 (fun d r -> { d with j_rhs = r }) ds rhss)
+                   jb,
+                 body ))
+  | Jump (j, tys, args, ty) -> each args (fun args -> Jump (j, tys, args, ty))
 
 (* Discharge an alternative's pattern binders with canonical values so
    its rhs can stand alone. *)
@@ -555,7 +585,10 @@ let discharge_alt (a : alt) : expr option =
              a.alt_rhs xs)
       with Invalid_argument _ -> None)
 
-let shrink (e : expr) : expr list =
+(* Rewrites of [e] itself and its subterms, then each child's own
+   candidates put back in place: a child's candidate may keep the
+   variables its parent binds, so none has a free variable [e] lacks. *)
+let rec shrink (e : expr) : expr list =
   let structural =
     match e with
     | Let (NonRec (x, rhs), body) | Let (Strict (x, rhs), body) ->
@@ -566,10 +599,14 @@ let shrink (e : expr) : expr list =
     | Join (_, body) -> [ body ]
     | _ -> []
   in
-  let n = size e in
+  let n = size e and fvs = free_vars e in
+  let kids = children e in
   List.filter
-    (fun c -> size c <= n && Ident.Set.is_empty (free_vars c))
-    (structural @ subterms e)
+    (fun c -> size c <= n && Ident.Set.subset (free_vars c) fvs)
+    (structural @ List.map fst kids)
+  @ List.concat_map
+      (fun (child, rebuild) -> List.map rebuild (shrink child))
+      kids
 
 let minimize ?(steps = 500) ~failing (e : expr) : expr =
   let rec go fuel e =

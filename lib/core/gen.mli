@@ -40,10 +40,14 @@ val program_of_seed : ?size:int -> int -> Syntax.expr
     supply. *)
 val mutate : Random.State.t -> Syntax.expr -> Syntax.expr
 
-(** Immediate shrink candidates of a program: closed subterms,
-    let-elimination by substitution, case-branch selection — each no
-    larger than the input. Candidates are {e not} guaranteed
-    well-typed; filter with {!Lint.well_typed}. *)
+(** Shrink candidates of a program: at the root and, in place, inside
+    every subterm, the subterm's own subterms, let-elimination by
+    substitution and case-branch selection. A candidate inside a
+    subterm keeps only variables that subterm already had free, so no
+    candidate has a free variable the input lacks (a closed program's
+    candidates are closed) and none is larger than the input.
+    Candidates are {e not} guaranteed well-typed; filter with
+    {!Lint.well_typed}. *)
 val shrink : Syntax.expr -> Syntax.expr list
 
 (** [minimize ~failing e] greedily applies {!shrink} while candidates

@@ -146,7 +146,43 @@ let allocation_accounting () =
   Alcotest.(check int) "one closure" 1 s2.Eval.objects;
   (* Nullary constructors are free. *)
   let _, s3 = run B.true_ in
-  Alcotest.(check int) "static constructor" 0 s3.Eval.objects
+  Alcotest.(check int) "static constructor" 0 s3.Eval.objects;
+  let counts name e ~value ~objects ~words ~calls =
+    let t, s = run e in
+    Alcotest.(check string)
+      (name ^ ": value") value
+      (Fmt.str "%a" Eval.pp_tree t);
+    Alcotest.(check int) (name ^ ": objects") objects s.Eval.objects;
+    Alcotest.(check int) (name ^ ": words") words s.Eval.words;
+    Alcotest.(check int) (name ^ ": calls") calls s.Eval.calls
+  in
+  (* A partial application allocates a 2-word PAP (after [f]'s closure
+     and [g]'s thunk); calling it binds the remaining argument. *)
+  let add2 =
+    B.lam "x" Types.int (fun x -> B.lam "y" Types.int (fun y -> B.add x y))
+  in
+  counts "partial application"
+    (B.let_ "f" add2 (fun f ->
+         B.let_ "g" (B.app f (B.int 1)) (fun g -> B.app g (B.int 2))))
+    ~value:"3" ~objects:3 ~words:6 ~calls:2;
+  (* An over-saturated call passes its leftover argument to the closure
+     the body returns. *)
+  let add1 =
+    B.lam "x" Types.int (fun x ->
+        B.let_ "k" (B.lam "y" Types.int (fun y -> B.add x y)) (fun k -> k))
+  in
+  counts "over-saturated call"
+    (B.let_ "f" add1 (fun f -> B.app2 f (B.int 1) (B.int 2)))
+    ~value:"3" ~objects:2 ~words:4 ~calls:2;
+  (* Speculation is bounded: a right-hand side nesting 8 primops binds
+     its value, one nesting 9 allocates a 2-word thunk. *)
+  let rec nest k = if k = 0 then B.int 1 else B.add (B.int 1) (nest (k - 1)) in
+  counts "8 primops speculate"
+    (B.let_ "x" (nest 8) (fun x -> x))
+    ~value:"9" ~objects:0 ~words:0 ~calls:0;
+  counts "9 primops allocate a thunk"
+    (B.let_ "x" (nest 9) (fun x -> x))
+    ~value:"10" ~objects:1 ~words:2 ~calls:0
 
 let deep_observation () =
   let e = B.int_list [ 1; 2; 3 ] in
@@ -178,6 +214,51 @@ let letrec_closures () =
   let _ = lints e in
   result_is "True" e
 
+(* Each round of a recursive join conses a suspended [f i]: the thunks
+   outlive the activation that built them, so each must keep its own
+   round's [i] (an environment updated in place would hand every thunk
+   the last one). *)
+let join_thunks_keep_their_parameters () =
+  let ilist = B.list_ty Types.int in
+  let sum acc =
+    B.joinrec1 "sum"
+      [ ("xs", ilist); ("s", Types.int) ]
+      (fun sum -> function
+        | [ xs; s ] ->
+            B.case xs
+              [
+                B.alt_con "Nil" [ Types.int ] [] (fun _ -> s);
+                B.alt_con "Cons" [ Types.int ] [ "h"; "t" ] (function
+                  | [ h; t ] -> sum [ t; B.add s h ] Types.int
+                  | _ -> assert false);
+              ]
+        | _ -> assert false)
+      (fun sum -> sum [ acc; B.int 0 ] Types.int)
+  in
+  let e =
+    B.let_ "f" (B.lam "n" Types.int (fun n -> B.mul n (B.int 10))) (fun f ->
+        B.joinrec1 "loop"
+          [ ("i", Types.int); ("acc", ilist) ]
+          (fun loop -> function
+            | [ i; acc ] ->
+                B.case i
+                  [
+                    B.alt_lit (Literal.Int 0) (sum acc);
+                    B.alt_default
+                      (loop
+                         [ B.sub i (B.int 1); B.cons Types.int (B.app f i) acc ]
+                         Types.int);
+                  ]
+            | _ -> assert false)
+          (fun loop -> loop [ B.int 5; B.nil Types.int ] Types.int))
+  in
+  let _ = lints e in
+  let t, s = run e in
+  Alcotest.(check string) "10 + 20 + 30 + 40 + 50" "150"
+    (Fmt.str "%a" Eval.pp_tree t);
+  Alcotest.(check int) "five suspended calls, forced once each" 5 s.Eval.calls;
+  Alcotest.(check int) "words" 37 s.Eval.words
+
 let tests =
   [
     test "arithmetic" arith;
@@ -196,4 +277,6 @@ let tests =
     test "allocation accounting" allocation_accounting;
     test "deep observation" deep_observation;
     test "recursive closures (even/odd)" letrec_closures;
+    test "join thunks keep their own parameters"
+      join_thunks_keep_their_parameters;
   ]

@@ -71,7 +71,29 @@ let minimize_reaches_local_minimum () =
     (not
        (List.exists
           (fun c -> Syntax.size c < Syntax.size m && failing c)
-          (Gen.shrink m)))
+          (Gen.shrink m)));
+  (* The failing node sits under a [case] in the body of a let whose
+     function is used twice, so eliminating the let grows the term and
+     the body alone is open: only a shrink inside the body, in place,
+     reaches it. *)
+  let module B = Builder in
+  let e =
+    B.let_ "f"
+      (B.lam "x" Types.int (fun x -> B.add x (B.int 1)))
+      (fun f ->
+        B.case (B.app f (B.int 1))
+          [
+            B.alt_lit (Literal.Int 0) (B.app f (B.int 2));
+            B.alt_default (B.mul (B.int 3) (B.int 4));
+          ])
+  in
+  let failing c =
+    Lint.well_typed dc c && contains (Fmt.str "%a" Pretty.pp c) "*#"
+  in
+  let m = Gen.minimize ~failing e in
+  Alcotest.(check int) "input size" 15 (Syntax.size e);
+  Alcotest.(check string) "shrunk inside the let body" "*# 3 4"
+    (Fmt.str "%a" Pretty.pp m)
 
 let oracle_passes_on_healthy_compiler () =
   let s = Fuzz.run ~seed:1 ~count:40 () in
