@@ -317,9 +317,7 @@ let analyze ?(max_rounds = default_max_rounds) e =
     let v = loop () in
     { r_value = v; r_binders = st.binders; r_iterations = st.iters }
   in
-  let r, _ms, _gc =
-    Span.with_span_stats ~cat:"analysis" "absint.analyze" body
-  in
+  let r = Span.with_span ~cat:"analysis" "absint.analyze" body in
   Metrics.incr "absint.analyses";
   Metrics.observe "absint.fixpoint_rounds" (float_of_int r.r_iterations);
   r
@@ -703,14 +701,13 @@ let missed ~decisions e' =
        count zero too; otherwise only the dependency graph proves it. *)
     let dead = dead_binders e' in
     if not (Ident.Set.is_empty dead) then begin
-      let occ, binfo = Occur.with_binder_info e' in
-      ignore occ;
+      let census = Occur.census e' in
       List.iter
         (fun (x : var) ->
           if Ident.Set.mem x.v_name dead then
             let syntactic =
-              match Ident.Map.find_opt x.v_name binfo with
-              | Some (i : Occur.info) -> i.Occur.count = 0
+              match Occur.use census x with
+              | Some u -> u.count = 0
               | None -> true
             in
             warn "missed-dead-binding" ~site:(Ident.site x.v_name)

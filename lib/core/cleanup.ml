@@ -23,97 +23,147 @@ let rec ok_for_speculation = function
   | Lam _ | TyLam _ -> true
   | _ -> false
 
+(* [List.map f xs], but [xs] itself when [f] returned every element
+   unchanged. *)
+let rec map_shared f xs =
+  match xs with
+  | [] -> xs
+  | x :: rest ->
+      let x' = f x in
+      let rest' = map_shared f rest in
+      if x' == x && rest' == rest then xs else x' :: rest'
+
 (** One bottom-up cleanup pass; returns the new term and whether
-    anything changed. *)
+    anything changed. A node none of whose children changed is
+    returned itself, so a pass that finds nothing to do copies
+    nothing. *)
 let cleanup (e : expr) : expr * bool =
   let changed = ref false in
   let rec go (e : expr) : expr =
     match e with
     | Var _ | Lit _ -> e
-    | Con (dc, phis, es) -> Con (dc, phis, List.map go es)
-    | Prim (op, es) -> Prim (op, List.map go es)
-    | App (f, a) -> App (go f, go a)
-    | TyApp (f, t) -> TyApp (go f, t)
-    | Lam (x, b) -> Lam (x, go b)
-    | TyLam (a, b) -> TyLam (a, go b)
+    | Con (dc, phis, es) ->
+        let es' = map_shared go es in
+        if es' == es then e else Con (dc, phis, es')
+    | Prim (op, es) ->
+        let es' = map_shared go es in
+        if es' == es then e else Prim (op, es')
+    | App (f, a) ->
+        (* The argument before the function (and, below, the
+           alternatives before the scrutinee): a jinline draws uniques,
+           so the visiting order is part of every artifact's bytes. *)
+        let a' = go a in
+        let f' = go f in
+        if f' == f && a' == a then e else App (f', a')
+    | TyApp (f, t) ->
+        let f' = go f in
+        if f' == f then e else TyApp (f', t)
+    | Lam (x, b) ->
+        let b' = go b in
+        if b' == b then e else Lam (x, b')
+    | TyLam (a, b) ->
+        let b' = go b in
+        if b' == b then e else TyLam (a, b')
     | Let (NonRec (x, rhs), body) ->
-        let body = go body in
-        if occurs x.v_name body then Let (NonRec (x, go rhs), body)
+        let body' = go body in
+        if occurs x.v_name body' then
+          let rhs' = go rhs in
+          if rhs' == rhs && body' == body then e
+          else Let (NonRec (x, rhs'), body')
         else begin
           changed := true;
           Telemetry.tick Telemetry.Drop;
-          body
+          body'
         end
     | Let (Strict (x, rhs), body) ->
-        let body = go body in
-        let rhs = go rhs in
+        let body' = go body in
+        let rhs' = go rhs in
         (* A dead strict binding may only be dropped when its right-hand
            side is certainly terminating. *)
-        if occurs x.v_name body then Let (Strict (x, rhs), body)
-        else if ok_for_speculation rhs then begin
+        if (not (occurs x.v_name body')) && ok_for_speculation rhs' then begin
           changed := true;
           Telemetry.tick Telemetry.Drop;
-          body
+          body'
         end
-        else Let (Strict (x, rhs), body)
+        else if rhs' == rhs && body' == body then e
+        else Let (Strict (x, rhs'), body')
     | Let (Rec pairs, body) ->
-        let body = go body in
-        let pairs = List.map (fun (x, rhs) -> (x, go rhs)) pairs in
+        let body' = go body in
+        let pairs' = map_shared go_pair pairs in
         let dead =
           List.for_all
             (fun ((x : var), _) ->
-              (not (occurs x.v_name body))
-              && List.for_all (fun (_, rhs) -> not (occurs x.v_name rhs)) pairs)
-            pairs
+              (not (occurs x.v_name body'))
+              && List.for_all (fun (_, rhs) -> not (occurs x.v_name rhs)) pairs')
+            pairs'
         in
         if dead then begin
           changed := true;
           Telemetry.tick Telemetry.Drop;
-          body
+          body'
         end
-        else Let (Rec pairs, body)
+        else if pairs' == pairs && body' == body then e
+        else Let (Rec pairs', body')
     | Case (scrut, alts) ->
-        Case (go scrut, List.map (fun a -> { a with alt_rhs = go a.alt_rhs }) alts)
-    | Jump (j, phis, es, ty) -> Jump (j, phis, List.map go es, ty)
+        let alts' = map_shared go_alt alts in
+        let scrut' = go scrut in
+        if scrut' == scrut && alts' == alts then e else Case (scrut', alts')
+    | Jump (j, phis, es, ty) ->
+        let es' = map_shared go es in
+        if es' == es then e else Jump (j, phis, es', ty)
     | Join (JNonRec d, body) ->
-        let body = go body in
-        let d = { d with j_rhs = go d.j_rhs } in
-        let uses = occurrences ~upto:2 d.j_var.v_name body in
+        let body' = go body in
+        let d' = go_defn d in
+        let uses = occurrences ~upto:2 d'.j_var.v_name body' in
+        let inlined =
+          if uses = 1 then Axioms.substitute_jumps ~defn:d' body' else None
+        in
         if uses = 0 then begin
           (* jdrop *)
           changed := true;
           Telemetry.tick Telemetry.Jdrop;
-          body
+          body'
         end
-        else if uses = 1 then begin
-          match Axioms.substitute_jumps ~defn:d body with
-          | Some body' ->
+        else begin
+          match inlined with
+          | Some body'' ->
               (* jinline + jdrop *)
               changed := true;
               Telemetry.tick Telemetry.Jinline;
               Telemetry.tick Telemetry.Jdrop;
-              go body'
-          | None -> Join (JNonRec d, body)
+              go body''
+          | None ->
+              if d' == d && body' == body then e
+              else Join (JNonRec d', body')
         end
-        else Join (JNonRec d, body)
     | Join (JRec ds, body) ->
-        let body = go body in
-        let ds = List.map (fun d -> { d with j_rhs = go d.j_rhs }) ds in
+        let body' = go body in
+        let ds' = map_shared go_defn ds in
         let dead =
           List.for_all
             (fun (d : join_defn) ->
-              (not (occurs d.j_var.v_name body))
+              (not (occurs d.j_var.v_name body'))
               && List.for_all
                    (fun (d' : join_defn) -> not (occurs d.j_var.v_name d'.j_rhs))
-                   ds)
-            ds
+                   ds')
+            ds'
         in
         if dead then begin
           changed := true;
           Telemetry.tick Telemetry.Jdrop;
-          body
+          body'
         end
-        else Join (JRec ds, body)
+        else if ds' == ds && body' == body then e
+        else Join (JRec ds', body')
+  and go_pair ((x, rhs) as p) =
+    let rhs' = go rhs in
+    if rhs' == rhs then p else (x, rhs')
+  and go_alt a =
+    let rhs' = go a.alt_rhs in
+    if rhs' == a.alt_rhs then a else { a with alt_rhs = rhs' }
+  and go_defn d =
+    let rhs' = go d.j_rhs in
+    if rhs' == d.j_rhs then d else { d with j_rhs = rhs' }
   in
   let e' = go e in
   (e', !changed)

@@ -30,29 +30,49 @@ let pp_error ppf { message; context } =
 type env = {
   datacons : Datacon.env;
   tyvars : Ident.Set.t;  (** Type variables in scope. *)
-  gamma : Types.t Ident.Map.t;  (** Term variables in scope. *)
+  gamma : Types.t Ident.Tbl.t;
+      (** Term variables in scope: one table per run, shared by every
+          [env] of it and scoped by {!push} and {!pop}, so binding a
+          variable copies no path. *)
   delta : (Ident.t list * Types.t list) Ident.Map.t;
       (** Join points in scope: type parameters and argument types. *)
 }
 
+(* Sized for the small trees most runs see; it grows as it must. *)
 let init_env datacons =
   {
     datacons;
     tyvars = Ident.Set.empty;
-    gamma = Ident.Map.empty;
+    gamma = Ident.Tbl.create 8;
     delta = Ident.Map.empty;
   }
 
 (** Reset [delta]: used for premises whose runtime context is unknown. *)
-let no_joins env = { env with delta = Ident.Map.empty }
+let no_joins env =
+  if Ident.Map.is_empty env.delta then env
+  else { env with delta = Ident.Map.empty }
 
 let bind_tyvar a env = { env with tyvars = Ident.Set.add a env.tyvars }
 let bind_tyvars tvs env = List.fold_left (fun e a -> bind_tyvar a e) env tvs
 
-let bind_var (v : var) env =
-  { env with gamma = Ident.Map.add v.v_name v.v_ty env.gamma }
+(* [push] brings a term variable into scope, shadowing any earlier
+   binding of the same unique; [pop] ends its scope, uncovering what
+   it shadowed. A failure ends the whole run, so an exception needs no
+   [pop]. *)
+let push env (v : var) = Ident.Tbl.add env.gamma v.v_name v.v_ty
+let pop env (v : var) = Ident.Tbl.remove env.gamma v.v_name
 
-let bind_vars vs env = List.fold_left (fun e v -> bind_var v e) env vs
+let rec push_all env = function
+  | [] -> ()
+  | v :: vs ->
+      push env v;
+      push_all env vs
+
+let rec pop_all env = function
+  | [] -> ()
+  | v :: vs ->
+      pop env v;
+      pop_all env vs
 
 let bind_join (d : join_defn) env =
   {
@@ -110,7 +130,7 @@ and is_prim_tycon c =
 let rec infer env (e : expr) : Types.t =
   match e with
   | Var v -> (
-      match Ident.Map.find_opt v.v_name env.gamma with
+      match Ident.Tbl.find_opt env.gamma v.v_name with
       | None ->
           if Ident.Map.mem v.v_name env.delta then
             fail ~context:e "join point %a used as a first-class value"
@@ -173,7 +193,9 @@ let rec infer env (e : expr) : Types.t =
           fail ~context:e "type-applying non-polymorphic type %a" Types.pp ty)
   | Lam (x, b) ->
       check_ty env x.v_ty;
-      let t = infer (no_joins (bind_var x env)) b in
+      push env x;
+      let t = infer (no_joins env) b in
+      pop env x;
       Types.Arrow (x.v_ty, t)
   | TyLam (a, b) ->
       let t = infer (no_joins (bind_tyvar a env)) b in
@@ -184,18 +206,24 @@ let rec infer env (e : expr) : Types.t =
       if not (Types.equal got x.v_ty) then
         fail ~context:e "let binder %a : %a but rhs has type %a" Ident.pp
           x.v_name Types.pp x.v_ty Types.pp got;
-      infer (bind_var x env) body
+      push env x;
+      let t = infer env body in
+      pop env x;
+      t
   | Let (Rec pairs, body) ->
-      let env' = bind_vars (List.map fst pairs) env in
+      let xs = List.map fst pairs in
+      push_all env xs;
       List.iter
         (fun ((x : var), rhs) ->
           check_ty env x.v_ty;
-          let got = infer (no_joins env') rhs in
+          let got = infer (no_joins env) rhs in
           if not (Types.equal got x.v_ty) then
             fail ~context:e "letrec binder %a : %a but rhs has type %a"
               Ident.pp x.v_name Types.pp x.v_ty Types.pp got)
         pairs;
-      infer env' body
+      let t = infer env body in
+      pop_all env xs;
+      t
   | Case (scrut, alts) -> check_case env e scrut alts
   | Join (JNonRec d, body) ->
       check_join_var e d;
@@ -212,7 +240,7 @@ let rec infer env (e : expr) : Types.t =
       check_ty env ty;
       match Ident.Map.find_opt j.v_name env.delta with
       | None ->
-          if Ident.Map.mem j.v_name env.gamma then
+          if Ident.Tbl.mem env.gamma j.v_name then
             fail ~context:e
               "jump to %a, which is a value binding (or a join point whose \
                frame is not in the current evaluation context)"
@@ -270,7 +298,10 @@ and check_case env e scrut alts =
               fail ~context:e "pattern binder %a : %a, should be %a" Ident.pp
                 x.v_name Types.pp x.v_ty Types.pp want)
           xs want_tys;
-        infer (bind_vars xs env) alt_rhs
+        push_all env xs;
+        let t = infer env alt_rhs in
+        pop_all env xs;
+        t
   in
   match List.map check_alt alts with
   | [] -> assert false
@@ -299,9 +330,11 @@ and check_join_var e (d : join_defn) =
    exactly the type of the join body. The body type must not mention
    the join point's own type parameters. *)
 and check_join_rhs env e (d : join_defn) body_ty =
-  let rhs_env = bind_vars d.j_params (bind_tyvars d.j_tyvars env) in
+  let rhs_env = bind_tyvars d.j_tyvars env in
   List.iter (fun (p : var) -> check_ty rhs_env p.v_ty) d.j_params;
+  push_all rhs_env d.j_params;
   let got = infer rhs_env d.j_rhs in
+  pop_all rhs_env d.j_params;
   if not (Types.equal got body_ty) then
     fail ~context:e "join point %a rhs has type %a but the body has type %a"
       Ident.pp d.j_var.v_name Types.pp got Types.pp body_ty;

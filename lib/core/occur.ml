@@ -93,17 +93,6 @@ let work_dup (m : t) : t =
 let lookup (m : t) (x : var) =
   Option.value ~default:no_info (Ident.Map.find_opt x.v_name m)
 
-(* The binder accumulator [acc], when given (see [with_binder_info]),
-   receives the usage of each binder at the moment its scope closes. *)
-let rec remove_binders (acc : info Ident.Map.t ref option) xs (m : t) =
-  match xs with
-  | [] -> m
-  | (x : var) :: xs ->
-      (match acc with
-      | None -> ()
-      | Some acc -> acc := Ident.Map.add x.v_name (lookup m x) !acc);
-      remove_binders acc xs (Ident.Map.remove x.v_name m)
-
 (* ------------------------------------------------------------------ *)
 (* Per-node rules                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -112,31 +101,32 @@ let rec remove_binders (acc : info Ident.Map.t ref option) xs (m : t) =
    in tail position or not: wherever a rule puts a child in a non-tail
    position it applies [non_tail] or [under_lambda], which erase the
    difference. [go] below applies the rules while walking an existing
-   tree; {!Contify} applies them bottom-up to the tree it builds. Rules
-   that close a binder's scope take [with_binder_info]'s accumulator.
-   [of_let] leaves closing its binder to the caller, so that [go] can
-   record it before analysing the right-hand side: when one binder is
-   bound twice, the last record wins. *)
+   tree; {!Contify} applies them bottom-up to the tree it builds.
+   [of_let] leaves closing its binder to the caller, which reads the
+   binder's usage off the body first. *)
 
 (** Close the scope of binders [xs]: their usage leaves the map. *)
-let close ?acc xs m = remove_binders acc xs m
+let rec close xs (m : t) =
+  match xs with
+  | [] -> m
+  | (x : var) :: xs -> close xs (Ident.Map.remove x.v_name m)
 
 (** The value arguments of a constructor, primop, call or jump. *)
 let of_args ms = non_tail (unions ms)
 
 (** A lambda binding [xs] (none for a type lambda). *)
-let of_lam ?acc xs b = under_lambda (close ?acc xs b)
+let of_lam xs b = under_lambda (close xs b)
 
 (** A non-recursive or strict [let], given its body with the binder
     already closed. *)
 let of_let ~rhs ~body = union (non_tail rhs) body
 
 (** [let rec xs = rhss in body]. *)
-let of_letrec ?acc xs ~rhss ~body =
-  close ?acc xs (union (non_tail (unions rhss)) body)
+let of_letrec xs ~rhss ~body =
+  close xs (union (non_tail (unions rhss)) body)
 
 (** One alternative [pat -> rhs]. *)
-let of_alt ?acc pat rhs = close ?acc (pat_binders pat) rhs
+let of_alt pat rhs = close (pat_binders pat) rhs
 
 (** [case scrut of alts], given the alternatives from {!of_alt}. *)
 let of_case ~scrut ~alts = union (non_tail scrut) (unions alts)
@@ -145,15 +135,15 @@ let of_case ~scrut ~alts = union (non_tail scrut) (unions alts)
     right-hand sides are tail contexts; a recursive one also closes its
     sibling labels, and runs once per jump, so inlining an outer
     binding into it duplicates work. *)
-let of_join_rhs ?acc jb d rhs =
-  let m = close ?acc d.j_params rhs in
+let of_join_rhs jb d rhs =
+  let m = close d.j_params rhs in
   match jb with
   | JNonRec _ -> m
-  | JRec _ -> work_dup (close ?acc (binders_of_jbind jb) m)
+  | JRec _ -> work_dup (close (binders_of_jbind jb) m)
 
 (** [join jb in body], given the right-hand sides from {!of_join_rhs}. *)
-let of_join ?acc jb ~rhss ~body =
-  union (unions rhss) (close ?acc (binders_of_jbind jb) body)
+let of_join jb ~rhss ~body =
+  union (unions rhss) (close (binders_of_jbind jb) body)
 
 (** [jump j phis es], given the usages of [es]. *)
 let of_jump (j : var) phis ms =
@@ -207,61 +197,55 @@ let of_apply ~head ms = union (non_tail head) (of_args ms)
 (* The analysis                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let rec go acc ~tail (e : expr) : t =
+let rec go ~tail (e : expr) : t =
   match e with
-  | Var _ | App _ | TyApp _ -> go_spine acc ~tail e
+  | Var _ | App _ | TyApp _ -> go_spine ~tail e
   | Lit _ -> Ident.Map.empty
-  | Con (_, _, es) | Prim (_, es) ->
-      of_args (List.map (go acc ~tail:false) es)
-  | Lam (x, b) -> of_lam ?acc [ x ] (go acc ~tail:false b)
-  | TyLam (_, b) -> of_lam [] (go acc ~tail:false b)
+  | Con (_, _, es) | Prim (_, es) -> of_args (List.map (go ~tail:false) es)
+  | Lam (x, b) -> of_lam [ x ] (go ~tail:false b)
+  | TyLam (_, b) -> of_lam [] (go ~tail:false b)
   | Let ((NonRec (x, rhs) | Strict (x, rhs)), body) ->
-      let body = close ?acc [ x ] (go acc ~tail body) in
-      of_let ~rhs:(go acc ~tail:false rhs) ~body
+      let body = close [ x ] (go ~tail body) in
+      of_let ~rhs:(go ~tail:false rhs) ~body
   | Let (Rec pairs, body) ->
-      let rhss = List.map (fun (_, rhs) -> go acc ~tail:false rhs) pairs in
-      of_letrec ?acc (List.map fst pairs) ~rhss ~body:(go acc ~tail body)
+      let rhss = List.map (fun (_, rhs) -> go ~tail:false rhs) pairs in
+      of_letrec (List.map fst pairs) ~rhss ~body:(go ~tail body)
   | Case (scrut, alts) ->
-      let scrut = go acc ~tail:false scrut in
+      let scrut = go ~tail:false scrut in
       let alts =
         List.map
-          (fun { alt_pat; alt_rhs } ->
-            of_alt ?acc alt_pat (go acc ~tail alt_rhs))
+          (fun { alt_pat; alt_rhs } -> of_alt alt_pat (go ~tail alt_rhs))
           alts
       in
       of_case ~scrut ~alts
   | Join (jb, body) ->
       let rhss =
         List.map
-          (fun d -> of_join_rhs ?acc jb d (go acc ~tail d.j_rhs))
+          (fun d -> of_join_rhs jb d (go ~tail d.j_rhs))
           (join_defns jb)
       in
-      of_join ?acc jb ~rhss ~body:(go acc ~tail body)
-  | Jump (j, phis, es, _) -> of_jump j phis (List.map (go acc ~tail:false) es)
+      of_join jb ~rhss ~body:(go ~tail body)
+  | Jump (j, phis, es, _) -> of_jump j phis (List.map (go ~tail:false) es)
 
 (* An application spine [f @t1 .. @tm a1 .. an]. Mixed spines (type
    args after value args, or non-variable heads) are analyzed
    structurally. *)
-and go_spine acc ~tail e : t =
+and go_spine ~tail e : t =
   let head, args = collect_args e in
   match head with
-  | Var v -> of_call ~tail v args (go_args acc args)
+  | Var v -> of_call ~tail v args (go_args args)
   | _ ->
-      let head = go acc ~tail:false head in
-      of_apply ~head (go_args acc args)
+      let head = go ~tail:false head in
+      of_apply ~head (go_args args)
 
 (* The uses of a spine's value arguments, in order. *)
-and go_args acc = function
+and go_args = function
   | [] -> []
-  | `Val a :: args -> go acc ~tail:false a :: go_args acc args
-  | `Ty _ :: args -> go_args acc args
+  | `Val a :: args -> go ~tail:false a :: go_args args
+  | `Ty _ :: args -> go_args args
 
-(** [analyze ~tail e] returns usage info for the free variables of [e].
-    [tail] says whether [e] itself sits in tail position. *)
-let analyze ~tail e = go None ~tail e
-
-(** Convenience: analysis of a complete (tail-position) expression. *)
-let of_expr e = analyze ~tail:true e
+(** Analysis of a complete (tail-position) expression. *)
+let of_expr e = go ~tail:true e
 
 (** [is_dead m x]: [x] does not occur. *)
 let is_dead m (x : var) = (lookup m x).count = 0
@@ -272,11 +256,120 @@ let occurs_once_safely m (x : var) =
   let i = lookup m x in
   i.count = 1 && not i.under_lam
 
-(** [with_binder_info e] analyzes [e] and additionally returns the
-    usage information of every {e binder} in [e] (recorded at the point
-    its scope closes), keyed by the binder's unique. The simplifier
-    consumes this to make dead-code and inline-once decisions. *)
-let with_binder_info e : t * info Ident.Map.t =
-  let acc = ref Ident.Map.empty in
-  let free = go (Some acc) ~tail:true e in
-  (free, !acc)
+(* ------------------------------------------------------------------ *)
+(* The binder census                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(** How one binder is used over its whole scope: what the simplifier
+    asks of every binder it meets. *)
+type use = { count : int; under_lam : bool }
+
+(* A binder's cell: its occurrences so far, whether one sat under a
+   lambda, and the lambda depth it was bound at. An occurrence deeper
+   than that sits under a lambda (or a recursive join's right-hand
+   side) inside the binder's scope. *)
+type cell = { mutable uses : int; mutable lam : bool; depth : int }
+
+type census = cell Ident.Tbl.t
+
+(* One walk, one cell per binder keyed by unique, and a depth counter
+   that grows at every [Lam] and [TyLam] body and every recursive
+   join's right-hand side. A [Lam]'s binder and a recursive join's
+   parameters are bound inside the depth they open, so their own
+   lambda or right-hand side does not put them under a lambda. A
+   recursive join's labels are bound after its right-hand sides are
+   walked: their use is that of the join's body alone. *)
+let census e : census =
+  let tbl = Ident.Tbl.create 16 in
+  let bind d (x : var) =
+    Ident.Tbl.replace tbl x.v_name { uses = 0; lam = false; depth = d }
+  in
+  let rec bind_all d = function
+    | [] -> ()
+    | x :: xs ->
+        bind d x;
+        bind_all d xs
+  in
+  let rec go d = function
+    | Var x -> occ d x
+    | Lit _ -> ()
+    | App (f, a) ->
+        go d f;
+        go d a
+    | TyApp (f, _) -> go d f
+    | Con (_, _, es) | Prim (_, es) -> go_list d es
+    | Lam (x, b) ->
+        bind (d + 1) x;
+        go (d + 1) b
+    | TyLam (_, b) -> go (d + 1) b
+    | Let ((NonRec (x, rhs) | Strict (x, rhs)), body) ->
+        go d rhs;
+        bind d x;
+        go d body
+    | Let (Rec pairs, body) ->
+        bind_pairs d pairs;
+        go_pairs d pairs;
+        go d body
+    | Case (scrut, alts) ->
+        go d scrut;
+        go_alts d alts
+    | Join (JNonRec jd, body) ->
+        bind_all d jd.j_params;
+        go d jd.j_rhs;
+        bind d jd.j_var;
+        go d body
+    | Join (JRec ds, body) ->
+        go_rec_rhss (d + 1) ds;
+        bind_labels d ds;
+        go d body
+    | Jump (j, _, es, _) ->
+        occ d j;
+        go_list d es
+  and occ d (x : var) =
+    match Ident.Tbl.find tbl x.v_name with
+    | c ->
+        c.uses <- c.uses + 1;
+        if d > c.depth then c.lam <- true
+    | exception Not_found -> ()
+  and go_list d = function
+    | [] -> ()
+    | e :: es ->
+        go d e;
+        go_list d es
+  and bind_pairs d = function
+    | [] -> ()
+    | (x, _) :: pairs ->
+        bind d x;
+        bind_pairs d pairs
+  and go_pairs d = function
+    | [] -> ()
+    | (_, rhs) :: pairs ->
+        go d rhs;
+        go_pairs d pairs
+  and go_alts d = function
+    | [] -> ()
+    | a :: alts ->
+        bind_all d (pat_binders a.alt_pat);
+        go d a.alt_rhs;
+        go_alts d alts
+  and go_rec_rhss d = function
+    | [] -> ()
+    | jd :: ds ->
+        bind_all d jd.j_params;
+        go d jd.j_rhs;
+        go_rec_rhss d ds
+  and bind_labels d = function
+    | [] -> ()
+    | jd :: ds ->
+        bind d jd.j_var;
+        bind_labels d ds
+  in
+  go 0 e;
+  tbl
+
+(** [use c x]: the use of binder [x] over its scope, [None] when [x]
+    binds nothing in the census's term. *)
+let use (c : census) (x : var) =
+  match Ident.Tbl.find c x.v_name with
+  | cell -> Some { count = cell.uses; under_lam = cell.lam }
+  | exception Not_found -> None

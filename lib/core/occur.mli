@@ -17,10 +17,6 @@ val union : t -> t -> t
 (** Analysis of a complete (tail-position) expression. *)
 val of_expr : Syntax.expr -> t
 
-(** Also record the usage of every binder (keyed by unique) — consumed
-    by the simplifier. *)
-val with_binder_info : Syntax.expr -> t * info Ident.Map.t
-
 (** {1 Per-node rules}
 
     A node's usage from its children's, each child analysed as if in
@@ -28,38 +24,34 @@ val with_binder_info : Syntax.expr -> t * info Ident.Map.t
     marking erases the difference (a child's usage analysed in or out
     of tail position agrees once marked). {!Contify} builds the
     usage of the tree it returns bottom-up with these, so a binding
-    reads its binder's usage off its scope instead of re-analysing it.
-    The optional [acc] is {!with_binder_info}'s binder accumulator. *)
+    reads its binder's usage off its scope instead of re-analysing it. *)
 
 (** Close the scope of some binders: their usage leaves the map. *)
-val close : ?acc:info Ident.Map.t ref -> Syntax.var list -> t -> t
+val close : Syntax.var list -> t -> t
 
 (** Value arguments of a constructor, primop, call or jump. *)
 val of_args : t list -> t
 
 (** A lambda binding the given variables (none for a type lambda). *)
-val of_lam : ?acc:info Ident.Map.t ref -> Syntax.var list -> t -> t
+val of_lam : Syntax.var list -> t -> t
 
 (** A non-recursive or strict [let], given its body's usage with the
     binder already closed. *)
 val of_let : rhs:t -> body:t -> t
 
-val of_letrec :
-  ?acc:info Ident.Map.t ref -> Syntax.var list -> rhss:t list -> body:t -> t
+val of_letrec : Syntax.var list -> rhss:t list -> body:t -> t
 
 (** One case alternative with the given pattern. *)
-val of_alt : ?acc:info Ident.Map.t ref -> Syntax.pat -> t -> t
+val of_alt : Syntax.pat -> t -> t
 
 (** A case, given its alternatives from {!of_alt}. *)
 val of_case : scrut:t -> alts:t list -> t
 
 (** One right-hand side of a join binding. *)
-val of_join_rhs :
-  ?acc:info Ident.Map.t ref -> Syntax.jbind -> Syntax.join_defn -> t -> t
+val of_join_rhs : Syntax.jbind -> Syntax.join_defn -> t -> t
 
 (** A join binding, given its right-hand sides from {!of_join_rhs}. *)
-val of_join :
-  ?acc:info Ident.Map.t ref -> Syntax.jbind -> rhss:t list -> body:t -> t
+val of_join : Syntax.jbind -> rhss:t list -> body:t -> t
 
 (** A jump to the label with these type arguments. *)
 val of_jump : Syntax.var -> Types.t list -> t list -> t
@@ -81,3 +73,25 @@ val of_apply : head:t -> t list -> t
 val lookup : t -> Syntax.var -> info
 val is_dead : t -> Syntax.var -> bool
 val occurs_once_safely : t -> Syntax.var -> bool
+
+(** {1 Binder census}
+
+    What the simplifier asks of every binder it meets, answered for
+    all of a term's binders by one walk that builds no map: a mutable
+    cell per binder, keyed by unique. *)
+
+(** How a binder is used over its whole scope: its occurrences, and
+    whether one sits under a [Lam], a [TyLam] or a recursive join's
+    right-hand side inside that scope (a binder's own lambda or
+    right-hand side does not count). A recursive join label's scope is
+    the join's body alone. *)
+type use = { count : int; under_lam : bool }
+
+type census
+
+(** Every term binder of the term, including those with no occurrence
+    (count 0). *)
+val census : Syntax.expr -> census
+
+(** The use of a binder; [None] when it binds nothing in the term. *)
+val use : census -> Syntax.var -> use option

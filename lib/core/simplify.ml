@@ -51,16 +51,15 @@ type env = {
   unf : expr Ident.Map.t;
       (** Unfoldings of in-scope (post-cloning) let binders whose
           right-hand sides are values; used for call-site inlining. *)
-  usage : Occur.info Ident.Map.t;  (** Binder usage, from pass start. *)
+  usage : Occur.census;  (** Binder usage, from pass start. *)
   changed : bool ref;
 }
 
 (** Usage of a binder; conservative for binders introduced mid-pass. *)
-let usage_of env (x : var) : Occur.info =
-  match Ident.Map.find_opt x.v_name env.usage with
-  | Some i -> i
-  | None ->
-      { count = 2; under_lam = true; all_tail = false; shape = None }
+let usage_of env (x : var) : Occur.use =
+  match Occur.use env.usage x with
+  | Some u -> u
+  | None -> { count = 2; under_lam = true }
 
 type cont =
   | Stop
@@ -119,7 +118,7 @@ let alt_site = function
 
 (* Ledger a pre-inline verdict for binder [x]. Rejections quote the
    occurrence fact that blocked the substitution. *)
-let record_pre_inline (x : var) (info : Occur.info) ~fired =
+let record_pre_inline (x : var) (info : Occur.use) ~fired =
   if Decision.enabled () then
     let site = Ident.site x.v_name in
     let verdict =
@@ -279,7 +278,7 @@ let rec simpl (env : env) (e : expr) (k : cont) : expr =
    free — though note that, unlike GHC, we deliberately keep once-used
    {e constructors} shared, since duplicating them duplicates
    allocation). *)
-and once_inlinable (info : Occur.info) (rhs' : expr) =
+and once_inlinable (info : Occur.use) (rhs' : expr) =
   info.count = 1
   && ((not info.under_lam)
      || match rhs' with Lam _ | TyLam _ -> true | _ -> false)
@@ -732,14 +731,13 @@ and consider_inline env (v : var) (k : cont) : expr =
 (** One simplifier pass over a complete term. Returns the new term and
     whether anything changed. *)
 let run_pass (cfg : config) (e : expr) : expr * bool =
-  let _, binder_usage = Occur.with_binder_info e in
   let changed = ref false in
   let env =
     {
       cfg;
       subst = Subst.empty;
       unf = Ident.Map.empty;
-      usage = binder_usage;
+      usage = Occur.census e;
       changed;
     }
   in

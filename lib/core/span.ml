@@ -111,13 +111,24 @@ let with_span_stats ?(cat = "") name f =
       in
       (x, !dur, !gc)
 
+(* With no collector these two take no GC snapshot: nothing would
+   keep it. *)
 let with_span_timed ?cat name f =
-  let x, dur, _ = with_span_stats ?cat name f in
-  (x, dur)
+  match Domain.DLS.get current with
+  | None ->
+      let t0 = Telemetry.now_ms () in
+      let x = f () in
+      (x, Telemetry.now_ms () -. t0)
+  | Some _ ->
+      let x, dur, _ = with_span_stats ?cat name f in
+      (x, dur)
 
 let with_span ?cat name f =
-  let x, _, _ = with_span_stats ?cat name f in
-  x
+  match Domain.DLS.get current with
+  | None -> f ()
+  | Some _ ->
+      let x, _, _ = with_span_stats ?cat name f in
+      x
 
 let spans c = List.rev (Queue.fold (fun acc s -> s :: acc) [] c.completed)
 let dropped c = c.n_dropped

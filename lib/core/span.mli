@@ -53,7 +53,8 @@ val with_span : ?cat:string -> string -> (unit -> 'a) -> 'a
     taken from the very same two clock reads that the recorded span
     holds, so a caller that stores the duration in its own record
     (e.g. {!Pipeline.pass_record.duration_ms}) is {e exactly}
-    consistent with the exported span. *)
+    consistent with the exported span. With no collector installed it
+    reads the clock twice and takes no GC snapshot. *)
 val with_span_timed : ?cat:string -> string -> (unit -> 'a) -> 'a * float
 
 (** As {!with_span_timed}, and also returns the GC delta — again the

@@ -123,8 +123,11 @@ let instantiate ty phis =
 (* Alpha-equivalence                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(** [equal t1 t2]: alpha-equivalence of types. *)
+(** [equal t1 t2]: alpha-equivalence of types. A type is equal to
+    itself, so a physically equal pair answers at once. *)
 let equal t1 t2 =
+  t1 == t2
+  ||
   let rec go env1 env2 t1 t2 =
     match (t1, t2) with
     | Var a, Var b -> (

@@ -307,17 +307,17 @@ let dead_binder_basics () =
   Alcotest.(check int) "used binder is live" 0
     (Ident.Set.cardinal (Absint.dead_binders e))
 
-(* On the whole corpus: Occur.count = 0 implies Absint-dead (the
+(* On the whole corpus: a census count of 0 implies Absint-dead (the
    analysis is strictly stronger, never weaker). *)
 let dead_agrees_with_occur () =
   List.iter
     (fun (name, e) ->
-      let _, info = Occur.with_binder_info e in
+      let census = Occur.census e in
       let dead = Absint.dead_binders e in
       List.iter
         (fun (x : Syntax.var) ->
-          match Ident.Map.find_opt x.Syntax.v_name info with
-          | Some (i : Occur.info) when i.Occur.count = 0 ->
+          match Occur.use census x with
+          | Some u when u.count = 0 ->
               if not (Ident.Set.mem x.Syntax.v_name dead) then
                 Alcotest.failf "%s: %s has zero occurrences but is not dead"
                   name

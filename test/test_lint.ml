@@ -11,6 +11,10 @@ module B = Builder
 
 let mk_jump jv phis args ty = Jump (jv, phis, args, ty)
 
+(* A lint message names binders by unique, so a case that checks one
+   builds its term under a fresh supply. *)
+let fresh f () = Context.with_fresh f
+
 (* join j x = x + 1 in jump j 41 Int — the basic well-typed join. *)
 let basic_join () =
   let e =
@@ -32,7 +36,8 @@ let gotcha_rejected () =
       ( JNonRec defn,
         B.if_ B.true_ (mk_jump jv [] [] Types.int) (B.int 4) )
   in
-  fails_lint e
+  fails_lint
+    ~message:"join point j_2 rhs has type String but the body has type Int" e
 
 (* jump in a function ARGUMENT is rejected: Δ is reset there.
    join j x = x in f (jump j True Bool) *)
@@ -46,12 +51,11 @@ let jump_in_argument_rejected () =
       j_rhs = B.true_;
     }
   in
-  let f = mk_var "f" (Types.Arrow (Types.bool, Types.bool)) in
   let e =
-    B.lam "f" (Types.Arrow (Types.bool, Types.bool)) (fun _ ->
-        Join (JNonRec defn, App (Var f, mk_jump jv [] [ B.true_ ] Types.bool)))
+    B.lam "f" (Types.Arrow (Types.bool, Types.bool)) (fun f ->
+        Join (JNonRec defn, App (f, mk_jump jv [] [ B.true_ ] Types.bool)))
   in
-  fails_lint e
+  fails_lint ~message:"jump to unbound label j_3" e
 
 (* jump under a lambda is rejected: Δ is reset in lambda bodies. This
    is exactly what outlaws the callcc encoding (Sec. 9). *)
@@ -64,7 +68,7 @@ let jump_under_lambda_rejected () =
       ( JNonRec defn,
         B.lam "y" Types.int (fun y -> mk_jump jv [] [ y ] Types.int) )
   in
-  fails_lint e
+  fails_lint ~message:"jump to unbound label j_3" e
 
 (* jump in a case SCRUTINEE is fine: the scrutinee is an evaluation
    context and Δ flows into it. *)
@@ -146,7 +150,7 @@ let nonrec_join_self_jump_rejected () =
     }
   in
   let e = Join (JNonRec defn, mk_jump jv [] [ B.int 1 ] Types.int) in
-  fails_lint e
+  fails_lint ~message:"jump to unbound label j_3" e
 
 (* Recursive joins may self-jump. *)
 let rec_join_ok () =
@@ -167,7 +171,7 @@ let jump_arg_type_mismatch () =
   let jv = mk_join_var "j" [] [ x ] in
   let defn = { j_var = jv; j_tyvars = []; j_params = [ x ]; j_rhs = Var x } in
   let e = Join (JNonRec defn, mk_jump jv [] [ B.true_ ] Types.int) in
-  fails_lint e
+  fails_lint ~message:"jump to j_3: argument has type Bool, wants Int" e
 
 (* Wrong arity at a jump (join points are polyadic; no partial
    application). *)
@@ -179,7 +183,7 @@ let jump_arity_mismatch () =
     { j_var = jv; j_tyvars = []; j_params = [ x; y ]; j_rhs = B.add (Var x) (Var y) }
   in
   let e = Join (JNonRec defn, mk_jump jv [] [ B.int 1 ] Types.int) in
-  fails_lint e
+  fails_lint ~message:"jump to j_4: 1 arguments, expects 2" e
 
 (* Polymorphic join points: join j @a (x:a) = x in jump j @Int 5 Int —
    but note the rhs must still match the body type, so instantiate at a
@@ -210,7 +214,8 @@ let join_tyvar_escape_rejected () =
   let e =
     Join (JNonRec defn, mk_jump jv [ Types.int ] [ B.int 1 ] Types.int)
   in
-  fails_lint e
+  fails_lint
+    ~message:"join point j_4 rhs has type a_1 but the body has type Int" e
 
 (* A join point name used as a first-class value is rejected. *)
 let join_as_value_rejected () =
@@ -218,16 +223,19 @@ let join_as_value_rejected () =
   let jv = mk_join_var "j" [] [ x ] in
   let defn = { j_var = jv; j_tyvars = []; j_params = [ x ]; j_rhs = Var x } in
   let e = Join (JNonRec defn, Var jv) in
-  fails_lint e
+  fails_lint ~message:"join point j_3 used as a first-class value" e
 
 (* Scope: a jump outside the join's body is unbound. *)
 let jump_out_of_scope_rejected () =
   let x = mk_var "x" Types.int in
   let jv = mk_join_var "j" [] [ x ] in
-  fails_lint (mk_jump jv [] [ B.int 1 ] Types.int)
+  fails_lint ~message:"jump to unbound label j_3"
+    (mk_jump jv [] [ B.int 1 ] Types.int)
 
 (* Ordinary typing still works: unbound vars, bad cases, etc. *)
-let unbound_var_rejected () = fails_lint (Var (mk_var "ghost" Types.int))
+let unbound_var_rejected () =
+  fails_lint ~message:"variable ghost_1 not in scope"
+    (Var (mk_var "ghost" Types.int))
 
 let case_alt_types_must_agree () =
   let e =
@@ -237,18 +245,20 @@ let case_alt_types_must_agree () =
         B.alt_con "False" [] [] (fun _ -> B.str "no");
       ]
   in
-  fails_lint e
+  fails_lint ~message:"case alternatives have different types Int and String" e
 
 let case_pattern_wrong_tycon () =
   let e =
     B.case (B.int 1 |> fun i -> B.just Types.int i)
       [ B.alt_con "True" [] [] (fun _ -> B.int 1) ]
   in
-  fails_lint e
+  fails_lint
+    ~message:"constructor pattern True cannot match scrutinee type Maybe Int" e
 
 let constructor_arity_checked () =
   let dc = Datacon.builtin "Just" in
-  fails_lint (Con (dc, [ Types.int ], []))
+  fails_lint ~message:"constructor Just: 0 arguments, expects 1"
+    (Con (dc, [ Types.int ], []))
 
 let jump_may_claim_any_type () =
   (* The same join jumped to at two different claimed types (contexts
@@ -269,26 +279,64 @@ let jump_may_claim_any_type () =
   in
   Alcotest.check ty_testable "type" Types.int (lints e)
 
+(* A binder's scope ends with its body: the same variable used after
+   its lambda, its let or its case alternative is out of scope. *)
+let scope_ends () =
+  let x = mk_var "x" Types.int in
+  fails_lint ~message:"variable x_1 not in scope"
+    (B.add (App (Lam (x, Var x), B.int 1)) (Var x));
+  let y = mk_var "y" Types.int in
+  fails_lint ~message:"variable y_2 not in scope"
+    (B.add (Let (NonRec (y, B.int 1), Var y)) (Var y));
+  let z = mk_var "z" Types.int in
+  fails_lint ~message:"variable z_3 not in scope"
+    (B.add
+       (B.case (B.just Types.int (B.int 1))
+          [
+            { alt_pat = PCon (Datacon.builtin "Just", [ z ]); alt_rhs = Var z };
+            B.alt_default (B.int 0);
+          ])
+       (Var z))
+
+(* Lint draws uniques ([Types.subst] refreshes the binders of the
+   types it instantiates, [check_join_var] builds a fresh [forall r.
+   r]), and every later draw of the compile follows them, so how many
+   it draws is part of every artifact's bytes. *)
+let uniques_drawn () =
+  let src = List.assoc "spectral-norm" (nofib ()) in
+  Context.with_fresh (fun () ->
+      let datacons, core = Fj_surface.Prelude.compile src in
+      let before = Ident.counter_value () in
+      ignore (lints ~env:datacons core);
+      Alcotest.(check int) "uniques drawn" 9 (Ident.counter_value () - before))
+
 let tests =
   [
     test "basic join lints" basic_join;
-    test "Gotcha! example rejected" gotcha_rejected;
-    test "jump in argument rejected (Delta reset)" jump_in_argument_rejected;
-    test "jump under lambda rejected (Delta reset)" jump_under_lambda_rejected;
+    test "Gotcha! example rejected" (fresh gotcha_rejected);
+    test "jump in argument rejected (Delta reset)"
+      (fresh jump_in_argument_rejected);
+    test "jump under lambda rejected (Delta reset)"
+      (fresh jump_under_lambda_rejected);
     test "jump in scrutinee ok (evaluation context)" jump_in_scrutinee_ok;
     test "jump in function position ok (Sec. 3)" jump_in_function_position_ok;
     test "join rhs may jump to outer join" join_rhs_jumps_outer_ok;
-    test "non-recursive self-jump rejected" nonrec_join_self_jump_rejected;
+    test "non-recursive self-jump rejected"
+      (fresh nonrec_join_self_jump_rejected);
     test "recursive join ok and runs" rec_join_ok;
-    test "jump argument type mismatch" jump_arg_type_mismatch;
-    test "jump arity mismatch (polyadic)" jump_arity_mismatch;
+    test "jump argument type mismatch" (fresh jump_arg_type_mismatch);
+    test "jump arity mismatch (polyadic)" (fresh jump_arity_mismatch);
     test "polymorphic join point" polymorphic_join;
-    test "join tyvar escape rejected" join_tyvar_escape_rejected;
-    test "join point as value rejected" join_as_value_rejected;
-    test "jump out of scope rejected" jump_out_of_scope_rejected;
-    test "unbound variable rejected" unbound_var_rejected;
-    test "case alternative types must agree" case_alt_types_must_agree;
-    test "case pattern tycon mismatch" case_pattern_wrong_tycon;
-    test "constructor arity checked" constructor_arity_checked;
+    test "join tyvar escape rejected" (fresh join_tyvar_escape_rejected);
+    test "join point as value rejected" (fresh join_as_value_rejected);
+    test "jump out of scope rejected" (fresh jump_out_of_scope_rejected);
+    test "unbound variable rejected" (fresh unbound_var_rejected);
+    test "case alternative types must agree"
+      (fresh case_alt_types_must_agree);
+    test "case pattern tycon mismatch" (fresh case_pattern_wrong_tycon);
+    test "constructor arity checked" (fresh constructor_arity_checked);
     test "jump claims arbitrary types" jump_may_claim_any_type;
+    test "linting a polymorphic program draws a fixed count of uniques"
+      uniques_drawn;
+    test "a binder's scope ends with its body" (fresh scope_ends);
   ]

@@ -228,12 +228,14 @@ let minor_words pass e =
   Gc.minor_words () -. before
 
 (* Per-binder questions cost what they answer: doubling a chain of
-   lets must not quadruple what Float In, contify or CSE allocate, as
-   it did while each [let] rebuilt a free-variable set, an occurrence
-   map or a printout of its whole scope. *)
+   lets must not quadruple what Float In, contify, CSE, the
+   simplifier's binder census, Lint or cleanup allocate, as it did
+   while each [let] rebuilt a free-variable set, an occurrence map or
+   a printout of its whole scope. *)
 let passes_allocate_linearly () =
   let n = 200 in
   let small = let_chain n and large = let_chain (2 * n) in
+  let run f e = ignore (Sys.opaque_identity (f e)) in
   List.iter
     (fun (name, pass) ->
       let w = minor_words pass small and w2 = minor_words pass large in
@@ -241,10 +243,22 @@ let passes_allocate_linearly () =
         Alcotest.failf "%s: %.0f minor words for %d lets, %.0f for %d (%.1fx)"
           name w n w2 (2 * n) (w2 /. w))
     [
-      ("float-in", Float_in.run);
-      ("contify", fun e -> fst (Contify.contify e));
-      ("cse", Cse.run);
+      ("float-in", run Float_in.run);
+      ("contify", run Contify.contify);
+      ("cse", run Cse.run);
+      ("census", run Occur.census);
+      ("lint", run (Lint.lint_result dc));
+      ("cleanup", run Cleanup.cleanup);
     ]
+
+(* Cleanup runs after every simplifier iteration; where it finds
+   nothing to drop or inline it returns the tree itself, copying
+   nothing. *)
+let cleanup_shares_unchanged () =
+  let e = let_chain 50 in
+  let e', changed = Cleanup.cleanup e in
+  Alcotest.(check bool) "unchanged" false changed;
+  Alcotest.(check bool) "the same tree" true (e' == e)
 
 let tests =
   [
@@ -259,4 +273,5 @@ let tests =
     test "re-optimisation is stable" idempotent_ish;
     test "per-binder passes allocate linearly" passes_allocate_linearly;
     test "pass cache hits replay the pass" pass_cache_replays;
+    test "cleanup shares a tree it leaves unchanged" cleanup_shares_unchanged;
   ]

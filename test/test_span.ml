@@ -488,6 +488,18 @@ let pipeline_folded_covers_compile () =
     true
     (abs (total - root_us) <= List.length (Pipeline.spans r))
 
+(* With no collector, nothing keeps a GC delta, so [with_span_timed]
+   takes no snapshot: each snapshot's [Gc.quick_stat] allocates a
+   whole stat record, and [Eval] runs outside a compile pay for it. *)
+let no_collector_takes_no_snapshot () =
+  let noop () = () in
+  ignore (Span.with_span_timed "warm" noop);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Span.with_span_timed "noop" noop));
+  let w = Gc.minor_words () -. before in
+  if w >= 20. then
+    Alcotest.failf "with_span_timed around a no-op allocated %.0f words" w
+
 let tests =
   [
     test "nesting, depth, completion order" nesting_and_depth;
@@ -508,4 +520,6 @@ let tests =
       folded_structure_and_weights;
     test "folded export: allocation weighting" folded_alloc_weight;
     test "pipeline folded stacks cover the compile" pipeline_folded_covers_compile;
+    test "no collector: with_span_timed takes no GC snapshot"
+      no_collector_takes_no_snapshot;
   ]

@@ -13,13 +13,16 @@ let lints ?(env = dc) e =
       Alcotest.failf "expected the term to lint, got: %a@.term: %a"
         Lint.pp_error err Pretty.pp e
 
-(** Assert that [e] does NOT lint. *)
-let fails_lint ?(env = dc) e =
+(** Assert that [e] does NOT lint, with exactly [message] if given. *)
+let fails_lint ?(env = dc) ?message e =
   match Lint.lint_result env e with
   | Ok ty ->
       Alcotest.failf "expected a lint failure, got type %a@.term: %a" Types.pp
         ty Pretty.pp e
-  | Error _ -> ()
+  | Error err ->
+      Option.iter
+        (fun m -> Alcotest.(check string) "message" m err.message)
+        message
 
 (** Run to a deep value tree (call-by-need). *)
 let run ?(fuel = 2_000_000) e =
