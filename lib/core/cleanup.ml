@@ -23,16 +23,6 @@ let rec ok_for_speculation = function
   | Lam _ | TyLam _ -> true
   | _ -> false
 
-(* [List.map f xs], but [xs] itself when [f] returned every element
-   unchanged. *)
-let rec map_shared f xs =
-  match xs with
-  | [] -> xs
-  | x :: rest ->
-      let x' = f x in
-      let rest' = map_shared f rest in
-      if x' == x && rest' == rest then xs else x' :: rest'
-
 (** One bottom-up cleanup pass; returns the new term and whether
     anything changed. A node none of whose children changed is
     returned itself, so a pass that finds nothing to do copies
@@ -105,7 +95,7 @@ let cleanup (e : expr) : expr * bool =
         else if pairs' == pairs && body' == body then e
         else Let (Rec pairs', body')
     | Case (scrut, alts) ->
-        let alts' = map_shared go_alt alts in
+        let alts' = map_alts go alts in
         let scrut' = go scrut in
         if scrut' == scrut && alts' == alts then e else Case (scrut', alts')
     | Jump (j, phis, es, ty) ->
@@ -158,9 +148,6 @@ let cleanup (e : expr) : expr * bool =
   and go_pair ((x, rhs) as p) =
     let rhs' = go rhs in
     if rhs' == rhs then p else (x, rhs')
-  and go_alt a =
-    let rhs' = go a.alt_rhs in
-    if rhs' == a.alt_rhs then a else { a with alt_rhs = rhs' }
   and go_defn d =
     let rhs' = go d.j_rhs in
     if rhs' == d.j_rhs then d else { d with j_rhs = rhs' }

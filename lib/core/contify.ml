@@ -165,6 +165,16 @@ let body_ty_matches body scope_ty =
   | ty -> Types.equal ty scope_ty
   | exception _ -> false
 
+(* {!Syntax.map_shared} for a walk that also returns each element's
+   usage. *)
+let rec map_used f xs =
+  match xs with
+  | [] -> (xs, [])
+  | x :: rest ->
+      let x', m = f x in
+      let rest', ms = map_used f rest in
+      ((if x' == x && rest' == rest then xs else x' :: rest'), m :: ms)
+
 (* Contify [e], returning the new tree and its usage: {!Occur.of_expr}
    of the new tree, built bottom-up from the children's usages with
    {!Occur}'s per-node rules. A binding reads its binder's usage off its
@@ -172,66 +182,74 @@ let body_ty_matches body scope_ty =
    side is analysed afresh. The decision ledger's order depends on the
    order children are visited in: body before right-hand side for
    [join] and strict [let], alternatives before scrutinee for [case],
-   and right to left along an application spine. *)
+   and right to left along an application spine. A node none of whose
+   children changed is returned itself. *)
 let rec go (e : expr) : expr * Occur.t =
   match e with
   | Var _ | App _ | TyApp _ -> spine e
   | Lit _ -> (e, Ident.Map.empty)
-  | Con (dc, phis, es) ->
-      let es, ms = go_list es in
-      (Con (dc, phis, es), Occur.of_args ms)
-  | Prim (op, es) ->
-      let es, ms = go_list es in
-      (Prim (op, es), Occur.of_args ms)
-  | Lam (x, b) ->
-      let b, m = go b in
-      (Lam (x, b), Occur.of_lam [ x ] m)
-  | TyLam (a, b) ->
-      let b, m = go b in
-      (TyLam (a, b), Occur.of_lam [] m)
-  | Case (scrut, alts) ->
-      let alts =
-        List.map
+  | Con (dc, phis, es0) ->
+      let es, ms = map_used go es0 in
+      ((if es == es0 then e else Con (dc, phis, es)), Occur.of_args ms)
+  | Prim (op, es0) ->
+      let es, ms = map_used go es0 in
+      ((if es == es0 then e else Prim (op, es)), Occur.of_args ms)
+  | Lam (x, b0) ->
+      let b, m = go b0 in
+      ((if b == b0 then e else Lam (x, b)), Occur.of_lam [ x ] m)
+  | TyLam (a, b0) ->
+      let b, m = go b0 in
+      ((if b == b0 then e else TyLam (a, b)), Occur.of_lam [] m)
+  | Case (scrut0, alts0) ->
+      let alts, ms =
+        map_used
           (fun a ->
             let rhs, m = go a.alt_rhs in
-            ({ a with alt_rhs = rhs }, Occur.of_alt a.alt_pat m))
-          alts
+            ( (if rhs == a.alt_rhs then a else { a with alt_rhs = rhs }),
+              Occur.of_alt a.alt_pat m ))
+          alts0
       in
-      let scrut, s = go scrut in
-      ( Case (scrut, List.map fst alts),
-        Occur.of_case ~scrut:s ~alts:(List.map snd alts) )
-  | Join (jb, body) ->
-      let body, mb = go body in
-      let ds =
-        List.map
+      let scrut, s = go scrut0 in
+      ( (if scrut == scrut0 && alts == alts0 then e else Case (scrut, alts)),
+        Occur.of_case ~scrut:s ~alts:ms )
+  | Join (jb0, body0) ->
+      let body, mb = go body0 in
+      let ds0 = join_defns jb0 in
+      let ds, ms =
+        map_used
           (fun d ->
             let rhs, m = go d.j_rhs in
-            ({ d with j_rhs = rhs }, m))
-          (join_defns jb)
+            ((if rhs == d.j_rhs then d else { d with j_rhs = rhs }), m))
+          ds0
       in
       let jb =
-        match jb with
-        | JNonRec _ -> JNonRec (fst (List.hd ds))
-        | JRec _ -> JRec (List.map fst ds)
+        if ds == ds0 then jb0
+        else
+          match jb0 with
+          | JNonRec _ -> JNonRec (List.hd ds)
+          | JRec _ -> JRec ds
       in
-      ( Join (jb, body),
+      ( (if jb == jb0 && body == body0 then e else Join (jb, body)),
         Occur.of_join jb
-          ~rhss:(List.map (fun (d, m) -> Occur.of_join_rhs jb d m) ds)
+          ~rhss:(List.map2 (Occur.of_join_rhs jb) ds ms)
           ~body:mb )
-  | Jump (j, phis, es, ty) ->
-      let es, ms = go_list es in
-      (Jump (j, phis, es, ty), Occur.of_jump j phis ms)
-  | Let (Strict (x, rhs), body) ->
-      let body, mb = go body in
-      let rhs, mr = go rhs in
-      ( Let (Strict (x, rhs), body),
+  | Jump (j, phis, es0, ty) ->
+      let es, ms = map_used go es0 in
+      ( (if es == es0 then e else Jump (j, phis, es, ty)),
+        Occur.of_jump j phis ms )
+  | Let (Strict (x, rhs0), body0) ->
+      let body, mb = go body0 in
+      let rhs, mr = go rhs0 in
+      ( (if rhs == rhs0 && body == body0 then e
+         else Let (Strict (x, rhs), body)),
         Occur.of_let ~rhs:mr ~body:(Occur.close [ x ] mb) )
-  | Let (NonRec (x, rhs), body) -> (
-      let rhs, mr = go rhs in
-      let body, mb = go body in
+  | Let (NonRec (x, rhs0), body0) -> (
+      let rhs, mr = go rhs0 in
+      let body, mb = go body0 in
       let info = Occur.lookup mb x in
       let keep () =
-        ( Let (NonRec (x, rhs), body),
+        ( (if rhs == rhs0 && body == body0 then e
+           else Let (NonRec (x, rhs), body)),
           Occur.of_let ~rhs:mr ~body:(Occur.close [ x ] mb) )
       in
       let reject reason =
@@ -270,18 +288,18 @@ let rec go (e : expr) : expr * Occur.t =
                     ~body:mb )
               end
               else reject Decision.Scope_type_mismatch))
-  | Let (Rec pairs, body) -> (
+  | Let (Rec pairs0, body0) -> (
       let pairs, rhs_uses =
-        List.split
-          (List.map
-             (fun (x, rhs) ->
-               let rhs, m = go rhs in
-               ((x, rhs), m))
-             pairs)
+        map_used
+          (fun ((x, rhs0) as p) ->
+            let rhs, m = go rhs0 in
+            ((if rhs == rhs0 then p else (x, rhs)), m))
+          pairs0
       in
-      let body, body_usage = go body in
+      let body, body_usage = go body0 in
       let fallback () =
-        ( Let (Rec pairs, body),
+        ( (if pairs == pairs0 && body == body0 then e
+           else Let (Rec pairs, body)),
           Occur.of_letrec (List.map fst pairs) ~rhss:rhs_uses
             ~body:body_usage )
       in
@@ -457,30 +475,32 @@ let rec go (e : expr) : expr * Occur.t =
 (* An application spine. Value arguments are contified right to left,
    then the head. *)
 and spine e =
-  let head, args = collect_args e in
-  let rec go_args = function
-    | [] -> ([], [])
-    | arg :: rest -> (
-        let rest, ms = go_args rest in
+  let head0, args0 = collect_args e in
+  let rec go_args args =
+    match args with
+    | [] -> (args, [])
+    | arg :: rest0 -> (
+        let rest, ms = go_args rest0 in
         match arg with
-        | `Ty _ -> (arg :: rest, ms)
-        | `Val a ->
-            let a, m = go a in
-            (`Val a :: rest, m :: ms))
+        | `Ty _ -> ((if rest == rest0 then args else arg :: rest), ms)
+        | `Val a0 ->
+            let a, m = go a0 in
+            ( (if a == a0 && rest == rest0 then args else `Val a :: rest),
+              m :: ms ))
   in
-  let args, ms = go_args args in
+  let args, ms = go_args args0 in
   let rebuild head =
-    List.fold_left
-      (fun f -> function `Ty t -> TyApp (f, t) | `Val a -> App (f, a))
-      head args
+    if head == head0 && args == args0 then e
+    else
+      List.fold_left
+        (fun f -> function `Ty t -> TyApp (f, t) | `Val a -> App (f, a))
+        head args
   in
-  match head with
-  | Var v -> (rebuild head, Occur.of_call ~tail:true v args ms)
+  match head0 with
+  | Var v -> (rebuild head0, Occur.of_call ~tail:true v args ms)
   | _ ->
-      let head, m = go head in
+      let head, m = go head0 in
       (rebuild head, Occur.of_apply ~head:m ms)
-
-and go_list es = List.split (List.map go es)
 
 (** One bottom-up pass turning every eligible [let] into a [join],
     returning the new tree and its usage ({!Occur.of_expr} of it).

@@ -59,6 +59,7 @@ let remember (env : env) (x : var) (rhs : expr) =
 
 let lookup (env : env) e = if is_candidate e then Seen.find_opt e env else None
 
+(* A node none of whose children changed is returned itself. *)
 let rec cse_expr (env : env) (e : expr) : expr =
   match lookup env e with
   | Some x ->
@@ -68,40 +69,20 @@ let rec cse_expr (env : env) (e : expr) : expr =
       Var x
   | None -> (
       match e with
-      | Var _ | Lit _ -> e
-      | Con (dc, phis, es) -> Con (dc, phis, List.map (cse_expr env) es)
-      | Prim (op, es) -> Prim (op, List.map (cse_expr env) es)
-      | App (f, a) -> App (cse_expr env f, cse_expr env a)
-      | TyApp (f, t) -> TyApp (cse_expr env f, t)
-      | Lam (x, b) -> Lam (x, cse_expr env b)
-      | TyLam (a, b) -> TyLam (a, cse_expr env b)
-      | Let (NonRec (x, rhs), body) ->
-          let rhs = cse_expr env rhs in
-          Let (NonRec (x, rhs), cse_expr (remember env x rhs) body)
-      | Let (Strict (x, rhs), body) ->
-          let rhs = cse_expr env rhs in
-          Let (Strict (x, rhs), cse_expr (remember env x rhs) body)
-      | Let (Rec pairs, body) ->
-          Let
-            ( Rec (List.map (fun (x, rhs) -> (x, cse_expr env rhs)) pairs),
-              cse_expr env body )
+      | Let (((NonRec (x, rhs) | Strict (x, rhs)) as b), body) ->
+          let rhs' = cse_expr env rhs in
+          let body' = cse_expr (remember env x rhs') body in
+          if rhs' == rhs && body' == body then e
+          else
+            let b' =
+              match b with Strict _ -> Strict (x, rhs') | _ -> NonRec (x, rhs')
+            in
+            Let (b', body')
       | Case (scrut, alts) ->
-          let scrut = cse_expr env scrut in
-          Case
-            ( scrut,
-              List.map
-                (fun a -> { a with alt_rhs = cse_expr env a.alt_rhs })
-                alts )
-      | Join (jb, body) ->
-          let jb' =
-            match jb with
-            | JNonRec d -> JNonRec { d with j_rhs = cse_expr env d.j_rhs }
-            | JRec ds ->
-                JRec
-                  (List.map (fun d -> { d with j_rhs = cse_expr env d.j_rhs }) ds)
-          in
-          Join (jb', cse_expr env body)
-      | Jump (j, phis, es, ty) -> Jump (j, phis, List.map (cse_expr env) es, ty))
+          let scrut' = cse_expr env scrut in
+          let alts' = map_alts (cse_expr env) alts in
+          if scrut' == scrut && alts' == alts then e else Case (scrut', alts')
+      | _ -> map_subterms (cse_expr env) e)
 
 (** Run CSE over a whole program. *)
 let run (e : expr) : expr = Fault.point "cse/result" (cse_expr empty e)

@@ -194,7 +194,9 @@ let strictify_args ~(site : string) (mask : bool list) (es : expr list)
         else e)
       mask es
   in
-  List.fold_left (fun body w -> w body) (mk es') !wraps
+  match !wraps with
+  | [] -> mk es
+  | wraps -> List.fold_left (fun body w -> w body) (mk es') wraps
 
 let mask_of_lambda fenv rhs =
   let binders, body = collect_binders rhs in
@@ -212,49 +214,58 @@ let lambda_parts rhs =
   in
   if params = [] then None else Some (params, body)
 
-(** One bottom-up strictification pass. *)
+(* Rebuild an application spine from [collect_args]'s arguments, the
+   value arguments taken from [vals]. *)
+let rec rebuild_spine e args vals =
+  match args with
+  | [] -> e
+  | `Ty t :: rest -> rebuild_spine (TyApp (e, t)) rest vals
+  | `Val _ :: rest -> (
+      match vals with
+      | v :: vals -> rebuild_spine (App (e, v)) rest vals
+      | [] -> assert false)
+
+(** One bottom-up strictification pass. A node none of whose children
+    changed is returned itself. *)
 let rec strictify_expr (fenv : fenv) (e : expr) : expr =
   match e with
-  | Var _ | Lit _ -> e
-  | Con (dc, phis, es) -> Con (dc, phis, List.map (strictify_expr fenv) es)
-  | Prim (op, es) -> Prim (op, List.map (strictify_expr fenv) es)
   | App _ | TyApp _ -> strictify_spine fenv e
-  | Lam (x, b) -> Lam (x, strictify_expr fenv b)
-  | TyLam (a, b) -> TyLam (a, strictify_expr fenv b)
   | Let (NonRec (x, rhs), body) ->
-      let rhs = strictify_expr fenv rhs in
+      let rhs' = strictify_expr fenv rhs in
       let fenv_body =
-        match mask_of_lambda fenv rhs with
+        match mask_of_lambda fenv rhs' with
         | Some m -> Ident.Map.add x.v_name m fenv
         | None -> fenv
       in
-      let body = strictify_expr fenv_body body in
+      let body' = strictify_expr fenv_body body in
+      let keep () =
+        if rhs' == rhs && body' == body then e
+        else Let (NonRec (x, rhs'), body')
+      in
       (* Demanded lazy bindings become strict bindings. The demand set
          is only computed when it can matter — or when a ledger wants
          the demanded-but-already-WHNF refusals too. *)
-      let forced = worth_forcing rhs in
+      let forced = worth_forcing rhs' in
       if forced || Decision.enabled () then begin
         let demanded =
-          Ident.Set.mem x.v_name (strict_vars fenv_body body)
+          Ident.Set.mem x.v_name (strict_vars fenv_body body')
         in
         if forced && demanded then begin
           Telemetry.tick Telemetry.Strict_let;
           Decision.record ~pass:"demand" Decision.Strict_let
             ~site:(Ident.site x.v_name) Decision.Fired;
-          Let (Strict (x, rhs), body)
+          Let (Strict (x, rhs'), body')
         end
         else begin
           if demanded && not forced then
             Decision.record ~pass:"demand" Decision.Strict_let
               ~site:(Ident.site x.v_name)
               (Decision.Rejected Decision.Already_whnf);
-          Let (NonRec (x, rhs), body)
+          keep ()
         end
       end
-      else Let (NonRec (x, rhs), body)
-  | Let (Strict (x, rhs), body) ->
-      Let (Strict (x, strictify_expr fenv rhs), strictify_expr fenv body)
-  | Let (Rec pairs, body) ->
+      else keep ()
+  | Let (Rec pairs, _) ->
       let defs =
         List.filter_map
           (fun ((x : var), rhs) ->
@@ -267,17 +278,8 @@ let rec strictify_expr (fenv : fenv) (e : expr) : expr =
           (fun fe (name, m) -> Ident.Map.add name m fe)
           fenv masks
       in
-      Let
-        ( Rec (List.map (fun (x, rhs) -> (x, strictify_expr fenv' rhs)) pairs),
-          strictify_expr fenv' body )
-  | Case (scrut, alts) ->
-      Case
-        ( strictify_expr fenv scrut,
-          List.map
-            (fun a -> { a with alt_rhs = strictify_expr fenv a.alt_rhs })
-            alts )
+      map_subterms (strictify_expr fenv') e
   | Join (jb, body) ->
-      let defns = join_defns jb in
       let masks =
         match jb with
         | JNonRec d ->
@@ -290,7 +292,6 @@ let rec strictify_expr (fenv : fenv) (e : expr) : expr =
             fix_masks fenv
               (List.map (fun d -> (d.j_var, d.j_params, d.j_rhs)) ds)
       in
-      ignore defns;
       let fenv' =
         List.fold_left
           (fun fe (name, m) -> Ident.Map.add name m fe)
@@ -298,58 +299,44 @@ let rec strictify_expr (fenv : fenv) (e : expr) : expr =
       in
       (* Jumps inside the rhss (recursive case) see the masks too. *)
       let rhs_env = match jb with JNonRec _ -> fenv | JRec _ -> fenv' in
-      let jb' =
-        match jb with
-        | JNonRec d -> JNonRec { d with j_rhs = strictify_expr rhs_env d.j_rhs }
-        | JRec ds ->
-            JRec
-              (List.map
-                 (fun d -> { d with j_rhs = strictify_expr rhs_env d.j_rhs })
-                 ds)
-      in
-      Join (jb', strictify_expr fenv' body)
+      let jb' = map_jbind (strictify_expr rhs_env) jb in
+      let body' = strictify_expr fenv' body in
+      if jb' == jb && body' == body then e else Join (jb', body')
   | Jump (j, phis, es, ty) -> (
-      let es = List.map (strictify_expr fenv) es in
+      let es' = map_shared (strictify_expr fenv) es in
+      let jump vals = if vals == es then e else Jump (j, phis, vals, ty) in
       match Ident.Map.find_opt j.v_name fenv with
-      | Some (_, mask) when List.length mask = List.length es ->
-          strictify_args ~site:(Ident.site j.v_name) mask es (fun es' ->
-              Jump (j, phis, es', ty))
-      | _ -> Jump (j, phis, es, ty))
+      | Some (_, mask) when List.length mask = List.length es' ->
+          strictify_args ~site:(Ident.site j.v_name) mask es' jump
+      | _ -> jump es')
+  | _ -> map_subterms (strictify_expr fenv) e
 
 (* Saturated calls to functions with known masks get their strict
-   arguments forced early; other spines are just traversed. *)
+   arguments forced early; other spines are just traversed, the head
+   first. *)
 and strictify_spine fenv e =
   let head, args = collect_args e in
   let vargs =
     List.filter_map (function `Val a -> Some a | `Ty _ -> None) args
   in
-  match head with
-  | Var v -> (
-      match Ident.Map.find_opt v.v_name fenv with
-      | Some (arity, mask) when List.length vargs = arity ->
-          let vargs = List.map (strictify_expr fenv) vargs in
-          strictify_args ~site:(Ident.site v.v_name) mask vargs (fun vargs' ->
-              (* Rebuild the spine in the original arg order. *)
-              let rec rebuild e args vals =
-                match args with
-                | [] -> e
-                | `Ty t :: rest -> rebuild (TyApp (e, t)) rest vals
-                | `Val _ :: rest -> (
-                    match vals with
-                    | v :: vals -> rebuild (App (e, v)) rest vals
-                    | [] -> assert false)
-              in
-              rebuild (Var v) args vargs')
-      | _ -> apps_rebuild fenv head args)
-  | _ -> apps_rebuild fenv head args
-
-and apps_rebuild fenv head args =
-  let head' = strictify_expr fenv head in
-  List.fold_left
-    (fun e -> function
-      | `Ty t -> TyApp (e, t)
-      | `Val a -> App (e, strictify_expr fenv a))
-    head' args
+  let masked =
+    match head with
+    | Var v -> (
+        match Ident.Map.find_opt v.v_name fenv with
+        | Some (arity, mask) when List.length vargs = arity -> Some (v, mask)
+        | _ -> None)
+    | _ -> None
+  in
+  match masked with
+  | Some (v, mask) ->
+      let vargs' = map_shared (strictify_expr fenv) vargs in
+      strictify_args ~site:(Ident.site v.v_name) mask vargs' (fun vals ->
+          if vals == vargs then e else rebuild_spine head args vals)
+  | None ->
+      let head' = strictify_expr fenv head in
+      let vargs' = map_shared (strictify_expr fenv) vargs in
+      if head' == head && vargs' == vargs then e
+      else rebuild_spine head' args vargs'
 
 (** Run strictification over a whole program. *)
 let strictify (e : expr) : expr = strictify_expr Ident.Map.empty e

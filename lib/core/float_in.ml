@@ -91,22 +91,14 @@ let rec sink (x : var) rhs body : expr option =
 
 and push x rhs e = Let (NonRec (x, rhs), e)
 
-(** One bottom-up Float In pass. *)
+(** One bottom-up Float In pass. A node none of whose children changed
+    is returned itself. *)
 let rec float_in (e : expr) : expr =
   match e with
-  | Var _ | Lit _ -> e
-  | Con (dc, phis, es) -> Con (dc, phis, List.map float_in es)
-  | Prim (op, es) -> Prim (op, List.map float_in es)
-  | App (f, a) -> App (float_in f, float_in a)
-  | TyApp (f, t) -> TyApp (float_in f, t)
-  | Lam (x, b) -> Lam (x, float_in b)
-  | TyLam (a, b) -> TyLam (a, float_in b)
-  | Let (Strict (x, rhs), body) ->
-      Let (Strict (x, float_in rhs), float_in body)
   | Let (NonRec (x, rhs), body) -> (
-      let rhs = float_in rhs in
-      let body = float_in body in
-      match sink x rhs body with
+      let rhs' = float_in rhs in
+      let body' = float_in body in
+      match sink x rhs' body' with
       | Some e' ->
           Decision.record ~pass:"float-in" Decision.Float_in
             ~site:(Ident.site x.v_name) Decision.Fired;
@@ -114,28 +106,13 @@ let rec float_in (e : expr) : expr =
       | None ->
           (* Only a refusal worth explaining if the binding is live:
              there is a use, but no unique home to sink it into. *)
-          if Decision.enabled () && occurs x.v_name body then
+          if Decision.enabled () && occurs x.v_name body' then
             Decision.record ~pass:"float-in" Decision.Float_in
               ~site:(Ident.site x.v_name)
               (Decision.Rejected Decision.No_unique_use_site);
-          Let (NonRec (x, rhs), body))
-  | Let (Rec pairs, body) ->
-      Let
-        ( Rec (List.map (fun (x, rhs) -> (x, float_in rhs)) pairs),
-          float_in body )
-  | Case (scrut, alts) ->
-      Case
-        ( float_in scrut,
-          List.map (fun a -> { a with alt_rhs = float_in a.alt_rhs }) alts )
-  | Join (jb, body) ->
-      let jb' =
-        match jb with
-        | JNonRec d -> JNonRec { d with j_rhs = float_in d.j_rhs }
-        | JRec ds ->
-            JRec (List.map (fun d -> { d with j_rhs = float_in d.j_rhs }) ds)
-      in
-      Join (jb', float_in body)
-  | Jump (j, phis, es, ty) -> Jump (j, phis, List.map float_in es, ty)
+          if rhs' == rhs && body' == body then e
+          else Let (NonRec (x, rhs'), body'))
+  | _ -> map_subterms float_in e
 
 (** Entry point: the floated term. *)
 let run (e : expr) : expr = Fault.point "float-in/result" (float_in e)

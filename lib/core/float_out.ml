@@ -48,28 +48,23 @@ let rec split_floatable blocked (e : expr) =
 let wrap_floats floats e =
   List.fold_right (fun (x, rhs) acc -> Let (NonRec (x, rhs), acc)) floats e
 
-(** One bottom-up Float Out pass. *)
+(** One bottom-up Float Out pass. A node none of whose children changed
+    is returned itself. *)
 let rec float_out (e : expr) : expr =
   match e with
-  | Var _ | Lit _ -> e
-  | Con (dc, phis, es) -> Con (dc, phis, List.map float_out es)
-  | Prim (op, es) -> Prim (op, List.map float_out es)
-  | App (f, a) -> App (float_out f, float_out a)
-  | TyApp (f, t) -> TyApp (float_out f, t)
   | Lam (x, b) -> (
-      let b = float_out b in
+      let b' = float_out b in
       let blocked = Ident.Set.singleton x.v_name in
-      match split_floatable blocked b with
+      match split_floatable blocked b' with
       | [], body' ->
           record_blocked body';
-          Lam (x, b)
+          if b' == b then e else Lam (x, b')
       | floats, body' ->
           moved floats;
           record_blocked body';
           wrap_floats floats (Lam (x, body')))
   | TyLam (a, b) -> (
-      let b = float_out b in
-      let blocked = Ident.Set.singleton a in
+      let b' = float_out b in
       (* For a type lambda the blocking variable is a type variable;
          check the rhs's free type variables. *)
       let rec split e =
@@ -81,37 +76,15 @@ let rec float_out (e : expr) : expr =
             ((x, rhs) :: fs, body')
         | _ -> ([], e)
       in
-      ignore blocked;
-      match split b with
+      match split b' with
       | [], body' ->
           record_blocked body';
-          TyLam (a, b)
+          if b' == b then e else TyLam (a, b')
       | floats, body' ->
           moved floats;
           record_blocked body';
           wrap_floats floats (TyLam (a, body')))
-  | Let (NonRec (x, rhs), body) ->
-      Let (NonRec (x, float_out rhs), float_out body)
-  | Let (Strict (x, rhs), body) ->
-      Let (Strict (x, float_out rhs), float_out body)
-  | Let (Rec pairs, body) ->
-      Let
-        ( Rec (List.map (fun (x, rhs) -> (x, float_out rhs)) pairs),
-          float_out body )
-  | Case (scrut, alts) ->
-      Case
-        ( float_out scrut,
-          List.map (fun a -> { a with alt_rhs = float_out a.alt_rhs }) alts )
-  | Join (jb, body) ->
-      (* Join bindings are not floated, but we still traverse inside. *)
-      let jb' =
-        match jb with
-        | JNonRec d -> JNonRec { d with j_rhs = float_out d.j_rhs }
-        | JRec ds ->
-            JRec (List.map (fun d -> { d with j_rhs = float_out d.j_rhs }) ds)
-      in
-      Join (jb', float_out body)
-  | Jump (j, phis, es, ty) -> Jump (j, phis, List.map float_out es, ty)
+  | _ -> map_subterms float_out e
 
 (** Entry point: the floated term. *)
 let run (e : expr) : expr = Fault.point "float-out/result" (float_out e)

@@ -131,8 +131,15 @@ let truncate_detail s =
   if String.length s <= cap then s
   else String.sub s 0 cap ^ Fmt.str " ... [%d more bytes]" (String.length s - cap)
 
-let protect ~limits ~datacons ~pass ~restored ~size_before f (e : Syntax.expr)
-    : (Syntax.expr * Syntax.measure * float, incident) result =
+(* The tree that last passed Lint in one run, its measure, and how many
+   uniques that Lint drew. *)
+type memo = (Syntax.expr * Syntax.measure * int) option ref
+
+let memo () : memo = ref None
+
+let protect ~limits ~datacons ~memo ~pass ~restored ~size_before f
+    (e : Syntax.expr) : (Syntax.expr * Syntax.measure * float, incident) result
+    =
   (* A rollback is a structural decision, not timed work, but marking
      it as a (near-zero) span puts the guard's verdict on the same
      Perfetto track as the phases it judged; the cause counters land
@@ -152,24 +159,41 @@ let protect ~limits ~datacons ~pass ~restored ~size_before f (e : Syntax.expr)
   | exception Stack_overflow -> fail (Exn "stack overflow")
   | exception exn -> fail (Exn (Printexc.to_string exn))
   | e' -> (
-      let m = Syntax.measure e' in
-      let size_after = m.Syntax.m_size in
-      let limit =
-        (limits.max_growth_factor * size_before) + limits.max_growth_slack
-      in
-      if size_after > limit then
-        fail (Size_exploded { size_before; size_after; limit })
-      else
-        let result, lint_ms =
-          Span.with_span_timed ~cat:"guard" "lint" (fun () ->
-              match Lint.lint_result datacons e' with
-              | r -> Ok r
-              | exception exn -> Error exn)
-        in
-        Metrics.observe "guard.lint_ms" lint_ms;
-        match result with
-        | Ok (Ok _) -> Ok (e', m, lint_ms)
-        | Ok (Error err) ->
-            fail (Lint_failed (truncate_detail (Fmt.str "%a" Lint.pp_error err)))
-        | Error exn ->
-            fail (Lint_failed ("lint itself raised: " ^ Printexc.to_string exn)))
+      match !memo with
+      | Some (linted, m, draws) when e' == e && linted == e ->
+          (* The pass changed nothing and its input passed Lint in this
+             run: Lint is deterministic and the tree immutable, so the
+             verdict stands. Only the uniques that Lint drew are owed,
+             so that every later binder keeps its number. *)
+          Ident.restore_counter (Ident.counter_value () + draws);
+          Metrics.incr "guard.lint_skipped";
+          Ok (e', m, 0.0)
+      | _ -> (
+          let m = Syntax.measure e' in
+          let size_after = m.Syntax.m_size in
+          let limit =
+            (limits.max_growth_factor * size_before) + limits.max_growth_slack
+          in
+          if size_after > limit then
+            fail (Size_exploded { size_before; size_after; limit })
+          else
+            let supply = Ident.counter_value () in
+            let result, lint_ms =
+              Span.with_span_timed ~cat:"guard" "lint" (fun () ->
+                  match Lint.lint_result datacons e' with
+                  | r -> Ok r
+                  | exception exn -> Error exn)
+            in
+            Metrics.observe "guard.lint_ms" lint_ms;
+            match result with
+            | Ok (Ok _) ->
+                memo := Some (e', m, Ident.counter_value () - supply);
+                Ok (e', m, lint_ms)
+            | Ok (Error err) ->
+                fail
+                  (Lint_failed
+                     (truncate_detail (Fmt.str "%a" Lint.pp_error err)))
+            | Error exn ->
+                fail
+                  (Lint_failed
+                     ("lint itself raised: " ^ Printexc.to_string exn))))

@@ -68,18 +68,34 @@ val incident_json : incident -> Telemetry.Json.t
     trace consumers); [None] when the shape is wrong. *)
 val incident_of_json : Telemetry.Json.t -> incident option
 
-(** [protect ~limits ~datacons ~pass ~restored ~size_before f e] runs
-    [f e] under the [Recover] policy: exceptions captured, tick fuel
-    metered, result linted and size-checked against the ceiling over
-    [size_before] (the {!Syntax.size} of [e]). On success returns
+(** What one run's Lint checks have passed: the last tree that passed,
+    its measure and the number of uniques that Lint drew. One per
+    pipeline run, never shared between runs. *)
+type memo
+
+(** An empty memo. *)
+val memo : unit -> memo
+
+(** [protect ~limits ~datacons ~memo ~pass ~restored ~size_before f e]
+    runs [f e] under the [Recover] policy: exceptions captured, tick
+    fuel metered, result linted and size-checked against the ceiling
+    over [size_before] (the {!Syntax.size} of [e]). On success returns
     [Ok (e', Syntax.measure e', lint_ms)]; on any failure returns
     [Error incident] with the incident's [i_restored] set to
     [restored] — the caller keeps [e]. Never raises (save for truly
     asynchronous exceptions like [Stack_overflow] escaping the
-    heuristics, or [Out_of_memory]). *)
+    heuristics, or [Out_of_memory]).
+
+    When [f] returns [e] itself and [e] is the tree that last passed
+    Lint in [memo], the measure and the Lint are not repeated:
+    [lint_ms] is 0, the unique supply advances by the uniques that Lint
+    drew, exactly as a re-check would, and the run's
+    ["guard.lint_skipped"] counter goes up by one. A tree that passes
+    Lint becomes [memo]'s. *)
 val protect :
   limits:limits ->
   datacons:Datacon.env ->
+  memo:memo ->
   pass:string ->
   restored:string ->
   size_before:int ->

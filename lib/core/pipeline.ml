@@ -15,9 +15,10 @@
       the Sec. 2 claim that they are "tremendously important in
       practice".
 
-    Under the [Recover] policy [run] Lints after every pass
-    ({!Guard.protect}), which is how the test suite and the fuzzer
-    "forensically identify" any pass that destroys typing. *)
+    Under the [Recover] policy [run] Lints after every pass that
+    changed the tree ({!Guard.protect}), which is how the test suite
+    and the fuzzer "forensically identify" any pass that destroys
+    typing. *)
 
 open Syntax
 
@@ -97,7 +98,9 @@ let default_config ?(mode = Join_points) ?(iterations = 3)
 type pass_record = {
   pass : string;  (** e.g. ["simplify (0)"]. *)
   duration_ms : float;
-  lint_ms : float;  (** {!Guard}'s lint time; 0 under [Strict]. *)
+  lint_ms : float;
+      (** {!Guard}'s lint time; 0 under [Strict] and when Guard skipped
+          the re-check of an unchanged tree. *)
   size_before : int;
   size_after : int;
   joins_after : int;  (** Join-point definitions after the pass. *)
@@ -365,6 +368,7 @@ let run_report (c : config) (e : expr) : expr * report =
   (* The label of the last pass whose output survived: under [Recover]
      it is the provenance a rollback restores to. *)
   let last_good = ref "input" in
+  let memo = Guard.memo () in
   (* Time + size + tick-delta accounting around one pass. Under
      [Recover] the pass runs inside {!Guard.protect}, whose Lint check
      is timed separately so the trace distinguishes forensic overhead
@@ -410,8 +414,8 @@ let run_report (c : config) (e : expr) : expr * report =
                 (e', measure_of e', 0.0, None)
             | None, Guard.Recover -> (
                 match
-                  Guard.protect ~limits:c.limits ~datacons:c.datacons ~pass
-                    ~restored:!last_good ~size_before f e
+                  Guard.protect ~limits:c.limits ~datacons:c.datacons ~memo
+                    ~pass ~restored:!last_good ~size_before f e
                 with
                 | Ok (e', after, lint_ms) -> (e', after, lint_ms, None)
                 | Error incident -> (e, measure_of e, 0.0, Some incident))

@@ -53,9 +53,10 @@ type config = {
   policy : Guard.policy;
       (** [Strict] (default): passes run bare and any failure aborts
           compilation. [Recover]: every pass runs under
-          {!Guard.protect} — fuel-metered, size-checked and Linted —
-          and a failed pass is rolled back and recorded as a
-          {!Guard.incident}; every optimisation pass is optional. *)
+          {!Guard.protect} — fuel-metered, and size-checked and Linted
+          after every pass that changed the tree — and a failed pass is
+          rolled back and recorded as a {!Guard.incident}; every
+          optimisation pass is optional. *)
   limits : Guard.limits;
       (** Per-pass fuel / size-growth budgets enforced under
           [Recover]. *)
@@ -84,7 +85,9 @@ val default_config :
 type pass_record = {
   pass : string;
   duration_ms : float;
-  lint_ms : float;  (** {!Guard}'s lint time; 0 under [Strict]. *)
+  lint_ms : float;
+      (** {!Guard}'s lint time; 0 under [Strict] and when Guard skipped
+          the re-check of an unchanged tree. *)
   size_before : int;
   size_after : int;
   joins_after : int;

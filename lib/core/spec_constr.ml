@@ -122,38 +122,27 @@ type spec = {
   masks : Datacon.t option list;
 }
 
+(* A node none of whose children changed is returned itself. *)
 let rec spec_expr (cenv : cenv) (specs : spec Ident.Map.t) (e : expr) : expr =
   match e with
-  | Var _ | Lit _ -> e
-  | Con (dc, phis, es) -> Con (dc, phis, List.map (spec_expr cenv specs) es)
-  | Prim (op, es) -> Prim (op, List.map (spec_expr cenv specs) es)
-  | App (f, a) -> App (spec_expr cenv specs f, spec_expr cenv specs a)
-  | TyApp (f, t) -> TyApp (spec_expr cenv specs f, t)
-  | Lam (x, b) -> Lam (x, spec_expr cenv specs b)
-  | TyLam (a, b) -> TyLam (a, spec_expr cenv specs b)
-  | Let ((NonRec (x, rhs) | Strict (x, rhs)), body) ->
+  | Let (((NonRec (x, rhs) | Strict (x, rhs)) as b), body) ->
       let rhs' = spec_expr cenv specs rhs in
       let cenv' =
         match rhs' with
         | Con _ -> Ident.Map.add x.v_name rhs' cenv
         | _ -> cenv
       in
-      let mk = match e with Let (Strict _, _) -> (fun x r -> Strict (x, r)) | _ -> (fun x r -> NonRec (x, r)) in
-      Let (mk x rhs', spec_expr cenv' specs body)
-  | Let (Rec pairs, body) ->
-      Let
-        ( Rec (List.map (fun (x, rhs) -> (x, spec_expr cenv specs rhs)) pairs),
-          spec_expr cenv specs body )
-  | Case (scrut, alts) ->
-      Case
-        ( spec_expr cenv specs scrut,
-          List.map
-            (fun a -> { a with alt_rhs = spec_expr cenv specs a.alt_rhs })
-            alts )
-  | Jump (j, phis, es, ty) -> (
-      let es = List.map (spec_expr cenv specs) es in
+      let body' = spec_expr cenv' specs body in
+      if rhs' == rhs && body' == body then e
+      else
+        let b' =
+          match b with Strict _ -> Strict (x, rhs') | _ -> NonRec (x, rhs')
+        in
+        Let (b', body')
+  | Jump (j, phis, es0, ty) -> (
+      let es = map_shared (spec_expr cenv specs) es0 in
       match Ident.Map.find_opt j.v_name specs with
-      | None -> Jump (j, phis, es, ty)
+      | None -> if es == es0 then e else Jump (j, phis, es, ty)
       | Some s ->
           let es' =
             List.concat
@@ -175,17 +164,19 @@ let rec spec_expr (cenv : cenv) (specs : spec Ident.Map.t) (e : expr) : expr =
                  s.masks es)
           in
           Jump (s.new_var, phis, es', ty))
-  | Join (JRec ds, body) -> (
+  | Join ((JRec _ as jb), body) -> (
       (* First specialise inside, then consider this group. *)
-      let ds = List.map (fun d -> { d with j_rhs = spec_expr cenv specs d.j_rhs }) ds in
-      let body = spec_expr cenv specs body in
-      match try_specialise cenv ds body with
+      let jb' = map_jbind (spec_expr cenv specs) jb in
+      let body' = spec_expr cenv specs body in
+      match try_specialise cenv (join_defns jb') body' with
       | Some e' -> e'
-      | None -> Join (JRec ds, body))
+      | None -> if jb' == jb && body' == body then e else Join (jb', body'))
   | Join (JNonRec d, body) ->
-      Join
-        ( JNonRec { d with j_rhs = spec_expr cenv specs d.j_rhs },
-          spec_expr cenv specs body )
+      let body' = spec_expr cenv specs body in
+      let rhs' = spec_expr cenv specs d.j_rhs in
+      if rhs' == d.j_rhs && body' == body then e
+      else Join (JNonRec { d with j_rhs = rhs' }, body')
+  | _ -> map_subterms (spec_expr cenv specs) e
 
 and try_specialise (cenv : cenv) (ds : join_defn list) (body : expr) :
     expr option =

@@ -125,6 +125,108 @@ let mk_join_var name tyvars (params : var list) =
     (Types.join_point_ty tyvars (List.map (fun p -> p.v_ty) params))
 
 (* ------------------------------------------------------------------ *)
+(* Sharing maps                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let rec map_shared f xs =
+  match xs with
+  | [] -> xs
+  | x :: rest ->
+      let x' = f x in
+      let rest' = map_shared f rest in
+      if x' == x && rest' == rest then xs else x' :: rest'
+
+(* The list maps below are [map_shared] written out, so that no
+   closure is allocated per list. *)
+let rec map_pairs f pairs =
+  match pairs with
+  | [] -> pairs
+  | ((x, rhs) as p) :: rest ->
+      let rhs' = f rhs in
+      let rest' = map_pairs f rest in
+      if rhs' == rhs && rest' == rest then pairs
+      else (if rhs' == rhs then p else (x, rhs')) :: rest'
+
+let rec map_alts f alts =
+  match alts with
+  | [] -> alts
+  | a :: rest ->
+      let rhs' = f a.alt_rhs in
+      let rest' = map_alts f rest in
+      if rhs' == a.alt_rhs && rest' == rest then alts
+      else (if rhs' == a.alt_rhs then a else { a with alt_rhs = rhs' }) :: rest'
+
+let map_defn f d =
+  let rhs' = f d.j_rhs in
+  if rhs' == d.j_rhs then d else { d with j_rhs = rhs' }
+
+let rec map_defns f ds =
+  match ds with
+  | [] -> ds
+  | d :: rest ->
+      let d' = map_defn f d in
+      let rest' = map_defns f rest in
+      if d' == d && rest' == rest then ds else d' :: rest'
+
+let map_jbind f jb =
+  match jb with
+  | JNonRec d ->
+      let d' = map_defn f d in
+      if d' == d then jb else JNonRec d'
+  | JRec ds ->
+      let ds' = map_defns f ds in
+      if ds' == ds then jb else JRec ds'
+
+let map_subterms f e =
+  match e with
+  | Var _ | Lit _ -> e
+  | Con (dc, phis, es) ->
+      let es' = map_shared f es in
+      if es' == es then e else Con (dc, phis, es')
+  | Prim (op, es) ->
+      let es' = map_shared f es in
+      if es' == es then e else Prim (op, es')
+  | App (g, a) ->
+      let a' = f a in
+      let g' = f g in
+      if g' == g && a' == a then e else App (g', a')
+  | TyApp (g, t) ->
+      let g' = f g in
+      if g' == g then e else TyApp (g', t)
+  | Lam (x, b) ->
+      let b' = f b in
+      if b' == b then e else Lam (x, b')
+  | TyLam (a, b) ->
+      let b' = f b in
+      if b' == b then e else TyLam (a, b')
+  | Let (bind, body) ->
+      let body' = f body in
+      let bind' =
+        match bind with
+        | NonRec (x, rhs) ->
+            let rhs' = f rhs in
+            if rhs' == rhs then bind else NonRec (x, rhs')
+        | Strict (x, rhs) ->
+            let rhs' = f rhs in
+            if rhs' == rhs then bind else Strict (x, rhs')
+        | Rec pairs ->
+            let pairs' = map_pairs f pairs in
+            if pairs' == pairs then bind else Rec pairs'
+      in
+      if bind' == bind && body' == body then e else Let (bind', body')
+  | Case (scrut, alts) ->
+      let alts' = map_alts f alts in
+      let scrut' = f scrut in
+      if scrut' == scrut && alts' == alts then e else Case (scrut', alts')
+  | Join (jb, body) ->
+      let jb' = map_jbind f jb in
+      let body' = f body in
+      if jb' == jb && body' == body then e else Join (jb', body')
+  | Jump (j, phis, es, ty) ->
+      let es' = map_shared f es in
+      if es' == es then e else Jump (j, phis, es', ty)
+
+(* ------------------------------------------------------------------ *)
 (* Predicates                                                          *)
 (* ------------------------------------------------------------------ *)
 

@@ -82,6 +82,33 @@ val pat_binders : pat -> var list
 (** A fresh ⊥-typed join binder for the given parameters. *)
 val mk_join_var : string -> Ident.t list -> var list -> var
 
+(** {1 Sharing maps}
+
+    A pass that changes nothing returns its input itself, so that
+    {!Guard} can tell by [==] that there is nothing to check again.
+    These maps return their argument itself when [f] returned every
+    subterm physically unchanged, and rebuild only the path to what
+    changed. The order they visit in is part of every artifact's bytes
+    (a pass can tick, record a decision or draw a unique at each node),
+    so each states it. *)
+
+(** [List.map f xs], first element first, but [xs] itself when [f]
+    returned every element unchanged. *)
+val map_shared : ('a -> 'a) -> 'a list -> 'a list
+
+(** [f] over the alternatives' right-hand sides, first to last. *)
+val map_alts : (expr -> expr) -> alt list -> alt list
+
+(** [f] over the binding's right-hand sides, first to last. *)
+val map_jbind : (expr -> expr) -> jbind -> jbind
+
+(** [f] over [e]'s immediate subterms. An application's argument goes
+    before its function, a [let]'s body before its binding, a [case]'s
+    alternatives before its scrutinee (right to left, the order in
+    which OCaml evaluates [App (go f, go a)]), but a [join]'s
+    right-hand sides before its body. Lists go first to last. *)
+val map_subterms : (expr -> expr) -> expr -> expr
+
 (** {1 Predicates} *)
 
 (** Weak head normal forms (the [inline] axiom's values). *)

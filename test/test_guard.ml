@@ -66,16 +66,24 @@ let incident_names_failing_pass () =
         true
         (String.length i.i_pass >= 7 && String.sub i.i_pass 0 7 = "contify")
 
+(* Every pass point, including those of passes that usually return
+   their input itself (spec-constr, float-out): an output that is not
+   the input is Linted, so an ill-typed one is a lint incident. *)
 let ill_typed_tripped_by_lint_gate () =
-  let denv, core, e, report, _ =
-    recovered_run ~behaviour:Fault.Ill_typed "simplify/result"
-  in
-  (match Pipeline.incidents report with
-  | [] -> Alcotest.fail "expected a lint incident"
-  | i :: _ ->
-      Alcotest.(check string) "cause" "lint" (Guard.cause_name i.i_cause));
-  let _ = lints ~env:denv e in
-  same_result core e
+  List.iter
+    (fun point ->
+      let denv, core, e, report, _ =
+        recovered_run ~behaviour:Fault.Ill_typed point
+      in
+      (match Pipeline.incidents report with
+      | [] -> Alcotest.failf "%s: expected a lint incident" point
+      | i :: _ ->
+          Alcotest.(check string)
+            (Fmt.str "%s: cause" point)
+            "lint" (Guard.cause_name i.i_cause));
+      let _ = lints ~env:denv e in
+      same_result core e)
+    Fault.pass_points
 
 let burn_fuel_tripped_by_budget () =
   let denv, core, e, report, _ =
@@ -213,17 +221,57 @@ let protect_passes_healthy () =
   let _, core = compile "def main = 1 + 2" in
   match
     Guard.protect ~limits:Guard.default_limits ~datacons:Datacon.builtins
-      ~pass:"id" ~restored:"input" ~size_before:(Syntax.size core) Fun.id core
+      ~memo:(Guard.memo ()) ~pass:"id" ~restored:"input"
+      ~size_before:(Syntax.size core) Fun.id core
   with
   | Ok (e, _, _) -> Alcotest.(check bool) "identity" true (e == core)
   | Error i -> Alcotest.failf "unexpected incident: %a" Guard.pp_incident i
+
+(* A skipped re-check owes the uniques a real one draws: the supply
+   advances by exactly what Linting a structural copy of the tree
+   draws. Only the tree that passed is skipped; a copy of it, however
+   equal, is Linted. *)
+let skipped_recheck_keeps_supply () =
+  let src = List.assoc "spectral-norm" (nofib ()) in
+  Context.with_fresh (fun () ->
+      let datacons, core = compile src in
+      let copy : Syntax.expr =
+        Marshal.from_string (Marshal.to_string core []) 0
+      in
+      let memo = Guard.memo () and registry = Metrics.create () in
+      let skipped () = Metrics.counter_value registry "guard.lint_skipped" in
+      let protect f =
+        match
+          Metrics.with_registry registry (fun () ->
+              Guard.protect ~limits:Guard.default_limits ~datacons ~memo
+                ~pass:"p" ~restored:"input" ~size_before:(Syntax.size core) f
+                core)
+        with
+        | Ok (_, _, lint_ms) -> lint_ms
+        | Error i -> Alcotest.failf "unexpected incident: %a" Guard.pp_incident i
+      in
+      ignore (protect Fun.id);
+      Alcotest.(check int) "the first check runs" 0 (skipped ());
+      let before = Ident.counter_value () in
+      let lint_ms = protect Fun.id in
+      let advanced = Ident.counter_value () - before in
+      Alcotest.(check int) "the re-check is skipped" 1 (skipped ());
+      Alcotest.(check (float 0.)) "no Lint time" 0. lint_ms;
+      let before = Ident.counter_value () in
+      ignore (lints ~env:datacons copy);
+      let drawn = Ident.counter_value () - before in
+      Alcotest.(check bool) "Lint draws uniques here" true (drawn > 0);
+      Alcotest.(check int) "the supply advances as a re-check would" drawn
+        advanced;
+      ignore (protect (fun _ -> copy));
+      Alcotest.(check int) "a changed tree is Linted" 1 (skipped ()))
 
 let protect_meters_fuel () =
   let _, core = compile "def main = 1" in
   let limits = { Guard.default_limits with Guard.pass_fuel = Some 10 } in
   match
-    Guard.protect ~limits ~datacons:Datacon.builtins ~pass:"spin"
-      ~restored:"input" ~size_before:(Syntax.size core)
+    Guard.protect ~limits ~datacons:Datacon.builtins ~memo:(Guard.memo ())
+      ~pass:"spin" ~restored:"input" ~size_before:(Syntax.size core)
       (fun e ->
         for _ = 1 to 100 do
           Telemetry.tick Telemetry.Beta
@@ -257,4 +305,6 @@ let tests =
     test "protect passes a healthy pass through" protect_passes_healthy;
     test "protect meters tick fuel" protect_meters_fuel;
     test "spend outside a budget is a no-op" spend_is_safe_outside_budget;
+    test "a skipped re-check advances the supply as Lint would"
+      skipped_recheck_keeps_supply;
   ]

@@ -217,6 +217,17 @@ let join_tyvar_escape_rejected () =
   fails_lint
     ~message:"join point j_4 rhs has type a_1 but the body has type Int" e
 
+(* A join type parameter that is the very binder of an enclosing type
+   lambda, [/\a. \(x:a). join j @a = x in x]: the right-hand side and
+   the body agree on [a], so only the escape check refuses it. *)
+let join_tyvar_escapes_into_body () =
+  let a = Ident.fresh "a" in
+  let x = mk_var "x" (Types.Var a) in
+  let jv = mk_join_var "j" [ a ] [] in
+  let defn = { j_var = jv; j_tyvars = [ a ]; j_params = []; j_rhs = Var x } in
+  fails_lint ~message:"join point j_4: type parameter a_1 escapes into a_1"
+    (TyLam (a, Lam (x, Join (JNonRec defn, Var x))))
+
 (* A join point name used as a first-class value is rejected. *)
 let join_as_value_rejected () =
   let x = mk_var "x" Types.int in
@@ -339,4 +350,6 @@ let tests =
     test "linting a polymorphic program draws a fixed count of uniques"
       uniques_drawn;
     test "a binder's scope ends with its body" (fresh scope_ends);
+    test "join tyvar escaping into the body rejected"
+      (fresh join_tyvar_escapes_into_body);
   ]

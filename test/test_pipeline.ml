@@ -260,6 +260,80 @@ let cleanup_shares_unchanged () =
   Alcotest.(check bool) "unchanged" false changed;
   Alcotest.(check bool) "the same tree" true (e' == e)
 
+(* Every tree a compile hands a pass, caught through the pipeline's
+   pass hook, once each: a pass that changes nothing hands its input
+   on. *)
+let pass_inputs cfg e =
+  let inputs = ref [] in
+  let cache =
+    {
+      Pipeline.cache_lookup =
+        (fun ~pass:_ ~supply:_ ~input ->
+          (match !inputs with
+          | last :: _ when last == input -> ()
+          | _ -> inputs := input :: !inputs);
+          None);
+      cache_store = (fun ~pass:_ ~supply:_ ~input:_ _ -> ());
+    }
+  in
+  ignore (Pipeline.run { cfg with Pipeline.cache = Some cache } e);
+  List.rev !inputs
+
+(* The sharing rule Guard's skipped re-check rests on: each of the six
+   passes returns its input itself exactly when its output equals it,
+   on every pass input of the corpus, the examples and Gen seeds under
+   all three modes (each program built under the supply its compile
+   uses). Each pass must meet both cases. *)
+let passes_share_exactly_when_unchanged () =
+  let passes =
+    [
+      ("float-in", Float_in.run);
+      ("contify", fun e -> fst (Contify.contify e));
+      ("spec-constr", Spec_constr.run);
+      ("demand", Demand.strictify);
+      ("cse", Cse.run);
+      ("float-out", Float_out.run);
+    ]
+  in
+  let shared = Hashtbl.create 8 and changed = Hashtbl.create 8 in
+  let count tbl name = Option.value ~default:0 (Hashtbl.find_opt tbl name) in
+  let bump tbl name = Hashtbl.replace tbl name (count tbl name + 1) in
+  let check what e =
+    List.iter
+      (fun (name, pass) ->
+        let e' = pass e in
+        (* The tree is immutable, so only this half can fail. *)
+        if e' != e && Syntax.compare_expr e' e = 0 then
+          Alcotest.failf "%s: %s copied its unchanged input" what name;
+        bump (if e' == e then shared else changed) name)
+      passes
+  in
+  let sweep what build =
+    List.iter
+      (fun mode ->
+        Context.with_fresh (fun () ->
+            let datacons, e = build () in
+            let cfg = Pipeline.default_config ~mode ~datacons () in
+            List.iteri
+              (fun i e ->
+                check (Fmt.str "%s %s #%d" what (Pipeline.mode_name mode) i) e)
+              (pass_inputs cfg e)))
+      [ Pipeline.Join_points; Pipeline.Baseline; Pipeline.No_cc ]
+  in
+  List.iter
+    (fun (name, src) -> sweep name (fun () -> Fj_surface.Prelude.compile src))
+    (nofib () @ repo_files "examples/programs" ".fj");
+  for seed = 1 to 200 do
+    sweep (Fmt.str "seed %d" seed) (fun () ->
+        (Datacon.builtins, Gen.program_of_seed seed))
+  done;
+  List.iter
+    (fun (name, _) ->
+      if count shared name = 0 || count changed name = 0 then
+        Alcotest.failf "%s: %d inputs returned, %d changed" name
+          (count shared name) (count changed name))
+    passes
+
 let tests =
   [
     test "allocation ordering across configurations" ordering;
@@ -274,4 +348,6 @@ let tests =
     test "per-binder passes allocate linearly" passes_allocate_linearly;
     test "pass cache hits replay the pass" pass_cache_replays;
     test "cleanup shares a tree it leaves unchanged" cleanup_shares_unchanged;
+    test "passes return their input exactly when unchanged"
+      passes_share_exactly_when_unchanged;
   ]
