@@ -19,8 +19,8 @@
       flamegraph stacks instead ([--folded-weight words] weights by
       compiler allocation);
     - [fjc stats FILE]  — run under every compiler configuration and
-      tabulate allocations side by side ([--json] for machine-readable
-      rows);
+      tabulate allocations side by side ([--json PATH|-] for
+      machine-readable rows);
     - [fjc profile FILE] — run under baseline and join-points with the
       allocation profiler on and print the per-site cost-centre table
       side by side (words, %, steps per binder); [--lower] profiles on
@@ -567,7 +567,7 @@ let stats_cmd =
     let t0, s0 = Eval.run_deep l.core in
     let rows = ref [] in
     let row name (s : Eval.stats) extra =
-      if json then
+      if Option.is_some json then
         rows :=
           Telemetry.Json.(
             Obj
@@ -584,7 +584,7 @@ let stats_cmd =
         Fmt.pr "%-28s %10d %10d %8d %8d@." name s.Eval.words s.Eval.objects
           s.Eval.steps s.Eval.jumps
     in
-    if not json then
+    if Option.is_none json then
       Fmt.pr "%-28s %10s %10s %8s %8s@." "configuration" "words" "objects"
         "steps" "jumps";
     row "unoptimised" s0 [];
@@ -616,22 +616,28 @@ let stats_cmd =
             ("contified", Telemetry.Json.Int (Pipeline.contified r));
           ])
       [ Pipeline.Baseline; Pipeline.Join_points; Pipeline.No_cc ];
-    if json then
-      print_endline
-        (Telemetry.Json.to_string
-           (Telemetry.Json.Obj
-              [
-                ("file", Telemetry.Json.Str file);
-                ("result", Telemetry.Json.Str (Fmt.str "%a" Eval.pp_tree t0));
-                ("rows", Telemetry.Json.Arr (List.rev !rows));
-              ]))
-    else Fmt.pr "result: %a@." Eval.pp_tree t0;
-    0
+    match json with
+    | Some dest ->
+        write_output ~what:"stats" dest
+          (Telemetry.Json.to_string
+             (Telemetry.Json.Obj
+                [
+                  ("file", Telemetry.Json.Str file);
+                  ("result", Telemetry.Json.Str (Fmt.str "%a" Eval.pp_tree t0));
+                  ("rows", Telemetry.Json.Arr (List.rev !rows));
+                ]))
+    | None ->
+        Fmt.pr "result: %a@." Eval.pp_tree t0;
+        0
   in
   let json_flag =
     Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit machine-readable JSON rows on stdout.")
+      value
+      & opt ~vopt:(Some "-") (some string) None
+      & info [ "json" ] ~docv:"PATH"
+          ~doc:
+            "Emit the rows as JSON instead of the table, to $(docv); \
+             $(b,-), or the flag alone, for stdout.")
   in
   Cmd.v (Cmd.info "stats" ~doc)
     Term.(const run $ file_arg $ no_prelude_flag $ iters_flag $ json_flag)

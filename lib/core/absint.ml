@@ -359,8 +359,9 @@ let let_binders e =
    binding [c] is the edge c -> b ("b is demanded only if c is");
    occurrences on the program spine (bodies, scrutinees, arguments not
    under any rhs) root b directly. Dead = unreachable from the root —
-   [Occur.is_dead] (zero occurrences anywhere) is the edgeless special
-   case, and a binding referenced only by dead bindings also dies. *)
+   a count of 0 in {!Occur.census} (zero occurrences anywhere) is the
+   edgeless special case, and a binding referenced only by dead
+   bindings also dies. *)
 let dead_binders e =
   let universe =
     List.fold_left

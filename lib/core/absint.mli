@@ -17,9 +17,9 @@
       groups and recursive lets are the loops).
     - {b Liveness}: a binding is dead iff it is unreachable in the
       binder-dependency graph rooted at the program spine — strictly
-      stronger than {!Occur.is_dead} (zero occurrences implies
-      unreachable, and additionally a binding used {e only by dead
-      bindings} is dead).
+      stronger than a count of 0 in {!Occur.census} (zero occurrences
+      implies unreachable, and additionally a binding used {e only by
+      dead bindings} is dead).
     - {b Join-point discipline}: a structural verifier for the Δ
       invariants — exact-arity tail jumps only, no join capture under
       lambdas, correct scoping across recursive join groups — that
@@ -103,7 +103,7 @@ val let_binders : Syntax.expr -> Syntax.var list
 
 (** Uniques of the transitively dead {!let_binders}: bindings
     unreachable in the dependency graph rooted at the program spine.
-    [Occur.is_dead x] implies membership. *)
+    A count of 0 for [x] in {!Occur.census} implies membership. *)
 val dead_binders : Syntax.expr -> Ident.Set.t
 
 (** {1 The join-point discipline verifier} *)
@@ -125,7 +125,7 @@ val verify : Syntax.expr -> Diagnostic.t list
     scrutinee shape selects a single alternative, and transitively
     dead bindings that nevertheless survived the pipeline. Each
     finding is cross-checked against the decision ledger [decisions]
-    (and, for dead bindings, against {!Occur.is_dead}) so the
+    (and, for dead bindings, against {!Occur.census}) so the
     diagnostic names the pass that declined the rewrite and its
     recorded reason. Also returns the fixpoint rounds the underlying
     analysis took. *)

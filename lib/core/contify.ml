@@ -6,14 +6,17 @@
     changing the meaning of the program: when such a call runs, the
     evaluation context to discard is empty.
 
-    Implementation: build {!Occur}'s usage of each scope bottom-up,
-    alongside the contified scope itself; if every
-    occurrence is a tail call of shape [(n_ty, n_val)], the right-hand
-    side decomposes as [/\a_1..a_nty. \x_1..x_nval. body], and [body]
-    has the same type as the binding's scope (the proviso of Fig. 5),
-    then rewrite. Recursive groups are contified only as a whole, with
-    the same check applied to each right-hand side (whose own lambdas
-    are first stripped, so the recursive calls are tail calls of the
+    Implementation: one walk over the term that is "essentially a
+    free-variable analysis that also tracks whether each free variable
+    has appeared only in the holes of tail contexts" (Sec. 4). Each
+    [let] binder gets a mutable cell that gathers its occurrences as
+    the walk meets them; if every occurrence in the contified scope
+    is a tail call of shape [(n_ty, n_val)], the right-hand side
+    decomposes as [/\a_1..a_nty. \x_1..x_nval. body], and [body] has
+    the same type as the binding's scope (the proviso of Fig. 5), then
+    rewrite. Recursive groups are contified only as a whole, with the
+    same check applied to each right-hand side (whose own lambdas are
+    first stripped, so the recursive calls are tail calls of the
     stripped bodies).
 
     One restriction beyond the paper: a nullary candidate
@@ -30,6 +33,9 @@ open Syntax
    collector the caller installed) — the old process-global mutable
    [stats] record made repeated or interleaved pipeline runs
    cross-contaminate each other's counts. *)
+
+(* Shape of a call: number of type arguments and value arguments. *)
+type call_shape = { n_ty : int; n_val : int }
 
 (* Strip exactly [n_ty] type binders then [n_val] value binders from an
    expression; [None] if the binder prefix does not match. *)
@@ -55,7 +61,7 @@ let strip_binders ~n_ty ~n_val e =
    occurrence of a target is such a spine in tail position, so we can
    rewrite spines wherever they appear. [targets] maps the old
    identifier to the new join binder and its shape. *)
-let rewrite_calls (targets : (var * Occur.call_shape) Ident.Map.t) e =
+let rewrite_calls (targets : (var * call_shape) Ident.Map.t) e =
   let rec go e =
     match e with
     | Var _ | App _ | TyApp _ -> spine e
@@ -81,9 +87,7 @@ let rewrite_calls (targets : (var * Occur.call_shape) Ident.Map.t) e =
     let head, args = collect_args e in
     match head with
     | Var v when Ident.Map.mem v.v_name targets ->
-        let jvar, (shape : Occur.call_shape) =
-          Ident.Map.find v.v_name targets
-        in
+        let jvar, shape = Ident.Map.find v.v_name targets in
         let tys =
           List.filter_map (function `Ty t -> Some t | `Val _ -> None) args
         in
@@ -116,10 +120,125 @@ let rewrite_calls (targets : (var * Occur.call_shape) Ident.Map.t) e =
   in
   go e
 
+(* ------------------------------------------------------------------ *)
+(* Cells and frames                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The walk classifies each occurrence by two counters: [nt], the
+   non-tail positions entered (a lambda body, an argument, a
+   scrutinee, a strict [let]'s right-hand side, a spine's non-variable
+   head), and [lam], the lambdas entered (a [Lam] or [TyLam] body, and
+   a recursive join's right-hand side, which runs once per jump). A
+   [let]'s right-hand side enters neither: whether it is a tail
+   context is decided only with its binding.
+
+   A [let] binder's cell records both counters at the binding. An
+   occurrence in the same frame (below) counts as a tail call iff it is
+   a canonical call spine (all type arguments first) and [nt] still
+   equals the binder's; it is under a lambda iff [lam] grew. The cell
+   keeps the count, whether every occurrence was a tail call of one
+   shape, the first occurrence's shape, and whether one sat under a
+   lambda. Merging one occurrence at a time is exact although merging
+   two shapes is not associative when they conflict: the decisions
+   read the shape only when every occurrence was a tail call, and then
+   every shape agrees. Cells are keyed by unique, so they assume that
+   no binder reuses the unique of an enclosing [let]; no tree the
+   pipeline builds does. *)
+type cell = {
+  nt : int;
+  lam : int;
+  depth : int;  (** The depth of the frame the binder is bound in. *)
+  mutable count : int;
+  mutable all_tail : bool;
+  mutable under_lam : bool;
+  mutable n_ty : int;
+  mutable n_val : int;
+}
+
+(* An occurrence of a binder bound outside the frame it sits in: it
+   waits there with its counters until the frame's binding is
+   decided. *)
+type waiting = {
+  cell : cell;
+  mutable w_nt : int;
+  mutable w_lam : int;
+  call : bool;  (** A canonical call spine. *)
+  w_n_ty : int;
+  w_n_val : int;
+}
+
+(* A frame is a [let] right-hand side whose binding is not decided yet
+   (the top of the term is the outermost frame). [fdepth] counts the
+   frames around it. *)
+type frame = {
+  cells : cell Ident.Tbl.t;  (** The cells of the binders in scope. *)
+  fdepth : int;
+  mutable waiting : waiting list;
+}
+
+let add (c : cell) ~call ~nt ~lam ~n_ty ~n_val =
+  if c.count = 0 then begin
+    c.n_ty <- n_ty;
+    c.n_val <- n_val
+  end
+  else if n_ty <> c.n_ty || n_val <> c.n_val then c.all_tail <- false;
+  c.count <- c.count + 1;
+  if not (call && nt = c.nt) then c.all_tail <- false;
+  if lam > c.lam then c.under_lam <- true
+
+let occur fr ~nt ~lam (v : var) ~call ~n_ty ~n_val =
+  match Ident.Tbl.find fr.cells v.v_name with
+  | c ->
+      if c.depth = fr.fdepth then add c ~call ~nt ~lam ~n_ty ~n_val
+      else
+        fr.waiting <-
+          { cell = c; w_nt = nt; w_lam = lam; call; w_n_ty = n_ty;
+            w_n_val = n_val }
+          :: fr.waiting
+  | exception Not_found -> ()
+
+(* Hand the occurrences waiting in a decided right-hand side to the
+   frame [fr] around it, or to their binders' cells when bound in
+   [fr]. Their counters move by [dnt] and [dlam]: a right-hand side
+   kept as a value is one more non-tail position; one turned into a
+   join point is a tail context once its [s] stripped binders are gone
+   ([-s]), and a recursive one also runs once per jump, as if under one
+   more lambda. *)
+let rec release fr ~dnt ~dlam = function
+  | [] -> ()
+  | w :: ws ->
+      w.w_nt <- w.w_nt + dnt;
+      w.w_lam <- w.w_lam + dlam;
+      if w.cell.depth = fr.fdepth then
+        add w.cell ~call:w.call ~nt:w.w_nt ~lam:w.w_lam ~n_ty:w.w_n_ty
+          ~n_val:w.w_n_val
+      else fr.waiting <- w :: fr.waiting;
+      release fr ~dnt ~dlam ws
+
+let bind fr ~nt ~lam (x : var) =
+  let c =
+    {
+      nt;
+      lam;
+      depth = fr.fdepth;
+      count = 0;
+      all_tail = true;
+      under_lam = false;
+      n_ty = 0;
+      n_val = 0;
+    }
+  in
+  Ident.Tbl.add fr.cells x.v_name c;
+  c
+
+(* ------------------------------------------------------------------ *)
+(* Decisions                                                           *)
+(* ------------------------------------------------------------------ *)
+
 (* Can this binding group be contified, given the usage of its binders
    in their scope (and, for recursive groups, in the right-hand
    sides)? Returns the prepared join definitions. *)
-let candidate_defn (x : var) rhs (shape : Occur.call_shape) =
+let candidate_defn (x : var) rhs (shape : call_shape) =
   match strip_binders ~n_ty:shape.n_ty ~n_val:shape.n_val rhs with
   | None -> None
   | Some (tvs, xs, body) ->
@@ -128,11 +247,9 @@ let candidate_defn (x : var) rhs (shape : Occur.call_shape) =
       in
       Some (jvar, { j_var = jvar; j_tyvars = tvs; j_params = xs; j_rhs = body })
 
-let shape_of_usage (i : Occur.info) =
-  if i.count > 0 && i.all_tail then
-    match i.shape with
-    | Some s when s.n_ty + s.n_val >= 1 || i.count = 1 -> Some s
-    | _ -> None
+let shape_of_usage (c : cell) =
+  if c.count > 0 && c.all_tail && (c.n_ty + c.n_val >= 1 || c.count = 1)
+  then Some { n_ty = c.n_ty; n_val = c.n_val }
   else None
 
 (* This pass's name in the decision ledger. *)
@@ -141,17 +258,14 @@ let dpass = "contify"
 (* Why {!shape_of_usage} said no, as a ledger reason. [None] for dead
    binders (count 0): dropping dead code is the simplifier's decision,
    not a contification refusal. *)
-let usage_rejection (i : Occur.info) : Decision.reason option =
-  if i.count = 0 then None
-  else if not i.all_tail then
+let usage_rejection (c : cell) : Decision.reason option =
+  if c.count = 0 then None
+  else if not c.all_tail then
     Some
-      (if i.under_lam then Decision.Escapes_under_lambda
+      (if c.under_lam then Decision.Escapes_under_lambda
        else Decision.Not_all_tail_calls)
-  else
-    match i.shape with
-    | None -> Some Decision.Shape_mismatch
-    | Some s when s.n_ty + s.n_val >= 1 || i.count = 1 -> None
-    | Some _ -> Some Decision.Nullary_candidate
+  else if c.n_ty + c.n_val >= 1 || c.count = 1 then None
+  else Some Decision.Nullary_candidate
 
 let record_verdict (x : var) verdict =
   Decision.record ~pass:dpass Decision.Contify ~site:(Ident.site x.v_name)
@@ -165,352 +279,322 @@ let body_ty_matches body scope_ty =
   | ty -> Types.equal ty scope_ty
   | exception _ -> false
 
-(* {!Syntax.map_shared} for a walk that also returns each element's
-   usage. *)
-let rec map_used f xs =
-  match xs with
-  | [] -> (xs, [])
-  | x :: rest ->
-      let x', m = f x in
-      let rest', ms = map_used f rest in
-      ((if x' == x && rest' == rest then xs else x' :: rest'), m :: ms)
+(* ------------------------------------------------------------------ *)
+(* The walk                                                            *)
+(* ------------------------------------------------------------------ *)
 
-(* Contify [e], returning the new tree and its usage: {!Occur.of_expr}
-   of the new tree, built bottom-up from the children's usages with
-   {!Occur}'s per-node rules. A binding reads its binder's usage off its
-   contified scope; only a freshly contified join's stripped right-hand
-   side is analysed afresh. The decision ledger's order depends on the
-   order children are visited in: body before right-hand side for
+(* Contify [e] in frame [fr] at counters [nt] and [lam]. The decision
+   ledger's order, and the order [rewrite_calls] and the proviso draw
+   uniques in, depend on the order children are visited in: a
+   non-recursive [let]'s right-hand side before its body, a group's
+   right-hand sides before its body, body before right-hand side for
    [join] and strict [let], alternatives before scrutinee for [case],
-   and right to left along an application spine. A node none of whose
-   children changed is returned itself. *)
-let rec go (e : expr) : expr * Occur.t =
+   and right to left along an application spine, then its head. A node
+   none of whose children changed is returned itself. *)
+let rec go fr ~nt ~lam (e : expr) : expr =
   match e with
-  | Var _ | App _ | TyApp _ -> spine e
-  | Lit _ -> (e, Ident.Map.empty)
+  | Var _ | App _ | TyApp _ ->
+      spine fr ~nt ~lam ~dirty:false ~n_ty:0 ~n_val:0 ~seen_ty:false
+        ~call:true e
+  | Lit _ -> e
   | Con (dc, phis, es0) ->
-      let es, ms = map_used go es0 in
-      ((if es == es0 then e else Con (dc, phis, es)), Occur.of_args ms)
+      let es = map_shared (go fr ~nt:(nt + 1) ~lam) es0 in
+      if es == es0 then e else Con (dc, phis, es)
   | Prim (op, es0) ->
-      let es, ms = map_used go es0 in
-      ((if es == es0 then e else Prim (op, es)), Occur.of_args ms)
+      let es = map_shared (go fr ~nt:(nt + 1) ~lam) es0 in
+      if es == es0 then e else Prim (op, es)
   | Lam (x, b0) ->
-      let b, m = go b0 in
-      ((if b == b0 then e else Lam (x, b)), Occur.of_lam [ x ] m)
+      let b = go fr ~nt:(nt + 1) ~lam:(lam + 1) b0 in
+      if b == b0 then e else Lam (x, b)
   | TyLam (a, b0) ->
-      let b, m = go b0 in
-      ((if b == b0 then e else TyLam (a, b)), Occur.of_lam [] m)
+      let b = go fr ~nt:(nt + 1) ~lam:(lam + 1) b0 in
+      if b == b0 then e else TyLam (a, b)
   | Case (scrut0, alts0) ->
-      let alts, ms =
-        map_used
-          (fun a ->
-            let rhs, m = go a.alt_rhs in
-            ( (if rhs == a.alt_rhs then a else { a with alt_rhs = rhs }),
-              Occur.of_alt a.alt_pat m ))
-          alts0
-      in
-      let scrut, s = go scrut0 in
-      ( (if scrut == scrut0 && alts == alts0 then e else Case (scrut, alts)),
-        Occur.of_case ~scrut:s ~alts:ms )
+      let alts = map_alts (go fr ~nt ~lam) alts0 in
+      let scrut = go fr ~nt:(nt + 1) ~lam scrut0 in
+      if scrut == scrut0 && alts == alts0 then e else Case (scrut, alts)
   | Join (jb0, body0) ->
-      let body, mb = go body0 in
-      let ds0 = join_defns jb0 in
-      let ds, ms =
-        map_used
-          (fun d ->
-            let rhs, m = go d.j_rhs in
-            ((if rhs == d.j_rhs then d else { d with j_rhs = rhs }), m))
-          ds0
-      in
-      let jb =
-        if ds == ds0 then jb0
-        else
-          match jb0 with
-          | JNonRec _ -> JNonRec (List.hd ds)
-          | JRec _ -> JRec ds
-      in
-      ( (if jb == jb0 && body == body0 then e else Join (jb, body)),
-        Occur.of_join jb
-          ~rhss:(List.map2 (Occur.of_join_rhs jb) ds ms)
-          ~body:mb )
+      let body = go fr ~nt ~lam body0 in
+      let lam = match jb0 with JNonRec _ -> lam | JRec _ -> lam + 1 in
+      let jb = map_jbind (go fr ~nt ~lam) jb0 in
+      if jb == jb0 && body == body0 then e else Join (jb, body)
   | Jump (j, phis, es0, ty) ->
-      let es, ms = map_used go es0 in
-      ( (if es == es0 then e else Jump (j, phis, es, ty)),
-        Occur.of_jump j phis ms )
+      let es = map_shared (go fr ~nt:(nt + 1) ~lam) es0 in
+      if es == es0 then e else Jump (j, phis, es, ty)
   | Let (Strict (x, rhs0), body0) ->
-      let body, mb = go body0 in
-      let rhs, mr = go rhs0 in
-      ( (if rhs == rhs0 && body == body0 then e
-         else Let (Strict (x, rhs), body)),
-        Occur.of_let ~rhs:mr ~body:(Occur.close [ x ] mb) )
-  | Let (NonRec (x, rhs0), body0) -> (
-      let rhs, mr = go rhs0 in
-      let body, mb = go body0 in
-      let info = Occur.lookup mb x in
-      let keep () =
-        ( (if rhs == rhs0 && body == body0 then e
-           else Let (NonRec (x, rhs), body)),
-          Occur.of_let ~rhs:mr ~body:(Occur.close [ x ] mb) )
+      let body = go fr ~nt ~lam body0 in
+      let rhs = go fr ~nt:(nt + 1) ~lam rhs0 in
+      if rhs == rhs0 && body == body0 then e else Let (Strict (x, rhs), body)
+  | Let (NonRec (x, rhs0), body0) -> let_nonrec fr ~nt ~lam e x rhs0 body0
+  | Let (Rec pairs0, body0) -> let_rec fr ~nt ~lam e pairs0 body0
+
+(* An application spine, argument before function: the value arguments
+   right to left, then the head. [n_ty] and [n_val] count the arguments
+   already passed, [seen_ty] says one of them was a type, and [call]
+   that no type argument follows a value one. [dirty] says an argument
+   further out changed: then every application node is rebuilt, the
+   head kept. *)
+and spine fr ~nt ~lam ~dirty ~n_ty ~n_val ~seen_ty ~call e =
+  match e with
+  | App (f0, a0) ->
+      let a = go fr ~nt:(nt + 1) ~lam a0 in
+      let dirty = dirty || a != a0 in
+      let f =
+        spine fr ~nt ~lam ~dirty ~n_ty ~n_val:(n_val + 1) ~seen_ty
+          ~call:(call && not seen_ty) f0
       in
-      let reject reason =
-        record_verdict x (Decision.Rejected reason);
-        keep ()
+      if dirty || f != f0 then App (f, a) else e
+  | TyApp (f0, t) ->
+      let f =
+        spine fr ~nt ~lam ~dirty ~n_ty:(n_ty + 1) ~n_val ~seen_ty:true ~call f0
       in
-      match shape_of_usage info with
-      | None -> (
-          match usage_rejection info with
-          | None -> keep () (* dead binder; the simplifier will drop it *)
-          | Some r -> reject r)
-      | Some shape -> (
-          match candidate_defn x rhs shape with
-          | None -> reject Decision.Rhs_arity_mismatch
-          | Some (jvar, defn) ->
-              let scope_ty =
-                match Syntax.ty_of body with
-                | ty -> Some ty
-                | exception _ -> None
-              in
-              if
-                match scope_ty with
-                | Some ty -> body_ty_matches defn.j_rhs ty
-                | None -> false
-              then begin
-                Telemetry.tick Telemetry.Contified;
-                record_verdict x Decision.Fired;
-                let targets = Ident.Map.singleton x.v_name (jvar, shape) in
-                let jb = JNonRec defn in
-                (* A call turned jump keeps its usage, so [mb] still
-                   describes the rewritten body. *)
-                let rhs_usage = Occur.of_expr defn.j_rhs in
-                ( Join (jb, rewrite_calls targets body),
-                  Occur.of_join jb
-                    ~rhss:[ Occur.of_join_rhs jb defn rhs_usage ]
-                    ~body:mb )
-              end
-              else reject Decision.Scope_type_mismatch))
-  | Let (Rec pairs0, body0) -> (
-      let pairs, rhs_uses =
-        map_used
-          (fun ((x, rhs0) as p) ->
-            let rhs, m = go rhs0 in
-            ((if rhs == rhs0 then p else (x, rhs)), m))
-          pairs0
-      in
-      let body, body_usage = go body0 in
-      let fallback () =
-        ( (if pairs == pairs0 && body == body0 then e
-           else Let (Rec pairs, body)),
-          Occur.of_letrec (List.map fst pairs) ~rhss:rhs_uses
-            ~body:body_usage )
-      in
-      let scope_ty =
-        match Syntax.ty_of body with ty -> Some ty | exception _ -> None
-      in
-      match scope_ty with
-      | None ->
-          (* The proviso cannot even be checked (open scope). *)
-          List.iter
-            (fun (x, _) ->
-              record_verdict x (Decision.Rejected Decision.Scope_type_mismatch))
-            pairs;
-          fallback ()
-      | Some scope_ty -> (
-          (* Each binder needs a consistent shape across body and all
-             rhss; each rhs must strip to that shape; recursive calls
-             must be tail calls of the stripped bodies. *)
-          let shapes =
-            List.map (fun (x, _) -> (x, Occur.lookup body_usage x)) pairs
+      if dirty || f != f0 then TyApp (f, t) else e
+  | Var v ->
+      occur fr ~nt ~lam v ~call ~n_ty ~n_val;
+      e
+  | _ -> go fr ~nt:(nt + 1) ~lam e
+
+(* A group's right-hand sides, each in a frame of its own, first to
+   last; the frames come back in the same order. *)
+and go_pairs fr ~nt ~lam pairs =
+  match pairs with
+  | [] -> (pairs, [])
+  | ((x, rhs0) as p) :: rest ->
+      let rfr = { fr with fdepth = fr.fdepth + 1; waiting = [] } in
+      let rhs = go rfr ~nt ~lam rhs0 in
+      let rest', frames = go_pairs fr ~nt ~lam rest in
+      ( (if rhs == rhs0 && rest' == rest then pairs
+         else (if rhs == rhs0 then p else (x, rhs)) :: rest'),
+        rfr :: frames )
+
+and let_nonrec fr ~nt ~lam e x rhs0 body0 =
+  let rfr = { fr with fdepth = fr.fdepth + 1; waiting = [] } in
+  let rhs = go rfr ~nt ~lam rhs0 in
+  let c = bind fr ~nt ~lam x in
+  let body = go fr ~nt ~lam body0 in
+  Ident.Tbl.remove fr.cells x.v_name;
+  let keep () =
+    release fr ~dnt:1 ~dlam:0 rfr.waiting;
+    if rhs == rhs0 && body == body0 then e else Let (NonRec (x, rhs), body)
+  in
+  let reject reason =
+    record_verdict x (Decision.Rejected reason);
+    keep ()
+  in
+  match shape_of_usage c with
+  | None -> (
+      match usage_rejection c with
+      | None -> keep () (* dead binder; the simplifier will drop it *)
+      | Some r -> reject r)
+  | Some shape -> (
+      match candidate_defn x rhs shape with
+      | None -> reject Decision.Rhs_arity_mismatch
+      | Some (jvar, defn) ->
+          let scope_ty =
+            match Syntax.ty_of body with
+            | ty -> Some ty
+            | exception _ -> None
           in
-          (* First guess shapes from the body usage; occurrences may
-             also be only in rhss, so merge rhs usages (computed on
-             stripped bodies below). To keep this simple we require a
-             usable shape to be visible from the merged usage of body
-             and raw rhss-in-tail-position-after-stripping. We iterate:
-             strip with the body shape. *)
-          let try_with_shapes (chosen : (var * Occur.call_shape) list) =
-            let defns =
+          if
+            match scope_ty with
+            | Some ty -> body_ty_matches defn.j_rhs ty
+            | None -> false
+          then begin
+            Telemetry.tick Telemetry.Contified;
+            record_verdict x Decision.Fired;
+            let s = shape.n_ty + shape.n_val in
+            release fr ~dnt:(-s) ~dlam:(-s) rfr.waiting;
+            let targets = Ident.Map.singleton x.v_name (jvar, shape) in
+            Join (JNonRec defn, rewrite_calls targets body)
+          end
+          else reject Decision.Scope_type_mismatch)
+
+and let_rec fr ~nt ~lam e pairs0 body0 =
+  let group = List.map (fun (x, _) -> bind fr ~nt ~lam x) pairs0 in
+  let pairs, frames = go_pairs fr ~nt ~lam pairs0 in
+  let body = go fr ~nt ~lam body0 in
+  List.iter (fun ((x : var), _) -> Ident.Tbl.remove fr.cells x.v_name) pairs0;
+  (* Once the group is decided, the calls of its own binders in its
+     right-hand sides go on with the rest, to cells nobody reads again. *)
+  let fallback () =
+    List.iter (fun rfr -> release fr ~dnt:1 ~dlam:0 rfr.waiting) frames;
+    if pairs == pairs0 && body == body0 then e else Let (Rec pairs, body)
+  in
+  let scope_ty =
+    match Syntax.ty_of body with ty -> Some ty | exception _ -> None
+  in
+  match scope_ty with
+  | None ->
+      (* The proviso cannot even be checked (open scope). *)
+      List.iter
+        (fun (x, _) ->
+          record_verdict x (Decision.Rejected Decision.Scope_type_mismatch))
+        pairs;
+      fallback ()
+  | Some scope_ty -> (
+      (* Each binder needs a consistent shape across body and all rhss;
+         each rhs must strip to that shape; recursive calls must be
+         tail calls of the stripped bodies. A binder's cell holds its
+         use in the body until [try_with_shapes] adds its calls in the
+         right-hand sides, each stripped of its own binders. *)
+      let shapes = List.combine (List.map fst pairs) group in
+      let cell_of (x : var) =
+        snd (List.find (fun ((y : var), _) -> var_equal x y) shapes)
+      in
+      let try_with_shapes (chosen : (var * call_shape) list) =
+        let defns =
+          List.map
+            (fun ((x : var), shape) ->
+              match
+                List.find_opt (fun ((y : var), _) -> var_equal x y) pairs
+              with
+              | None -> None
+              | Some (_, rhs) ->
+                  Option.map
+                    (fun (jv, d) -> (x, shape, jv, d))
+                    (candidate_defn x rhs shape))
+            chosen
+        in
+        if List.exists Option.is_none defns then begin
+          (* Groups contify only as a whole: the binders whose rhs did
+             not strip are the culprits. *)
+          List.iter2
+            (fun (x, _) defn ->
+              if Option.is_none defn then
+                record_verdict x
+                  (Decision.Rejected Decision.Rhs_arity_mismatch))
+            chosen defns;
+          None
+        end
+        else
+          let defns = List.filter_map Fun.id defns in
+          (* Check typing proviso and tail-ness of recursive calls
+             inside each stripped rhs. *)
+          let bad_types =
+            List.filter
+              (fun (_, _, _, d) -> not (body_ty_matches d.j_rhs scope_ty))
+              defns
+          in
+          if bad_types <> [] then begin
+            List.iter
+              (fun (x, _, _, _) ->
+                record_verdict x
+                  (Decision.Rejected Decision.Scope_type_mismatch))
+              bad_types;
+            None
+          end
+          else begin
+            let strips =
               List.map
-                (fun ((x : var), shape) ->
+                (fun (_, (shape : call_shape), _, _) -> shape.n_ty + shape.n_val)
+                defns
+            in
+            List.iter2
+              (fun rfr s ->
+                List.iter
+                  (fun w ->
+                    if List.memq w.cell group then
+                      add w.cell ~call:w.call ~nt:(w.w_nt - s)
+                        ~lam:(w.w_lam - s) ~n_ty:w.w_n_ty ~n_val:w.w_n_val)
+                  rfr.waiting)
+              frames strips;
+            let bad_shapes =
+              List.filter
+                (fun ((x : var), shape, _, _) ->
+                  match shape_of_usage (cell_of x) with
+                  | Some s -> s <> shape
+                  | None -> true)
+                defns
+            in
+            if bad_shapes <> [] then begin
+              List.iter
+                (fun ((x : var), _, _, _) ->
+                  record_verdict x
+                    (Decision.Rejected
+                       (Option.value ~default:Decision.Shape_mismatch
+                          (usage_rejection (cell_of x)))))
+                bad_shapes;
+              None
+            end
+            else
+              let targets =
+                List.fold_left
+                  (fun m ((x : var), shape, jv, _) ->
+                    Ident.Map.add x.v_name (jv, shape) m)
+                  Ident.Map.empty defns
+              in
+              let ds =
+                List.map
+                  (fun (_, _, _, d) ->
+                    { d with j_rhs = rewrite_calls targets d.j_rhs })
+                  defns
+              in
+              Some (strips, Join (JRec ds, rewrite_calls targets body))
+          end
+      in
+      let chosen =
+        List.filter_map
+          (fun ((x : var), (c : cell)) ->
+            match shape_of_usage c with
+            | Some s -> Some (x, s)
+            | None -> (
+                (* The binder may be used only in the rhss; guess its
+                   shape from its manifest arity. *)
+                if c.count > 0 then None
+                else
                   match
                     List.find_opt (fun ((y : var), _) -> var_equal x y) pairs
                   with
                   | None -> None
                   | Some (_, rhs) ->
-                      Option.map
-                        (fun (jv, d) -> (x, shape, jv, d))
-                        (candidate_defn x rhs shape))
-                chosen
-            in
-            if List.exists Option.is_none defns then begin
-              (* Groups contify only as a whole: the binders whose rhs
-                 did not strip are the culprits. *)
-              List.iter2
-                (fun (x, _) defn ->
-                  if Option.is_none defn then
-                    record_verdict x
-                      (Decision.Rejected Decision.Rhs_arity_mismatch))
-                chosen defns;
-              None
-            end
-            else
-              let defns = List.filter_map Fun.id defns in
-              (* Check typing proviso and tail-ness of recursive calls
-                 inside each stripped rhs. *)
-              let bad_types =
-                List.filter
-                  (fun (_, _, _, d) -> not (body_ty_matches d.j_rhs scope_ty))
-                  defns
-              in
-              if bad_types <> [] then begin
-                List.iter
-                  (fun (x, _, _, _) ->
-                    record_verdict x
-                      (Decision.Rejected Decision.Scope_type_mismatch))
-                  bad_types;
-                None
-              end
-              else
-                let rhs_usages =
-                  List.map (fun (_, _, _, d) -> Occur.of_expr d.j_rhs) defns
-                in
-                let total_usage =
-                  List.fold_left Occur.union body_usage rhs_usages
-                in
-                let bad_shapes =
-                  List.filter
-                    (fun ((x : var), shape, _, _) ->
-                      match shape_of_usage (Occur.lookup total_usage x) with
-                      | Some s -> s <> shape
-                      | None -> true)
-                    defns
-                in
-                if bad_shapes <> [] then begin
-                  List.iter
-                    (fun ((x : var), _, _, _) ->
-                      let i = Occur.lookup total_usage x in
-                      record_verdict x
-                        (Decision.Rejected
-                           (Option.value ~default:Decision.Shape_mismatch
-                              (usage_rejection i))))
-                    bad_shapes;
-                  None
-                end
-                else
-                  let targets =
-                    List.fold_left
-                      (fun m ((x : var), shape, jv, _) ->
-                        Ident.Map.add x.v_name (jv, shape) m)
-                      Ident.Map.empty defns
-                  in
-                  let ds =
-                    List.map
-                      (fun (_, _, _, d) ->
-                        { d with j_rhs = rewrite_calls targets d.j_rhs })
-                      defns
-                  in
-                  (* As for a single binding, rewriting calls into jumps
-                     leaves every usage as it was. *)
-                  let jb = JRec ds in
-                  Some
-                    ( Join (jb, rewrite_calls targets body),
-                      Occur.of_join jb
-                        ~rhss:(List.map2 (Occur.of_join_rhs jb) ds rhs_usages)
-                        ~body:body_usage )
-          in
-          let chosen =
-            List.filter_map
-              (fun ((x : var), (i : Occur.info)) ->
-                match shape_of_usage i with
-                | Some s -> Some (x, s)
-                | None -> (
-                    (* The binder may be used only in the rhss; guess
-                       its shape from its manifest arity. *)
-                    if i.count > 0 then None
-                    else
-                      match
-                        List.find_opt (fun ((y : var), _) -> var_equal x y) pairs
-                      with
-                      | None -> None
-                      | Some (_, rhs) ->
-                          let binders, _ = collect_binders rhs in
-                          let n_ty =
-                            List.length
-                              (List.filter
-                                 (function `Ty _ -> true | _ -> false)
-                                 binders)
-                          in
-                          let n_val =
-                            List.length
-                              (List.filter
-                                 (function `Val _ -> true | _ -> false)
-                                 binders)
-                          in
-                          Some (x, { Occur.n_ty; n_val })))
-              shapes
-          in
-          if List.length chosen <> List.length pairs then begin
-            (* The binders with no usable shape sink the whole group. *)
-            List.iter
-              (fun ((x : var), i) ->
-                if
-                  not (List.exists (fun ((y : var), _) -> var_equal x y) chosen)
-                then
-                  match usage_rejection i with
-                  | Some r -> record_verdict x (Decision.Rejected r)
-                  | None ->
-                      record_verdict x
-                        (Decision.Rejected Decision.Shape_mismatch))
-              shapes;
-            fallback ()
-          end
-          else
-            match try_with_shapes chosen with
-            | Some result ->
-                Telemetry.tick Telemetry.Contified_group;
-                Telemetry.tick ~n:(List.length pairs) Telemetry.Contified;
-                List.iter (fun (x, _) -> record_verdict x Decision.Fired) pairs;
-                result
-            | None -> fallback ()))
+                      let binders, _ = collect_binders rhs in
+                      let n_ty =
+                        List.length
+                          (List.filter
+                             (function `Ty _ -> true | _ -> false)
+                             binders)
+                      in
+                      let n_val =
+                        List.length
+                          (List.filter
+                             (function `Val _ -> true | _ -> false)
+                             binders)
+                      in
+                      Some (x, { n_ty; n_val })))
+          shapes
+      in
+      if List.length chosen <> List.length pairs then begin
+        (* The binders with no usable shape sink the whole group. *)
+        List.iter
+          (fun ((x : var), c) ->
+            if not (List.exists (fun ((y : var), _) -> var_equal x y) chosen)
+            then
+              match usage_rejection c with
+              | Some r -> record_verdict x (Decision.Rejected r)
+              | None ->
+                  record_verdict x (Decision.Rejected Decision.Shape_mismatch))
+          shapes;
+        fallback ()
+      end
+      else
+        match try_with_shapes chosen with
+        | Some (strips, result) ->
+            Telemetry.tick Telemetry.Contified_group;
+            Telemetry.tick ~n:(List.length pairs) Telemetry.Contified;
+            List.iter (fun (x, _) -> record_verdict x Decision.Fired) pairs;
+            List.iter2
+              (fun rfr s -> release fr ~dnt:(-s) ~dlam:(1 - s) rfr.waiting)
+              frames strips;
+            result
+        | None -> fallback ())
 
-(* An application spine. Value arguments are contified right to left,
-   then the head. *)
-and spine e =
-  let head0, args0 = collect_args e in
-  let rec go_args args =
-    match args with
-    | [] -> (args, [])
-    | arg :: rest0 -> (
-        let rest, ms = go_args rest0 in
-        match arg with
-        | `Ty _ -> ((if rest == rest0 then args else arg :: rest), ms)
-        | `Val a0 ->
-            let a, m = go a0 in
-            ( (if a == a0 && rest == rest0 then args else `Val a :: rest),
-              m :: ms ))
-  in
-  let args, ms = go_args args0 in
-  let rebuild head =
-    if head == head0 && args == args0 then e
-    else
-      List.fold_left
-        (fun f -> function `Ty t -> TyApp (f, t) | `Val a -> App (f, a))
-        head args
-  in
-  match head0 with
-  | Var v -> (rebuild head0, Occur.of_call ~tail:true v args ms)
-  | _ ->
-      let head, m = go head0 in
-      (rebuild head, Occur.of_apply ~head:m ms)
-
-(** One bottom-up pass turning every eligible [let] into a [join],
-    returning the new tree and its usage ({!Occur.of_expr} of it).
-    Idempotent; cheap enough to run "whenever the occurrence analyzer
-    runs" (Sec. 7). The usage describes the tree before the
-    ["contify/result"] fault point (identity unless armed, for the
-    {!Guard} recovery tests). *)
-let contify (e : expr) : expr * Occur.t =
-  let e, usage = go e in
-  (Fault.point "contify/result" e, usage)
+(** One walk turning every eligible [let] into a [join]. Idempotent;
+    cheap enough to run "whenever the occurrence analyzer runs"
+    (Sec. 7). The result passes the ["contify/result"] fault point
+    (identity unless armed, for the {!Guard} recovery tests). *)
+let contify (e : expr) : expr =
+  let fr = { cells = Ident.Tbl.create 16; fdepth = 0; waiting = [] } in
+  Fault.point "contify/result" (go fr ~nt:0 ~lam:0 e)
 
 (** [contify] under a private collector; returns the term and this
     invocation's contified-binding count. The ticks are re-emitted into
@@ -518,7 +602,7 @@ let contify (e : expr) : expr * Occur.t =
     still observes them. *)
 let contify_counted (e : expr) : expr * int =
   let c = Telemetry.create () in
-  let e', _ = Telemetry.with_counters c (fun () -> contify e) in
+  let e' = Telemetry.with_counters c (fun () -> contify e) in
   let n = Telemetry.get c Telemetry.Contified in
   let groups = Telemetry.get c Telemetry.Contified_group in
   if n > 0 then Telemetry.tick ~n Telemetry.Contified;

@@ -7,15 +7,16 @@
     {!contify_counted} — to read them. There is deliberately no global
     mutable counter any more. *)
 
-(** One bottom-up pass turning every eligible [let] into a [join]:
-    every occurrence must be a saturated tail call of consistent shape,
-    the right-hand side must supply matching binders, and the stripped
+(** One walk turning every eligible [let] into a [join]: every
+    occurrence must be a saturated tail call of consistent shape, the
+    right-hand side must supply matching binders, and the stripped
     body must have the scope's type (the Fig. 5 proviso). Idempotent,
-    typing- and meaning-preserving. Also returns the new tree's usage,
-    {!Occur.of_expr} of it, built alongside the tree: each binding
-    reads its binder's usage off its scope's rather than re-analysing
-    the scope. *)
-val contify : Syntax.expr -> Syntax.expr * Occur.t
+    typing- and meaning-preserving. Each binding is decided from a
+    mutable cell per binder that gathers its occurrences in the
+    contified scope as the walk meets them; no usage map is built.
+    Binders are assumed unique: none reuses the unique of an enclosing
+    [let]. *)
+val contify : Syntax.expr -> Syntax.expr
 
 (** [contify] plus this invocation's count of contified bindings — a
     convenience for callers that are not running under a pipeline

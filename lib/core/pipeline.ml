@@ -489,9 +489,7 @@ let run_report (c : config) (e : expr) : expr * report =
         let e = step (Fmt.str "float-in (%d)" i) Float_in.run e in
         let e =
           if c.mode = Join_points then
-            step (Fmt.str "contify (%d)" i)
-              (fun e -> fst (Contify.contify e))
-              e
+            step (Fmt.str "contify (%d)" i) Contify.contify e
           else e
         in
         let e =

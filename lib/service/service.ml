@@ -119,6 +119,66 @@ let lint_input denv core =
   | Ok _ -> ()
   | Error err -> raise (Permanent ("ill-typed", Fmt.str "%a" Lint.pp_error err))
 
+(* The first term binder of [e] that reuses the unique of a binder
+   whose scope it sits in. Lint accepts such a term, since its scope
+   table shadows, but the passes keep per-binder state keyed by unique
+   (Contify's cells), so they would miscompile it. The compiler's own
+   trees never rebind a unique, so only [.sexp] input is checked. *)
+let rebound_binder e =
+  let open Syntax in
+  let scope = Ident.Tbl.create 16 in
+  let exception Rebound of var in
+  let bind (x : var) =
+    if Ident.Tbl.mem scope x.v_name then raise (Rebound x);
+    Ident.Tbl.add scope x.v_name ()
+  and unbind (x : var) = Ident.Tbl.remove scope x.v_name in
+  let rec go = function
+    | Var _ | Lit _ -> ()
+    | App (f, a) ->
+        go f;
+        go a
+    | TyApp (b, _) | TyLam (_, b) -> go b
+    | Con (_, _, es) | Prim (_, es) | Jump (_, _, es, _) -> List.iter go es
+    | Lam (x, b) ->
+        bind x;
+        go b;
+        unbind x
+    | Let ((NonRec (x, rhs) | Strict (x, rhs)), body) ->
+        go rhs;
+        bind x;
+        go body;
+        unbind x
+    | Let (Rec pairs, body) ->
+        List.iter (fun (x, _) -> bind x) pairs;
+        List.iter (fun (_, rhs) -> go rhs) pairs;
+        go body;
+        List.iter (fun (x, _) -> unbind x) pairs
+    | Case (scrut, alts) ->
+        go scrut;
+        List.iter
+          (fun a ->
+            let xs = pat_binders a.alt_pat in
+            List.iter bind xs;
+            go a.alt_rhs;
+            List.iter unbind xs)
+          alts
+    | Join (JNonRec d, body) ->
+        defn d;
+        bind d.j_var;
+        go body;
+        unbind d.j_var
+    | Join (JRec ds, body) ->
+        List.iter (fun d -> bind d.j_var) ds;
+        List.iter defn ds;
+        go body;
+        List.iter (fun d -> unbind d.j_var) ds
+  and defn d =
+    List.iter bind d.j_params;
+    go d.j_rhs;
+    List.iter unbind d.j_params
+  in
+  match go e with () -> None | exception Rebound x -> Some x
+
 let load_source ~no_prelude ~path src =
   if is_sexp path then (
     match Sexp.read Datacon.builtins src with
@@ -128,6 +188,15 @@ let load_source ~no_prelude ~path src =
            they would be unlinted. *)
         Ident.with_supply (Ident.copy_supply ()) (fun () ->
             lint_input Datacon.builtins core);
+        (match rebound_binder core with
+        | None -> ()
+        | Some x ->
+            raise
+              (Permanent
+                 ( "bad-sexp",
+                   Fmt.str
+                     "binder %s.%d reuses the unique of a binder around it"
+                     (Ident.name x.v_name) (Ident.id x.v_name) )));
         (Datacon.builtins, core)
     | exception exn ->
         raise (Permanent ("bad-sexp", Printexc.to_string exn)))

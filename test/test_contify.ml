@@ -28,7 +28,7 @@ let count_joins e =
 
 let check_contify ?(expect_joins = 1) e =
   let _ = lints e in
-  let e', _ = Contify.contify e in
+  let e' = Contify.contify e in
   let _ = lints e' in
   same_result e e';
   Alcotest.(check int) "join points introduced" expect_joins (count_joins e');
@@ -153,7 +153,7 @@ let contify_everywhere () =
       (fun f -> B.if_ B.true_ (App (f, B.int 1)) (App (f, B.int 2)))
   in
   let e = B.lam "unused" Types.int (fun _ -> inner ()) in
-  let e', _ = Contify.contify e in
+  let e' = Contify.contify e in
   Alcotest.(check int) "contified under lambda" 1 (count_joins e')
 
 (* Once contified, jumps carry the right result type. *)
@@ -163,7 +163,7 @@ let jump_types_correct () =
       (B.lam "x" Types.int (fun x -> B.just Types.int x))
       (fun f -> B.if_ B.true_ (App (f, B.int 1)) (App (f, B.int 2)))
   in
-  let e', _ = Contify.contify e in
+  let e' = Contify.contify e in
   let ty = lints e' in
   Alcotest.check ty_testable "overall type" (B.maybe_ty Types.int) ty
 
@@ -174,8 +174,8 @@ let idempotent () =
       (B.lam "x" Types.int (fun x -> B.add x (B.int 1)))
       (fun f -> B.if_ B.true_ (App (f, B.int 1)) (App (f, B.int 2)))
   in
-  let e1, _ = Contify.contify e in
-  let e2, _ = Contify.contify e1 in
+  let e1 = Contify.contify e in
+  let e2 = Contify.contify e1 in
   Alcotest.(check int) "same join count" (count_joins e1) (count_joins e2);
   same_result e1 e2
 
@@ -197,30 +197,82 @@ let nullary_once_contified () =
   in
   ignore (check_contify ~expect_joins:1 e)
 
-(* The usage [contify] returns is [Occur.of_expr] of the tree it
-   returns, though built bottom-up alongside it: on every bench program
-   as elaborated, after Float In, and as the join-point pipeline leaves
-   it (joins already bound), and on generated programs. *)
-let returned_usage_is_of_expr () =
-  let check name e =
-    let e', usage = Contify.contify e in
-    if not (Ident.Map.equal ( = ) usage (Occur.of_expr e')) then
-      Alcotest.failf "%s: contify's usage differs from Occur.of_expr" name
+(* The immediate subterms of [e]. *)
+let children = function
+  | Var _ | Lit _ -> []
+  | Con (_, _, es) | Prim (_, es) | Jump (_, _, es, _) -> es
+  | App (f, a) -> [ f; a ]
+  | TyApp (b, _) | Lam (_, b) | TyLam (_, b) -> [ b ]
+  | Let (b, body) -> List.map snd (bind_pairs b) @ [ body ]
+  | Case (s, alts) -> s :: List.map (fun a -> a.alt_rhs) alts
+  | Join (jb, body) -> List.map (fun d -> d.j_rhs) (join_defns jb) @ [ body ]
+
+(* Run [f] on [e] from the current supply position: its result (or
+   what it raised), the ledger, the ticks and the supply position
+   after. The supply is put back where it was. *)
+let observe f e =
+  let start = Ident.counter_value () in
+  let l = Decision.create () and c = Telemetry.create () in
+  let out =
+    Decision.with_ledger l (fun () ->
+        Telemetry.with_counters c (fun () ->
+            match f e with
+            | e' -> Ok e'
+            | exception exn -> Error (Printexc.to_string exn)))
   in
-  List.iter
-    (fun (name, src) ->
-      let datacons, core = Fj_surface.Prelude.compile src in
-      check name core;
-      check (name ^ " after float-in") (Float_in.run core);
-      check (name ^ " compiled")
-        (Pipeline.run
-           (Pipeline.default_config ~mode:Pipeline.Join_points ~datacons ())
-           core))
-    (nofib ());
-  let st = Random.State.make [| 5 |] in
-  for i = 1 to 300 do
-    check (Fmt.str "generated program %d" i) (Gen.program st)
-  done
+  let after = Ident.counter_value () in
+  Ident.restore_counter start;
+  (out, Decision.events l, Telemetry.nonzero c, after)
+
+(* The one-walk contify against the map-based one it replaced
+   ({!Contify_ref}), on every pass input of the corpus, the examples
+   and Gen seeds 1-200 in all three modes: the same output tree, the
+   same nodes shared with the input, the same ledger, ticks and supply
+   position after. *)
+let matches_map_based_reference () =
+  let inputs = ref 0 and changed = ref 0 in
+  let check what e =
+    incr inputs;
+    let r, r_events, r_ticks, r_after =
+      observe (fun e -> fst (Contify_ref.contify e)) e
+    in
+    let n, n_events, n_ticks, n_after = observe Contify.contify e in
+    Ident.restore_counter n_after;
+    let r, n =
+      match (r, n) with
+      | Ok r, Ok n -> (r, n)
+      | Error m, Error m' when m = m' -> (e, e)
+      | _ -> Alcotest.failf "%s: only one contify raised" what
+    in
+    if compare_expr r n <> 0 then
+      Alcotest.failf "%s: outputs differ@.reference: %a@.one walk: %a" what
+        Pretty.pp r Pretty.pp n;
+    if n != e then incr changed;
+    (* Which output nodes are the input's own, found among the input's
+       nodes by structural hash, then identity. *)
+    let nodes = Hashtbl.create 256 in
+    let rec index e =
+      Hashtbl.add nodes (Hashtbl.hash e) e;
+      List.iter index (children e)
+    in
+    index e;
+    let shared e = List.memq e (Hashtbl.find_all nodes (Hashtbl.hash e)) in
+    let rec same_sharing r n =
+      let rs = shared r in
+      if rs <> shared n || (rs && r != n) then
+        Alcotest.failf "%s: the outputs share different nodes of the input"
+          what;
+      if not rs then List.iter2 same_sharing (children r) (children n)
+    in
+    same_sharing r n;
+    if r_events <> n_events then Alcotest.failf "%s: ledgers differ" what;
+    if r_ticks <> n_ticks then Alcotest.failf "%s: ticks differ" what;
+    if r_after <> n_after then
+      Alcotest.failf "%s: supply after %d, reference %d" what n_after r_after
+  in
+  every_pass_input check;
+  if !changed = 0 then
+    Alcotest.failf "none of %d inputs was changed by contify" !inputs
 
 let tests =
   [
@@ -236,6 +288,5 @@ let tests =
     test "idempotent" idempotent;
     test "shared nullary binding kept" nullary_shared_not_contified;
     test "once-used nullary contified" nullary_once_contified;
-    test "returned usage is Occur.of_expr of the output"
-      returned_usage_is_of_expr;
+    test "matches the map-based contify" matches_map_based_reference;
   ]

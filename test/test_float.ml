@@ -57,7 +57,7 @@ let moby_staging () =
   | Case (Let _, _) -> ()
   | _ -> Alcotest.failf "expected case-of-let, got %a" Pretty.pp e1);
   (* Now contification applies inside the scrutinee. *)
-  let e2, _ = Contify.contify e1 in
+  let e2 = Contify.contify e1 in
   let rec has_join = function
     | Join _ -> true
     | Case (s, alts) ->

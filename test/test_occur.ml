@@ -1,13 +1,20 @@
-(** Tests for {!Fj_core.Occur} — the occurrence/tail-call analysis of
-    Sec. 4 ("a free-variable analysis that also tracks whether each
-    free variable has appeared only in the holes of tail contexts"). *)
+(** Tests for the occurrence/tail-call analysis of Sec. 4 ("a
+    free-variable analysis that also tracks whether each free variable
+    has appeared only in the holes of tail contexts"), in the map form
+    the reference contify keeps, and for {!Fj_core.Occur}'s binder
+    census. *)
 
 open Fj_core
 open Syntax
 open Util
 module B = Builder
 
-let info_of e (x : var) = Occur.lookup (Occur.of_expr e) x
+(* The map-based occurrence analysis of the reference contify
+   ({!Contify_ref}): its tail-position rules are the ones Sec. 4
+   states. *)
+module Usage = Contify_ref.Occur
+
+let info_of e (x : var) = Usage.lookup (Usage.of_expr e) x
 
 let dead_and_once () =
   let x = mk_var "x" Types.int in
@@ -37,8 +44,8 @@ let tail_call_direct () =
   Alcotest.(check bool) "tail" true i.all_tail;
   (match i.shape with
   | Some s ->
-      Alcotest.(check int) "no ty args" 0 s.Occur.n_ty;
-      Alcotest.(check int) "one val arg" 1 s.Occur.n_val
+      Alcotest.(check int) "no ty args" 0 s.Usage.n_ty;
+      Alcotest.(check int) "one val arg" 1 s.Usage.n_val
   | None -> Alcotest.fail "expected a shape")
 
 let tail_through_case_branches () =
@@ -253,7 +260,7 @@ let once_safely () =
   let e = B.let_ "x" (B.int 1) (fun x -> B.add x (B.int 2)) in
   let x, scope = find_binder "x" e in
   Alcotest.(check bool) "once safe" true
-    (Occur.occurs_once_safely (Occur.of_expr (List.hd scope)) x);
+    (Usage.occurs_once_safely (Usage.of_expr (List.hd scope)) x);
   match Occur.use (Occur.census e) x with
   | Some u -> Alcotest.(check bool) "census: once, not under a lambda" true
                 (u.count = 1 && not u.under_lam)
@@ -282,12 +289,12 @@ let recursive_join_shape_tracked () =
   in
   List.iter
     (fun (where, scope) ->
-      let go = Occur.lookup (Occur.of_expr scope) go_var in
-      Alcotest.(check bool) (where ^ ": all tail") true go.Occur.all_tail;
-      match go.Occur.shape with
+      let go = Usage.lookup (Usage.of_expr scope) go_var in
+      Alcotest.(check bool) (where ^ ": all tail") true go.Usage.all_tail;
+      match go.Usage.shape with
       | Some s ->
-          Alcotest.(check int) (where ^ ": no ty args") 0 s.Occur.n_ty;
-          Alcotest.(check int) (where ^ ": one val arg") 1 s.Occur.n_val
+          Alcotest.(check int) (where ^ ": no ty args") 0 s.Usage.n_ty;
+          Alcotest.(check int) (where ^ ": one val arg") 1 s.Usage.n_val
       | None -> Alcotest.failf "%s: expected a consistent shape" where)
     [ ("body", body); ("rhs", rhs) ]
 
@@ -310,7 +317,7 @@ let under_lambda_escape_recorded () =
   Alcotest.(check int) "one occurrence" 1 fi.count;
   Alcotest.(check bool) "under a lambda" true fi.under_lam;
   Alcotest.(check bool) "not a tail call" false
-    (Occur.lookup (Occur.of_expr (List.hd scope)) f).all_tail
+    (Usage.lookup (Usage.of_expr (List.hd scope)) f).all_tail
 
 let rec_join_rhs_marks_work_dup () =
   (* An outer binding used inside a recursive join's rhs runs once per
@@ -338,7 +345,7 @@ let rec_join_rhs_marks_work_dup () =
   in
   Alcotest.(check bool) "work-dup flagged" true ki.under_lam;
   Alcotest.(check bool) "tail-ness preserved" true
-    (Occur.lookup (Occur.of_expr (List.hd scope)) k).all_tail
+    (Usage.lookup (Usage.of_expr (List.hd scope)) k).all_tail
 
 (* Every simplifier pass input of a compile, and what four more
    simplifier iterations make of each, caught through the pipeline's

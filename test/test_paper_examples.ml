@@ -184,7 +184,7 @@ let destroying_join_points_costs () =
     Simplify.simplify
       (Simplify.default_config ~join_points:true ~inline_threshold:tight
          ~dup_threshold:tight ())
-      (fst (Contify.contify prog))
+      (Contify.contify prog)
   in
   let apply e = B.app2 e B.true_ (B.int 5) in
   same_result (apply prog) (apply base);

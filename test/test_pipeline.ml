@@ -260,25 +260,6 @@ let cleanup_shares_unchanged () =
   Alcotest.(check bool) "unchanged" false changed;
   Alcotest.(check bool) "the same tree" true (e' == e)
 
-(* Every tree a compile hands a pass, caught through the pipeline's
-   pass hook, once each: a pass that changes nothing hands its input
-   on. *)
-let pass_inputs cfg e =
-  let inputs = ref [] in
-  let cache =
-    {
-      Pipeline.cache_lookup =
-        (fun ~pass:_ ~supply:_ ~input ->
-          (match !inputs with
-          | last :: _ when last == input -> ()
-          | _ -> inputs := input :: !inputs);
-          None);
-      cache_store = (fun ~pass:_ ~supply:_ ~input:_ _ -> ());
-    }
-  in
-  ignore (Pipeline.run { cfg with Pipeline.cache = Some cache } e);
-  List.rev !inputs
-
 (* The sharing rule Guard's skipped re-check rests on: each of the six
    passes returns its input itself exactly when its output equals it,
    on every pass input of the corpus, the examples and Gen seeds under
@@ -288,7 +269,7 @@ let passes_share_exactly_when_unchanged () =
   let passes =
     [
       ("float-in", Float_in.run);
-      ("contify", fun e -> fst (Contify.contify e));
+      ("contify", Contify.contify);
       ("spec-constr", Spec_constr.run);
       ("demand", Demand.strictify);
       ("cse", Cse.run);
@@ -308,25 +289,7 @@ let passes_share_exactly_when_unchanged () =
         bump (if e' == e then shared else changed) name)
       passes
   in
-  let sweep what build =
-    List.iter
-      (fun mode ->
-        Context.with_fresh (fun () ->
-            let datacons, e = build () in
-            let cfg = Pipeline.default_config ~mode ~datacons () in
-            List.iteri
-              (fun i e ->
-                check (Fmt.str "%s %s #%d" what (Pipeline.mode_name mode) i) e)
-              (pass_inputs cfg e)))
-      [ Pipeline.Join_points; Pipeline.Baseline; Pipeline.No_cc ]
-  in
-  List.iter
-    (fun (name, src) -> sweep name (fun () -> Fj_surface.Prelude.compile src))
-    (nofib () @ repo_files "examples/programs" ".fj");
-  for seed = 1 to 200 do
-    sweep (Fmt.str "seed %d" seed) (fun () ->
-        (Datacon.builtins, Gen.program_of_seed seed))
-  done;
+  every_pass_input check;
   List.iter
     (fun (name, _) ->
       if count shared name = 0 || count changed name = 0 then

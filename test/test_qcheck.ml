@@ -99,7 +99,7 @@ let simplify_baseline_preserves =
       Simplify.simplify (Simplify.default_config ~join_points:false ())
         (Erase.erase e))
 
-let contify_preserves = pass_preserves "contify" (fun e -> fst (Contify.contify e))
+let contify_preserves = pass_preserves "contify" Contify.contify
 
 let float_in_preserves =
   pass_preserves "float-in" Float_in.run
@@ -194,8 +194,8 @@ let occurrence_analysis_sound =
          a wrapper; here we validate on the root only. *)
       match e with
       | Let (NonRec (x, _), body) ->
-          let usage = Occur.of_expr body in
-          if Occur.is_dead usage x then not (occurs x.v_name body) else true
+          let usage = Contify_ref.Occur.of_expr body in
+          if Contify_ref.Occur.is_dead usage x then not (occurs x.v_name body) else true
       | _ -> true)
 
 let tests =

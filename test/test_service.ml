@@ -831,6 +831,51 @@ let sexp_input_linted () =
           (Service.status_name st)
   done
 
+(* A [.sexp] term in which the [Just] pattern rebinds [f.3], the
+   unique of the [let] around it. It lints (Lint's scope table
+   shadows) and evaluates to 30, but contify keys both binders to one
+   cell and would turn the pattern-bound call into a jump to the join
+   [f.3], which evaluates to 11. The service refuses it, naming the
+   binder. *)
+let sexp_rebinding_refused () =
+  let dir = fresh_dir "req" in
+  let p = Filename.concat dir "rebind.sexp" in
+  let int_fn = "(-> (tc Int) (tc Int))" in
+  let f = Printf.sprintf "(f.3 %s)" int_fn in
+  let g = Printf.sprintf "(g.6 %s)" int_fn in
+  let text =
+    String.concat "\n"
+      [
+        Printf.sprintf "(let %s" g;
+        " (lam (y.5 (tc Int)) (prim *# (var (y.5 (tc Int))) (lit (int 3))))";
+        Printf.sprintf " (let %s" f;
+        "  (lam (x.4 (tc Int)) (prim +# (var (x.4 (tc Int))) (lit (int 1))))";
+        "  (case (lit (int 5))";
+        Printf.sprintf "   (plit (int 0) (app (var %s) (lit (int 2))))" f;
+        Printf.sprintf "   (plit (int 2) (app (var %s) (lit (int 3))))" f;
+        "   (pdefault";
+        "    (case";
+        Printf.sprintf "     (con Just (%s) (var %s))" int_fn g;
+        Printf.sprintf "     (pcon Just (%s)" f;
+        Printf.sprintf "      (app (var %s) (lit (int 10))))" f;
+        "     (pdefault (lit (int 0))))))))";
+        "";
+      ]
+  in
+  write_file p text;
+  let core = Sexp.read Datacon.builtins text in
+  let _ = Util.lints core in
+  Util.result_is "30" core;
+  let b = Service.run_batch (config ()) [ ("rebind", p) ] in
+  (match b.Service.b_outcomes with
+  | [ { Service.status = Service.Rejected { kind; detail }; failures; _ } ] ->
+      Alcotest.(check string) "kind" "bad-sexp" kind;
+      Alcotest.(check string)
+        "detail" "binder f.3 reuses the unique of a binder around it" detail;
+      Alcotest.(check int) "no failures" 0 (List.length failures)
+  | _ -> Alcotest.fail "expected one rejected outcome");
+  Alcotest.(check int) "exit 1" 1 (Service.batch_exit_code b)
+
 let tests =
   [
     Alcotest.test_case "backoff: deterministic, jittered, capped" `Quick
@@ -885,4 +930,6 @@ let tests =
       serve_answers_each_request;
     Alcotest.test_case "batch: .sexp input is linted, output unchanged" `Quick
       sexp_input_linted;
+    Alcotest.test_case "batch: .sexp that rebinds a unique is refused" `Quick
+      sexp_rebinding_refused;
   ]

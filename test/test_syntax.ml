@@ -196,7 +196,9 @@ let agrees x e =
     Alcotest.failf "occurs %a = %b, free_vars says %b in@.%a" Ident.pp x
       (not expected) expected Pretty.pp e;
   let count =
-    (Occur.lookup (Occur.of_expr e) { v_name = x; v_ty = Types.int }).count
+    (Contify_ref.Occur.lookup (Contify_ref.Occur.of_expr e)
+       { v_name = x; v_ty = Types.int })
+      .count
   in
   Alcotest.(check int) "occurrences = Occur count" count
     (occurrences ~upto:max_int x e);

@@ -104,6 +104,51 @@ let nofib () =
     (fun (f, src) -> (Filename.chop_suffix f ".fj", src))
     (repo_files "fjbench/corpus" ".fj")
 
+(** Every tree a compile under [cfg] hands a pass, caught through the
+    pipeline's pass hook, once each: a pass that changes nothing hands
+    its input on. *)
+let pass_inputs cfg e =
+  let inputs = ref [] in
+  let cache =
+    {
+      Pipeline.cache_lookup =
+        (fun ~pass:_ ~supply:_ ~input ->
+          (match !inputs with
+          | last :: _ when last == input -> ()
+          | _ -> inputs := input :: !inputs);
+          None);
+      cache_store = (fun ~pass:_ ~supply:_ ~input:_ _ -> ());
+    }
+  in
+  ignore (Pipeline.run { cfg with Pipeline.cache = Some cache } e);
+  List.rev !inputs
+
+(** [every_pass_input check]: [check what e] on every pass input (see
+    {!pass_inputs}) of a compile of each [fjbench/corpus] and
+    [examples/programs] source and of Gen seeds 1-200, under each of
+    the three modes. Each program is built, and [check] runs, under a
+    fresh supply, the one its compile uses. *)
+let every_pass_input check =
+  let sweep what build =
+    List.iter
+      (fun mode ->
+        Context.with_fresh (fun () ->
+            let datacons, e = build () in
+            let cfg = Pipeline.default_config ~mode ~datacons () in
+            List.iteri
+              (fun i e ->
+                check (Fmt.str "%s %s #%d" what (Pipeline.mode_name mode) i) e)
+              (pass_inputs cfg e)))
+      [ Pipeline.Join_points; Pipeline.Baseline; Pipeline.No_cc ]
+  in
+  List.iter
+    (fun (name, src) -> sweep name (fun () -> Fj_surface.Prelude.compile src))
+    (nofib () @ repo_files "examples/programs" ".fj");
+  for seed = 1 to 200 do
+    sweep (Fmt.str "seed %d" seed) (fun () ->
+        (Datacon.builtins, Gen.program_of_seed seed))
+  done
+
 (** Quick alias: an optimisation preserves lint and meaning. *)
 let preserves ?(env = dc) name (pass : Syntax.expr -> Syntax.expr) e =
   ignore name;
