@@ -579,8 +579,9 @@ let handle_request cfg (id, path) =
       run []
 
 (* [jobs] workers pop requests until [queue] is closed and drained,
-   passing each outcome to [emit]; with [jobs <= 1] the one worker is
-   the calling domain. *)
+   passing each outcome to [emit]. The last worker is the calling
+   domain, so [jobs - 1] domains are spawned; they are joined even
+   when the caller's worker raises. *)
 let drain cfg ~jobs ~queue ~emit =
   let rec worker () =
     match Workqueue.pop queue with
@@ -589,8 +590,8 @@ let drain cfg ~jobs ~queue ~emit =
         emit (handle_request cfg req);
         worker ()
   in
-  if jobs <= 1 then worker ()
-  else List.iter Domain.join (List.init jobs (fun _ -> Domain.spawn worker))
+  let spawned = List.init (max 0 (jobs - 1)) (fun _ -> Domain.spawn worker) in
+  Fun.protect ~finally:(fun () -> List.iter Domain.join spawned) worker
 
 (* --- batch --------------------------------------------------------- *)
 

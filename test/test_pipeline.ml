@@ -297,6 +297,65 @@ let passes_share_exactly_when_unchanged () =
           (count shared name) (count changed name))
     passes
 
+(* The first term binder (λ, [let], [rec], pattern, join label or
+   parameter) of [e] whose unique an earlier binder of [e] already
+   has, wherever the two sit. *)
+let repeated_binder e =
+  let open Syntax in
+  let seen = Ident.Tbl.create 64 in
+  let exception Repeated of var in
+  let bind (x : var) =
+    if Ident.Tbl.mem seen x.v_name then raise (Repeated x);
+    Ident.Tbl.add seen x.v_name ()
+  in
+  let rec go = function
+    | Var _ | Lit _ -> ()
+    | App (f, a) ->
+        go f;
+        go a
+    | TyApp (b, _) | TyLam (_, b) -> go b
+    | Con (_, _, es) | Prim (_, es) | Jump (_, _, es, _) -> List.iter go es
+    | Lam (x, b) ->
+        bind x;
+        go b
+    | Let (bind', body) ->
+        List.iter
+          (fun (x, rhs) ->
+            bind x;
+            go rhs)
+          (bind_pairs bind');
+        go body
+    | Case (scrut, alts) ->
+        go scrut;
+        List.iter
+          (fun a ->
+            List.iter bind (pat_binders a.alt_pat);
+            go a.alt_rhs)
+          alts
+    | Join (jb, body) ->
+        List.iter
+          (fun d ->
+            bind d.j_var;
+            List.iter bind d.j_params;
+            go d.j_rhs)
+          (join_defns jb);
+        go body
+  in
+  match go e with () -> None | exception Repeated x -> Some x
+
+(* No two term binders of one tree share a unique, on every pass input
+   and every compile's output: the binder census's and Contify's cells
+   are keyed by unique, and the simplifier renames a binder only when
+   it meets its unique again. Stronger than the service's check of
+   [.sexp] input, which looks only at the binders around each one. *)
+let binders_are_unique () =
+  every_pass_input ~output:true (fun what e ->
+      match repeated_binder e with
+      | None -> ()
+      | Some x ->
+          Alcotest.failf "%s: two binders share the unique of %a" what Ident.pp
+            x.Syntax.v_name)
+
 let tests =
   [
     test "allocation ordering across configurations" ordering;
@@ -313,4 +372,5 @@ let tests =
     test "cleanup shares a tree it leaves unchanged" cleanup_shares_unchanged;
     test "passes return their input exactly when unchanged"
       passes_share_exactly_when_unchanged;
+    test "no two binders in a tree share a unique" binders_are_unique;
   ]

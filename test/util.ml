@@ -105,8 +105,8 @@ let nofib () =
     (repo_files "fjbench/corpus" ".fj")
 
 (** Every tree a compile under [cfg] hands a pass, caught through the
-    pipeline's pass hook, once each: a pass that changes nothing hands
-    its input on. *)
+    pipeline's pass hook, once each (a pass that changes nothing hands
+    its input on), and the compile's output. *)
 let pass_inputs cfg e =
   let inputs = ref [] in
   let cache =
@@ -120,25 +120,26 @@ let pass_inputs cfg e =
       cache_store = (fun ~pass:_ ~supply:_ ~input:_ _ -> ());
     }
   in
-  ignore (Pipeline.run { cfg with Pipeline.cache = Some cache } e);
-  List.rev !inputs
+  let output = Pipeline.run { cfg with Pipeline.cache = Some cache } e in
+  (List.rev !inputs, output)
 
 (** [every_pass_input check]: [check what e] on every pass input (see
     {!pass_inputs}) of a compile of each [fjbench/corpus] and
     [examples/programs] source and of Gen seeds 1-200, under each of
-    the three modes. Each program is built, and [check] runs, under a
-    fresh supply, the one its compile uses. *)
-let every_pass_input check =
+    the three modes, and with [~output:true] on each compile's output
+    too. Each program is built, and [check] runs, under a fresh supply,
+    the one its compile uses. *)
+let every_pass_input ?(output = false) check =
   let sweep what build =
     List.iter
       (fun mode ->
         Context.with_fresh (fun () ->
             let datacons, e = build () in
             let cfg = Pipeline.default_config ~mode ~datacons () in
-            List.iteri
-              (fun i e ->
-                check (Fmt.str "%s %s #%d" what (Pipeline.mode_name mode) i) e)
-              (pass_inputs cfg e)))
+            let what = Fmt.str "%s %s" what (Pipeline.mode_name mode) in
+            let inputs, out = pass_inputs cfg e in
+            List.iteri (fun i e -> check (Fmt.str "%s #%d" what i) e) inputs;
+            if output then check (what ^ " output") out))
       [ Pipeline.Join_points; Pipeline.Baseline; Pipeline.No_cc ]
   in
   List.iter
