@@ -47,7 +47,11 @@ let default_config ?(join_points = true) ?(case_of_case = true)
 
 type env = {
   cfg : config;
-  subst : Subst.t;  (** Pending renamings / substitutions. *)
+  terms : expr Ident.Tbl.t;
+      (** Pending renamings and substitutions of term variables, keyed
+          by binder: one table for the whole pass, each entry pushed
+          where its binder is met and popped where its scope ends. *)
+  tys : Types.t Ident.Map.t;  (** Pending type substitution. *)
   unf : expr Ident.Map.t;
       (** Unfoldings of in-scope (post-cloning) let binders whose
           right-hand sides are values; used for call-site inlining. *)
@@ -78,24 +82,55 @@ and cont_size = function
   | CCase (_, alts, k) ->
       List.fold_left (fun n a -> n + 1 + size a.alt_rhs) 1 alts + cont_size k
 
+let subst_ty env ty = Types.subst env.tys ty
+
 (* The type delivered by the continuation, given the type flowing into
    its hole. Uses [ty_of] on raw alternatives, whose binders carry
    their (substituted) types. *)
-let rec cont_res_ty env (k : cont) (hole_ty : Types.t) : Types.t =
+let rec cont_res_ty (k : cont) (hole_ty : Types.t) : Types.t =
   match k with
   | Stop -> hole_ty
   | CApp (_, _, k') -> (
       match hole_ty with
-      | Types.Arrow (_, r) -> cont_res_ty env k' r
+      | Types.Arrow (_, r) -> cont_res_ty k' r
       | _ -> raise (Ill_typed "cont_res_ty: application of non-function"))
   | CTyApp (t, k') -> (
       match hole_ty with
-      | Types.Forall (a, body) -> cont_res_ty env k' (Types.subst1 a t body)
+      | Types.Forall (a, body) -> cont_res_ty k' (Types.subst1 a t body)
       | _ -> raise (Ill_typed "cont_res_ty: instantiation of non-forall"))
   | CCase (aenv, alts, k') -> (
       match alts with
       | [] -> raise (Ill_typed "cont_res_ty: empty case")
-      | a :: _ -> cont_res_ty env k' (Subst.subst_ty aenv.subst (ty_of a.alt_rhs)))
+      | a :: _ -> cont_res_ty k' (subst_ty aenv (ty_of a.alt_rhs)))
+
+(* Code this pass has already produced is re-entered with no type
+   substitution: its types are already the output's. *)
+let reenter env = { env with tys = Ident.Map.empty }
+
+(* Clone a term binder: a fresh unique and the substituted type, with
+   the renaming pushed for the binder's scope ({!unbind} pops it). *)
+let clone_var env (x : var) =
+  let x' = { v_name = Ident.refresh x.v_name; v_ty = subst_ty env x.v_ty } in
+  Ident.Tbl.add env.terms x.v_name (Var x');
+  x'
+
+let clone_vars env xs = List.map (clone_var env) xs
+let unbind env (x : var) = Ident.Tbl.remove env.terms x.v_name
+let unbind_all env xs = List.iter (unbind env) xs
+
+(* Clone a type binder; the renaming extends the type substitution. *)
+let clone_tyvar env a =
+  let a' = Ident.refresh a in
+  (a', { env with tys = Ident.Map.add a (Types.Var a') env.tys })
+
+let clone_tyvars env tvs =
+  let rec go env acc = function
+    | [] -> (List.rev acc, env)
+    | a :: tvs ->
+        let a', env = clone_tyvar env a in
+        go env (a' :: acc) tvs
+  in
+  go env [] tvs
 
 (* ------------------------------------------------------------------ *)
 (* The simplifier                                                      *)
@@ -133,7 +168,7 @@ let record_pre_inline (x : var) (info : Occur.use) ~fired =
    binding is reached with a non-empty continuation, the context is
    passed into its body. Not a {!mark} — the traversal always does
    this; the tick merely attributes the commuting work. *)
-let tick_context_passed (_ : env) (k : cont) =
+let tick_context_passed (k : cont) =
   match k with
   | Stop -> ()
   | CCase _ -> Telemetry.tick Telemetry.Casefloat
@@ -142,18 +177,22 @@ let tick_context_passed (_ : env) (k : cont) =
 let rec simpl (env : env) (e : expr) (k : cont) : expr =
   match e with
   | Var v -> (
-      match Ident.Map.find_opt v.v_name env.subst.terms with
+      match Ident.Tbl.find_opt env.terms v.v_name with
+      | Some (Var v' as e') -> consider_inline env v' e' k
       | Some e' ->
           (* A pending substitution: [e'] is already simplified (it was
              a trivial expression or a once-used rhs). Re-enter so it
              can interact with the continuation. *)
-          simpl { env with subst = Subst.empty } e' k
+          simpl (reenter env) e' k
       | None ->
-          let v = { v with v_ty = Subst.subst_ty env.subst v.v_ty } in
-          consider_inline env v k)
+          let ty = subst_ty env v.v_ty in
+          if ty == v.v_ty then consider_inline env v e k
+          else
+            let v = { v with v_ty = ty } in
+            consider_inline env v (Var v) k)
   | Lit _ -> rebuild env e k
   | Con (dc, phis, es) ->
-      let phis = List.map (Subst.subst_ty env.subst) phis in
+      let phis = List.map (subst_ty env) phis in
       let es = List.map (fun e -> simpl env e Stop) es in
       rebuild env (Con (dc, phis, es)) k
   | Prim (op, es) -> (
@@ -172,7 +211,7 @@ let rec simpl (env : env) (e : expr) (k : cont) : expr =
             | None -> rebuild env (Prim (op, es)) k)
       else rebuild env (Prim (op, es)) k)
   | App (f, a) -> simpl env f (CApp (env, a, k))
-  | TyApp (f, t) -> simpl env f (CTyApp (Subst.subst_ty env.subst t, k))
+  | TyApp (f, t) -> simpl env f (CTyApp (subst_ty env t, k))
   | Lam (x, body) -> (
       match k with
       | CApp (aenv, arg, k') ->
@@ -181,32 +220,33 @@ let rec simpl (env : env) (e : expr) (k : cont) : expr =
           let arg' = simpl aenv arg Stop in
           bind_arg env x arg' (fun env' -> simpl env' body k')
       | _ ->
-          let x', s = Subst.clone_var env.subst x in
-          let body' = simpl { env with subst = s } body Stop in
+          let x' = clone_var env x in
+          let body' = simpl env body Stop in
+          unbind env x;
           rebuild env (Lam (x', body')) k)
   | TyLam (a, body) -> (
       match k with
       | CTyApp (t, k') ->
           (* beta_tau *)
           mark env Telemetry.Beta_tau;
-          simpl { env with subst = Subst.add_type a t env.subst } body k'
+          simpl { env with tys = Ident.Map.add a t env.tys } body k'
       | _ ->
-          let a', s = Subst.clone_tyvar env.subst a in
-          let body' = simpl { env with subst = s } body Stop in
+          let a', env' = clone_tyvar env a in
+          let body' = simpl env' body Stop in
           rebuild env (TyLam (a', body')) k)
   | Let (NonRec (x, rhs), body) ->
-      tick_context_passed env k;
+      tick_context_passed k;
       simpl_nonrec env x rhs body k
   | Let (Strict (x, rhs), body) ->
-      tick_context_passed env k;
+      tick_context_passed k;
       let rhs' = simpl env rhs Stop in
       if is_whnf rhs' || is_trivial rhs' then
         (* The demand is already satisfied: an ordinary binding now. *)
         bind_arg env x rhs' (fun env' -> simpl env' body k)
       else begin
-        let x', s = Subst.clone_var env.subst x in
-        let env' = { env with subst = s } in
-        let body' = simpl env' body k in
+        let x' = clone_var env x in
+        let body' = simpl env body k in
+        unbind env x;
         if
           (not (occurs x'.v_name body'))
           && Cleanup.ok_for_speculation rhs'
@@ -217,7 +257,7 @@ let rec simpl (env : env) (e : expr) (k : cont) : expr =
         else Let (Strict (x', rhs'), body')
       end
   | Let (Rec pairs, body) ->
-      tick_context_passed env k;
+      tick_context_passed k;
       (* Recursive binders never get unfoldings (GHC's loop breakers),
          so call-site inlining of them is off the table — say so. *)
       (if Decision.enabled () then
@@ -228,13 +268,13 @@ let rec simpl (env : env) (e : expr) (k : cont) : expr =
                (Decision.Rejected Decision.Loop_breaker))
            pairs);
       let xs = List.map fst pairs in
-      let xs', s = Subst.clone_vars env.subst xs in
-      let env' = { env with subst = s } in
+      let xs' = clone_vars env xs in
       let pairs' =
-        List.map2 (fun x' (_, rhs) -> (x', simpl env' rhs Stop)) xs' pairs
+        List.map2 (fun x' (_, rhs) -> (x', simpl env rhs Stop)) xs' pairs
       in
       (* The context passes the binding (the [float] axiom). *)
-      let body' = simpl env' body k in
+      let body' = simpl env body k in
+      unbind_all env xs;
       if
         List.for_all
           (fun (x' : var) -> not (occurs x'.v_name body'))
@@ -254,18 +294,18 @@ let rec simpl (env : env) (e : expr) (k : cont) : expr =
   | Join (jb, body) -> simpl_join env jb body k
   | Jump (j, phis, es, tau) ->
       let j' =
-        match Ident.Map.find_opt j.v_name env.subst.terms with
+        match Ident.Tbl.find_opt env.terms j.v_name with
         | Some (Var v) -> v
         | Some _ -> invalid_arg "Simplify: label mapped to non-variable"
-        | None -> { j with v_ty = Subst.subst_ty env.subst j.v_ty }
+        | None -> { j with v_ty = subst_ty env j.v_ty }
       in
-      let phis' = List.map (Subst.subst_ty env.subst) phis in
+      let phis' = List.map (subst_ty env) phis in
       let es' = List.map (fun e -> simpl env e Stop) es in
-      let tau0 = Subst.subst_ty env.subst tau in
+      let tau0 = subst_ty env tau in
       (* abort: the continuation is discarded; the jump claims the type
          the continuation would have delivered. *)
       if not (cont_is_stop k) then mark env Telemetry.Abort;
-      let tau' = cont_res_ty env k tau0 in
+      let tau' = cont_res_ty k tau0 in
       Jump (j', phis', es', tau')
 
 (* ------------------------------------------------------------------ *)
@@ -298,30 +338,40 @@ and bind_arg env (x : var) (arg' : expr) (body_k : env -> expr) : expr =
       mark env Telemetry.Pre_inline;
       record_pre_inline x info ~fired:true
     end;
-    body_k { env with subst = Subst.add_term x.v_name arg' env.subst }
+    substituting env x arg' body_k
   end
   else begin
     record_pre_inline x info ~fired:false;
-    let x', s = Subst.clone_var env.subst x in
+    let x' = clone_var env x in
     (* ANF-ise constructor right-hand sides so the unfolding can be
        duplicated without losing sharing of its fields. *)
-    anf_con env arg' (fun env arg'' ->
-        let env' =
-          {
-            env with
-            subst = s;
-            unf =
-              (if is_whnf arg'' then Ident.Map.add x'.v_name arg'' env.unf
-               else env.unf);
-          }
-        in
-        let body' = body_k env' in
-        if occurs x'.v_name body' then Let (NonRec (x', arg''), body')
-        else begin
-          mark env Telemetry.Drop;
-          body'
-        end)
+    let e =
+      anf_con env arg' (fun env arg'' ->
+          let env' =
+            {
+              env with
+              unf =
+                (if is_whnf arg'' then Ident.Map.add x'.v_name arg'' env.unf
+                 else env.unf);
+            }
+          in
+          let body' = body_k env' in
+          if occurs x'.v_name body' then Let (NonRec (x', arg''), body')
+          else begin
+            mark env Telemetry.Drop;
+            body'
+          end)
+    in
+    unbind env x;
+    e
   end
+
+(* [body_k] under the pending substitution of [arg'] for [x]. *)
+and substituting env (x : var) (arg' : expr) (body_k : env -> expr) : expr =
+  Ident.Tbl.add env.terms x.v_name arg';
+  let e = body_k env in
+  unbind env x;
+  e
 
 (* Give a constructor application trivial fields by let-binding any
    non-trivial ones. [k] receives the env (with unfoldings for the new
@@ -375,7 +425,7 @@ and simpl_nonrec env (x : var) rhs body k =
         mark env Telemetry.Pre_inline;
         record_pre_inline x info ~fired:true
       end;
-      simpl { env with subst = Subst.add_term x.v_name rhs' env.subst } body k
+      substituting env x rhs' (fun env -> simpl env body k)
     end
     else begin
       record_pre_inline x info ~fired:false;
@@ -386,23 +436,26 @@ and simpl_nonrec env (x : var) rhs body k =
    an unfolding, and continue with the body. The continuation [k] flows
    into the body — the [float] axiom. *)
 and bind_emit env (x : var) (rhs' : expr) (body_k : env -> expr) : expr =
-  let x0, s = Subst.clone_var env.subst x in
-  anf_con env rhs' (fun env rhs'' ->
-      let env' =
-        {
-          env with
-          subst = s;
-          unf =
-            (if is_whnf rhs'' then Ident.Map.add x0.v_name rhs'' env.unf
-             else env.unf);
-        }
-      in
-      let body' = body_k env' in
-      if occurs x0.v_name body' then Let (NonRec (x0, rhs''), body')
-      else begin
-        mark env Telemetry.Drop;
-        body'
-      end)
+  let x0 = clone_var env x in
+  let e =
+    anf_con env rhs' (fun env rhs'' ->
+        let env' =
+          {
+            env with
+            unf =
+              (if is_whnf rhs'' then Ident.Map.add x0.v_name rhs'' env.unf
+               else env.unf);
+          }
+        in
+        let body' = body_k env' in
+        if occurs x0.v_name body' then Let (NonRec (x0, rhs''), body')
+        else begin
+          mark env Telemetry.Drop;
+          body'
+        end)
+  in
+  unbind env x;
+  e
 
 
 (* ------------------------------------------------------------------ *)
@@ -438,8 +491,9 @@ and simpl_join env jb body k =
           wrap (simpl env body kdup)
         end
         else
-          let d', env_body = simpl_defn env d kdup in
-          let body' = simpl env_body body kdup in
+          let d' = simpl_defn env d kdup in
+          let body' = simpl env body kdup in
+          unbind env d.j_var;
           if occurs d'.j_var.v_name body' then
             wrap (Join (JNonRec d', body'))
           else begin
@@ -448,23 +502,19 @@ and simpl_join env jb body k =
           end
     | JRec ds ->
         let jvs = List.map (fun d -> d.j_var) ds in
-        let jvs', s = Subst.clone_vars env.subst jvs in
-        let env' = { env with subst = s } in
+        let jvs' = clone_vars env jvs in
         let ds' =
           List.map2
             (fun (jv' : var) d ->
-              let tvs', s' = Subst.clone_tyvars env'.subst d.j_tyvars in
-              let ps', s' = Subst.clone_vars s' d.j_params in
-              let denv = { env' with subst = s' } in
-              {
-                j_var = jv';
-                j_tyvars = tvs';
-                j_params = ps';
-                j_rhs = simpl denv d.j_rhs kdup;
-              })
+              let tvs', denv = clone_tyvars env d.j_tyvars in
+              let ps' = clone_vars denv d.j_params in
+              let rhs' = simpl denv d.j_rhs kdup in
+              unbind_all env d.j_params;
+              { j_var = jv'; j_tyvars = tvs'; j_params = ps'; j_rhs = rhs' })
             jvs' ds
         in
-        let body' = simpl env' body kdup in
+        let body' = simpl env body kdup in
+        unbind_all env jvs;
         let live =
           List.exists
             (fun (jv' : var) ->
@@ -480,16 +530,15 @@ and simpl_join env jb body k =
   end
 
 (* Simplify one non-recursive join definition under continuation [kdup];
-   returns the new definition and the body environment with the label
-   renamed. *)
+   returns the new definition, leaving the label's renaming pushed for
+   the body (the caller pops it). *)
 and simpl_defn env (d : join_defn) kdup =
-  let jv', s_body = Subst.clone_var env.subst d.j_var in
-  let tvs', s = Subst.clone_tyvars env.subst d.j_tyvars in
-  let ps', s = Subst.clone_vars s d.j_params in
-  let denv = { env with subst = s } in
+  let jv' = clone_var env d.j_var in
+  let tvs', denv = clone_tyvars env d.j_tyvars in
+  let ps' = clone_vars denv d.j_params in
   let rhs' = simpl denv d.j_rhs kdup in
-  ( { j_var = jv'; j_tyvars = tvs'; j_params = ps'; j_rhs = rhs' },
-    { env with subst = s_body } )
+  unbind_all env d.j_params;
+  { j_var = jv'; j_tyvars = tvs'; j_params = ps'; j_rhs = rhs' }
 
 (* ------------------------------------------------------------------ *)
 (* mk_dupable: prepare a continuation for duplication                   *)
@@ -511,13 +560,12 @@ and mk_dupable env (k : cont) : (expr -> expr) * cont =
   | CApp (aenv, arg, k') ->
       let wrap, k'' = mk_dupable env k' in
       let arg' = simpl aenv arg Stop in
-      if is_trivial arg' then
-        (wrap, CApp ({ env with subst = Subst.empty }, arg', k''))
+      if is_trivial arg' then (wrap, CApp (reenter env, arg', k''))
       else
         let ty = match ty_of arg' with t -> t | exception _ -> Types.bottom () in
         let a = mk_var "arg" ty in
         let wrap' e = wrap (Let (NonRec (a, arg'), e)) in
-        (wrap', CApp ({ env with subst = Subst.empty }, Var a, k''))
+        (wrap', CApp (reenter env, Var a, k''))
   | CCase (aenv, alts, k') ->
       let wrap, k'' = mk_dupable env k' in
       (* Simplify each alternative under k'' — this is where the outer
@@ -528,8 +576,9 @@ and mk_dupable env (k : cont) : (expr -> expr) * cont =
           (fun { alt_pat; alt_rhs } ->
             match alt_pat with
             | PCon (dc, xs) ->
-                let xs', s = Subst.clone_vars aenv.subst xs in
-                let rhs' = simpl { aenv with subst = s } alt_rhs k'' in
+                let xs' = clone_vars aenv xs in
+                let rhs' = simpl aenv alt_rhs k'' in
+                unbind_all aenv xs;
                 share_alt env wraps (PCon (dc, xs')) xs' rhs'
             | (PLit _ | PDefault) as p ->
                 let rhs' = simpl aenv alt_rhs k'' in
@@ -539,7 +588,7 @@ and mk_dupable env (k : cont) : (expr -> expr) * cont =
       let wrap_all e =
         wrap (List.fold_left (fun e w -> w e) e !wraps)
       in
-      (wrap_all, CCase ({ env with subst = Subst.empty }, alts', Stop))
+      (wrap_all, CCase (reenter env, alts', Stop))
 
 (* Share one simplified alternative: small ones are kept inline; large
    ones become a join point (or, in baseline mode, a let-bound
@@ -607,13 +656,13 @@ and rebuild env (e : expr) (k : cont) : expr =
   | Stop -> e
   | CApp (aenv, arg, k') -> (
       match e with
-      | Lam _ -> simpl { env with subst = Subst.empty } e k
+      | Lam _ -> simpl (reenter env) e k
       | _ ->
           let arg' = simpl aenv arg Stop in
           rebuild env (App (e, arg')) k')
   | CTyApp (t, k') -> (
       match e with
-      | TyLam _ -> simpl { env with subst = Subst.empty } e k
+      | TyLam _ -> simpl (reenter env) e k
       | _ -> rebuild env (TyApp (e, t)) k')
   | CCase (aenv, alts, k') -> rebuild_case env e aenv alts k'
 
@@ -684,8 +733,10 @@ and simpl_alts aenv alts k =
     (fun { alt_pat; alt_rhs } ->
       match alt_pat with
       | PCon (dc, xs) ->
-          let xs', s = Subst.clone_vars aenv.subst xs in
-          { alt_pat = PCon (dc, xs'); alt_rhs = simpl { aenv with subst = s } alt_rhs k }
+          let xs' = clone_vars aenv xs in
+          let rhs' = simpl aenv alt_rhs k in
+          unbind_all aenv xs;
+          { alt_pat = PCon (dc, xs'); alt_rhs = rhs' }
       | (PLit _ | PDefault) as p ->
           { alt_pat = p; alt_rhs = simpl aenv alt_rhs k })
     alts
@@ -694,20 +745,20 @@ and simpl_alts aenv alts k =
 (* Call-site inlining                                                  *)
 (* ------------------------------------------------------------------ *)
 
-and consider_inline env (v : var) (k : cont) : expr =
+and consider_inline env (v : var) (e : expr) (k : cont) : expr =
   match Ident.Map.find_opt v.v_name env.unf with
-  | None -> rebuild env (Var v) k
+  | None -> rebuild env e k
   | Some u ->
       let site = Ident.site v.v_name in
       let splice () =
         mark env Telemetry.Inline;
         Decision.record ~pass:dpass Decision.Inline ~site Decision.Fired;
-        simpl { env with subst = Subst.empty } (Subst.freshen u) k
+        simpl (reenter env) (Subst.freshen u) k
       in
       let reject reason =
         Decision.record ~pass:dpass Decision.Inline ~site
           (Decision.Rejected reason);
-        rebuild env (Var v) k
+        rebuild env e k
       in
       if is_trivial u then splice ()
       else
@@ -735,7 +786,8 @@ let run_pass (cfg : config) (e : expr) : expr * bool =
   let env =
     {
       cfg;
-      subst = Subst.empty;
+      terms = Ident.Tbl.create 16;
+      tys = Ident.Map.empty;
       unf = Ident.Map.empty;
       usage = Occur.census e;
       changed;

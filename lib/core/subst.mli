@@ -10,15 +10,6 @@ val empty : t
 val add_term : Ident.t -> Syntax.expr -> t -> t
 val add_type : Ident.t -> Types.t -> t -> t
 
-val subst_ty : t -> Types.t -> Types.t
-
-(** Refresh one binder, returning it and the extended substitution. *)
-val clone_var : t -> Syntax.var -> Syntax.var * t
-
-val clone_tyvar : t -> Ident.t -> Ident.t * t
-val clone_vars : t -> Syntax.var list -> Syntax.var list * t
-val clone_tyvars : t -> Ident.t list -> Ident.t list * t
-
 (** Apply a substitution to an expression. *)
 val expr : t -> Syntax.expr -> Syntax.expr
 
