@@ -20,7 +20,32 @@
     case-of-case must share the outer alternatives it binds them as
     ordinary [let]-bound functions — the paper's "ordinary let binding
     (as GHC does today)" — which both allocates and blocks further
-    commuting; in join mode it binds them as join points. *)
+    commuting; in join mode it binds them as join points.
+
+    {b Names.} A binder keeps its unique the first time a pass meets
+    it. It is cloned (a fresh unique, the renaming pushed for its
+    scope) only when the pass meets it again, because its code was
+    copied into several branches or is simplified a second time, or
+    while a substitution for its unique is pending. The pass's input
+    binds each unique once, so the output does too, and a substituted
+    term, whose free variables were all met before, cannot be
+    captured. This is GHC's rule: rename only what would shadow or is
+    duplicated (Peyton Jones and Marlow, "Secrets of the GHC
+    inliner"). Cloning every binder instead copied every node of every
+    iteration.
+
+    {b Usage.} Each decision reads a binder's usage from the census of
+    the pass's input. Code the pass has already produced (a pending
+    substitution, a lambda re-entered at a redex, the frames
+    [mk_dupable] rebuilt) is re-entered with conservative usage, even
+    where its binders kept their input uniques: the census describes
+    the input's occurrences, not those of the simplified copy. These
+    are the answers the pass read when it cloned every binder.
+
+    {b Sharing.} A node is rebuilt only when one of its parts changed;
+    the continuation's frames carry the node they were taken from for
+    that. So an iteration that rewrites nothing returns its input
+    itself, and {!Guard} does not Lint it again. *)
 
 open Syntax
 
@@ -51,25 +76,41 @@ type env = {
       (** Pending renamings and substitutions of term variables, keyed
           by binder: one table for the whole pass, each entry pushed
           where its binder is met and popped where its scope ends. *)
+  seen : unit Ident.Tbl.t;
+      (** The binders that kept their unique in this pass so far. *)
   tys : Types.t Ident.Map.t;  (** Pending type substitution. *)
   unf : expr Ident.Map.t;
-      (** Unfoldings of in-scope (post-cloning) let binders whose
-          right-hand sides are values; used for call-site inlining. *)
-  usage : Occur.census;  (** Binder usage, from pass start. *)
+      (** Unfoldings of in-scope let binders (by their output name)
+          whose right-hand sides are values; used for call-site
+          inlining. *)
+  usage : Occur.census option;
+      (** Binder usage, from pass start; [None] in code the pass has
+          already produced (see {!reenter}). *)
   changed : bool ref;
 }
 
-(** Usage of a binder; conservative for binders introduced mid-pass. *)
-let usage_of env (x : var) : Occur.use =
-  match Occur.use env.usage x with
-  | Some u -> u
-  | None -> { count = 2; under_lam = true }
+(* What a binder the census does not describe is assumed to do. *)
+let conservative : Occur.use = { count = 2; under_lam = true }
 
+(** Usage of a binder: the census's answer for a binder of the pass's
+    input, conservative for one of produced code or one introduced
+    mid-pass. *)
+let usage_of env (x : var) : Occur.use =
+  match env.usage with
+  | None -> conservative
+  | Some census -> (
+      match Occur.use census x with Some u -> u | None -> conservative)
+
+(* Each frame carries the node it was taken from, which {!rebuild}
+   returns itself when the parts it rebuilds come back unchanged. *)
 type cont =
   | Stop
-  | CApp of env * expr * cont  (** [[] e] with [e] not yet simplified. *)
-  | CTyApp of Types.t * cont  (** [[] tau], [tau] already substituted. *)
-  | CCase of env * alt list * cont  (** [case [] of alts]. *)
+  | CApp of env * expr * cont * expr
+      (** [[] e] with [e] not yet simplified; the [App] node. *)
+  | CTyApp of Types.t * cont * expr
+      (** [[] tau], [tau] already substituted; the [TyApp] node. *)
+  | CCase of env * alt list * cont * expr
+      (** [case [] of alts]; the [Case] node. *)
 
 let rec cont_is_stop = function
   | Stop -> true
@@ -77,9 +118,9 @@ let rec cont_is_stop = function
 
 and cont_size = function
   | Stop -> 0
-  | CApp (_, arg, k) -> 1 + size arg + cont_size k
-  | CTyApp (_, k) -> cont_size k
-  | CCase (_, alts, k) ->
+  | CApp (_, arg, k, _) -> 1 + size arg + cont_size k
+  | CTyApp (_, k, _) -> cont_size k
+  | CCase (_, alts, k, _) ->
       List.fold_left (fun n a -> n + 1 + size a.alt_rhs) 1 alts + cont_size k
 
 let subst_ty env ty = Types.subst env.tys ty
@@ -90,47 +131,95 @@ let subst_ty env ty = Types.subst env.tys ty
 let rec cont_res_ty (k : cont) (hole_ty : Types.t) : Types.t =
   match k with
   | Stop -> hole_ty
-  | CApp (_, _, k') -> (
+  | CApp (_, _, k', _) -> (
       match hole_ty with
       | Types.Arrow (_, r) -> cont_res_ty k' r
       | _ -> raise (Ill_typed "cont_res_ty: application of non-function"))
-  | CTyApp (t, k') -> (
+  | CTyApp (t, k', _) -> (
       match hole_ty with
       | Types.Forall (a, body) -> cont_res_ty k' (Types.subst1 a t body)
       | _ -> raise (Ill_typed "cont_res_ty: instantiation of non-forall"))
-  | CCase (aenv, alts, k') -> (
+  | CCase (aenv, alts, k', _) -> (
       match alts with
       | [] -> raise (Ill_typed "cont_res_ty: empty case")
       | a :: _ -> cont_res_ty k' (subst_ty aenv (ty_of a.alt_rhs)))
 
 (* Code this pass has already produced is re-entered with no type
-   substitution: its types are already the output's. *)
-let reenter env = { env with tys = Ident.Map.empty }
+   substitution, since its types are already the output's, and with
+   conservative usage: its binders may carry the uniques of input
+   binders, whose census entries describe the input's code, not this
+   copy. *)
+let reenter env = { env with tys = Ident.Map.empty; usage = None }
 
-(* Clone a term binder: a fresh unique and the substituted type, with
-   the renaming pushed for the binder's scope ({!unbind} pops it). *)
-let clone_var env (x : var) =
-  let x' = { v_name = Ident.refresh x.v_name; v_ty = subst_ty env x.v_ty } in
-  Ident.Tbl.add env.terms x.v_name (Var x');
-  x'
+(* The output binder for the term binder [x]. The first time the pass
+   meets [x]'s unique it keeps it, with its type substituted. Met again
+   (its code was copied, or is simplified a second time), or while a
+   substitution for it is pending, it is cloned: a fresh unique, with
+   the renaming pushed for its scope. So the output never binds one
+   unique twice, and a substituted term never meets a binder of one of
+   its free variables. {!unbind} pops the renaming. *)
+let name_var env (x : var) =
+  if Ident.Tbl.mem env.seen x.v_name || Ident.Tbl.mem env.terms x.v_name
+  then begin
+    let x' = { v_name = Ident.refresh x.v_name; v_ty = subst_ty env x.v_ty } in
+    Ident.Tbl.add env.terms x.v_name (Var x');
+    x'
+  end
+  else begin
+    Ident.Tbl.add env.seen x.v_name ();
+    let ty = subst_ty env x.v_ty in
+    if ty == x.v_ty then x else { x with v_ty = ty }
+  end
 
-let clone_vars env xs = List.map (clone_var env) xs
-let unbind env (x : var) = Ident.Tbl.remove env.terms x.v_name
-let unbind_all env xs = List.iter (unbind env) xs
+let name_vars env xs = map_shared (name_var env) xs
 
-(* Clone a type binder; the renaming extends the type substitution. *)
-let clone_tyvar env a =
-  let a' = Ident.refresh a in
-  (a', { env with tys = Ident.Map.add a (Types.Var a') env.tys })
+let unbind env (x : var) (x' : var) =
+  if not (Ident.equal x.v_name x'.v_name) then
+    Ident.Tbl.remove env.terms x.v_name
 
-let clone_tyvars env tvs =
-  let rec go env acc = function
-    | [] -> (List.rev acc, env)
-    | a :: tvs ->
-        let a', env = clone_tyvar env a in
-        go env (a' :: acc) tvs
-  in
-  go env [] tvs
+let rec unbind_all env xs xs' =
+  match (xs, xs') with
+  | x :: xs, x' :: xs' ->
+      unbind env x x';
+      unbind_all env xs xs'
+  | _ -> ()
+
+(* The same rule for a type binder. One that keeps its unique leaves
+   the type substitution as it is: empty, it keeps every type as it
+   is, where any entry would rebuild every type below and refresh
+   every quantifier. *)
+let name_tyvar env a =
+  if Ident.Tbl.mem env.seen a || Ident.Map.mem a env.tys then
+    let a' = Ident.refresh a in
+    (a', { env with tys = Ident.Map.add a (Types.Var a') env.tys })
+  else begin
+    Ident.Tbl.add env.seen a ();
+    (a, env)
+  end
+
+let rec name_tyvars env tvs =
+  match tvs with
+  | [] -> (tvs, env)
+  | a :: rest ->
+      let a', env = name_tyvar env a in
+      let rest', env = name_tyvars env rest in
+      ((if a' == a && rest' == rest then tvs else a' :: rest'), env)
+
+(* The sharing rule for the nodes {!rebuild} makes from a frame. *)
+let app node f a =
+  match node with
+  | App (f0, a0) when f0 == f && a0 == a -> node
+  | _ -> App (f, a)
+
+let ty_app node f t =
+  match node with
+  | TyApp (f0, t0) when f0 == f && t0 == t -> node
+  | _ -> TyApp (f, t)
+
+let case node scrut alts =
+  match node with
+  | Case (s0, alts0) when s0 == scrut && alts0 == alts -> node
+  | _ -> Case (scrut, alts)
 
 (* ------------------------------------------------------------------ *)
 (* The simplifier                                                      *)
@@ -174,6 +263,10 @@ let tick_context_passed (k : cont) =
   | CCase _ -> Telemetry.tick Telemetry.Casefloat
   | CApp _ | CTyApp _ -> Telemetry.tick Telemetry.Commute
 
+let is_lit = function Lit _ -> true | _ -> false
+
+(* Every node is rebuilt only when a part of it changed: a walk that
+   rewrites nothing returns its input itself. *)
 let rec simpl (env : env) (e : expr) (k : cont) : expr =
   match e with
   | Var v -> (
@@ -192,51 +285,67 @@ let rec simpl (env : env) (e : expr) (k : cont) : expr =
             consider_inline env v (Var v) k)
   | Lit _ -> rebuild env e k
   | Con (dc, phis, es) ->
-      let phis = List.map (subst_ty env) phis in
-      let es = List.map (fun e -> simpl env e Stop) es in
-      rebuild env (Con (dc, phis, es)) k
+      let phis' = map_shared (subst_ty env) phis in
+      let es' = map_shared (fun e -> simpl env e Stop) es in
+      rebuild env
+        (if phis' == phis && es' == es then e else Con (dc, phis', es'))
+        k
   | Prim (op, es) -> (
-      let es = List.map (fun e -> simpl env e Stop) es in
-      let lits = List.filter_map (function Lit l -> Some l | _ -> None) es in
-      if List.length lits = List.length es then
-        match Primop.fold_lit op lits with
-        | Some l ->
-            mark env Telemetry.Constant_fold;
-            rebuild env (Lit l) k
-        | None -> (
-            match Primop.fold_bool op lits with
-            | Some b ->
-                mark env Telemetry.Constant_fold;
-                rebuild env (Con (Datacon.of_bool b, [], [])) k
-            | None -> rebuild env (Prim (op, es)) k)
-      else rebuild env (Prim (op, es)) k)
-  | App (f, a) -> simpl env f (CApp (env, a, k))
-  | TyApp (f, t) -> simpl env f (CTyApp (subst_ty env t, k))
+      let es' = map_shared (fun e -> simpl env e Stop) es in
+      let folded =
+        if List.for_all is_lit es' then
+          let lits =
+            List.filter_map (function Lit l -> Some l | _ -> None) es'
+          in
+          match Primop.fold_lit op lits with
+          | Some l -> Some (Lit l)
+          | None -> (
+              match Primop.fold_bool op lits with
+              | Some b -> Some (Con (Datacon.of_bool b, [], []))
+              | None -> None)
+        else None
+      in
+      match folded with
+      | Some e' ->
+          mark env Telemetry.Constant_fold;
+          rebuild env e' k
+      | None -> rebuild env (if es' == es then e else Prim (op, es')) k)
+  | App (f, a) -> simpl env f (CApp (env, a, k, e))
+  | TyApp (f, t) -> simpl env f (CTyApp (subst_ty env t, k, e))
   | Lam (x, body) -> (
       match k with
-      | CApp (aenv, arg, k') ->
+      | CApp (aenv, arg, k', _) ->
           (* beta: bind the argument, continue into the body. *)
           mark env Telemetry.Beta;
           let arg' = simpl aenv arg Stop in
           bind_arg env x arg' (fun env' -> simpl env' body k')
       | _ ->
-          let x' = clone_var env x in
+          let x' = name_var env x in
           let body' = simpl env body Stop in
-          unbind env x;
-          rebuild env (Lam (x', body')) k)
+          unbind env x x';
+          rebuild env (if x' == x && body' == body then e else Lam (x', body')) k)
   | TyLam (a, body) -> (
       match k with
-      | CTyApp (t, k') ->
+      | CTyApp (t, k', _) ->
           (* beta_tau *)
           mark env Telemetry.Beta_tau;
           simpl { env with tys = Ident.Map.add a t env.tys } body k'
       | _ ->
-          let a', env' = clone_tyvar env a in
+          let a', env' = name_tyvar env a in
           let body' = simpl env' body Stop in
-          rebuild env (TyLam (a', body')) k)
+          rebuild env
+            (if a' == a && body' == body then e else TyLam (a', body'))
+            k)
   | Let (NonRec (x, rhs), body) ->
       tick_context_passed k;
-      simpl_nonrec env x rhs body k
+      if (usage_of env x).count = 0 then begin
+        (* drop (dead code): never simplify nor emit the rhs. *)
+        mark env Telemetry.Drop;
+        simpl env body k
+      end
+      else
+        bind_arg ~node:e env x (simpl env rhs Stop) (fun env' ->
+            simpl env' body k)
   | Let (Strict (x, rhs), body) ->
       tick_context_passed k;
       let rhs' = simpl env rhs Stop in
@@ -244,9 +353,9 @@ let rec simpl (env : env) (e : expr) (k : cont) : expr =
         (* The demand is already satisfied: an ordinary binding now. *)
         bind_arg env x rhs' (fun env' -> simpl env' body k)
       else begin
-        let x' = clone_var env x in
+        let x' = name_var env x in
         let body' = simpl env body k in
-        unbind env x;
+        unbind env x x';
         if
           (not (occurs x'.v_name body'))
           && Cleanup.ok_for_speculation rhs'
@@ -254,6 +363,7 @@ let rec simpl (env : env) (e : expr) (k : cont) : expr =
           mark env Telemetry.Drop;
           body'
         end
+        else if x' == x && rhs' == rhs && body' == body then e
         else Let (Strict (x', rhs'), body')
       end
   | Let (Rec pairs, body) ->
@@ -268,45 +378,52 @@ let rec simpl (env : env) (e : expr) (k : cont) : expr =
                (Decision.Rejected Decision.Loop_breaker))
            pairs);
       let xs = List.map fst pairs in
-      let xs' = clone_vars env xs in
-      let pairs' =
-        List.map2 (fun x' (_, rhs) -> (x', simpl env rhs Stop)) xs' pairs
+      let xs' = name_vars env xs in
+      let rec rhss pairs xs' =
+        match (pairs, xs') with
+        | ((x, rhs) as p) :: rest, x' :: xs' ->
+            let rhs' = simpl env rhs Stop in
+            let rest' = rhss rest xs' in
+            if x' == x && rhs' == rhs && rest' == rest then pairs
+            else (if x' == x && rhs' == rhs then p else (x', rhs')) :: rest'
+        | _ -> []
       in
+      let pairs' = rhss pairs xs' in
       (* The context passes the binding (the [float] axiom). *)
       let body' = simpl env body k in
-      unbind_all env xs;
+      unbind_all env xs xs';
       if
         List.for_all
-          (fun (x' : var) -> not (occurs x'.v_name body'))
-          (List.map fst pairs')
-        && List.for_all
-             (fun (x' : var) ->
-               List.for_all
-                 (fun (_, rhs') -> not (occurs x'.v_name rhs'))
-                 pairs')
-             (List.map fst pairs')
+          (fun ((x' : var), _) ->
+            (not (occurs x'.v_name body'))
+            && List.for_all (fun (_, rhs') -> not (occurs x'.v_name rhs')) pairs')
+          pairs'
       then begin
         mark env Telemetry.Drop;
         body'
       end
+      else if pairs' == pairs && body' == body then e
       else Let (Rec pairs', body')
-  | Case (scrut, alts) -> simpl env scrut (CCase (env, alts, k))
-  | Join (jb, body) -> simpl_join env jb body k
+  | Case (scrut, alts) -> simpl env scrut (CCase (env, alts, k, e))
+  | Join (jb, body) -> simpl_join env e jb body k
   | Jump (j, phis, es, tau) ->
       let j' =
         match Ident.Tbl.find_opt env.terms j.v_name with
         | Some (Var v) -> v
         | Some _ -> invalid_arg "Simplify: label mapped to non-variable"
-        | None -> { j with v_ty = subst_ty env j.v_ty }
+        | None ->
+            let ty = subst_ty env j.v_ty in
+            if ty == j.v_ty then j else { j with v_ty = ty }
       in
-      let phis' = List.map (subst_ty env) phis in
-      let es' = List.map (fun e -> simpl env e Stop) es in
+      let phis' = map_shared (subst_ty env) phis in
+      let es' = map_shared (fun e -> simpl env e Stop) es in
       let tau0 = subst_ty env tau in
       (* abort: the continuation is discarded; the jump claims the type
          the continuation would have delivered. *)
       if not (cont_is_stop k) then mark env Telemetry.Abort;
       let tau' = cont_res_ty k tau0 in
-      Jump (j', phis', es', tau')
+      if j' == j && phis' == phis && es' == es && tau' == tau then e
+      else Jump (j', phis', es', tau')
 
 (* ------------------------------------------------------------------ *)
 (* Binding                                                             *)
@@ -324,10 +441,14 @@ and once_inlinable (info : Occur.use) (rhs' : expr) =
      || match rhs' with Lam _ | TyLam _ -> true | _ -> false)
 
 (* Bind [x] to the already-simplified [arg'] around [body_k]. Trivial
-   arguments and work-safe once-used arguments are substituted;
-   otherwise a let is built (and an unfolding recorded if the rhs is a
-   value). Dead binders are dropped (sound under call-by-name/need). *)
-and bind_arg env (x : var) (arg' : expr) (body_k : env -> expr) : expr =
+   arguments and work-safe once-used arguments are substituted
+   (preInlineUnconditionally); otherwise a let is built (and an
+   unfolding recorded if the rhs is a value), into whose body the
+   continuation flows — the [float] axiom. Dead binders are dropped
+   (sound under call-by-name/need). [node] is the [let] being
+   simplified, returned itself when nothing in it changed. *)
+and bind_arg ?node env (x : var) (arg' : expr) (body_k : env -> expr) : expr
+    =
   let info = usage_of env x in
   if info.count = 0 then begin
     mark env Telemetry.Drop;
@@ -338,11 +459,14 @@ and bind_arg env (x : var) (arg' : expr) (body_k : env -> expr) : expr =
       mark env Telemetry.Pre_inline;
       record_pre_inline x info ~fired:true
     end;
-    substituting env x arg' body_k
+    Ident.Tbl.add env.terms x.v_name arg';
+    let e = body_k env in
+    Ident.Tbl.remove env.terms x.v_name;
+    e
   end
   else begin
     record_pre_inline x info ~fired:false;
-    let x' = clone_var env x in
+    let x' = name_var env x in
     (* ANF-ise constructor right-hand sides so the unfolding can be
        duplicated without losing sharing of its fields. *)
     let e =
@@ -356,22 +480,20 @@ and bind_arg env (x : var) (arg' : expr) (body_k : env -> expr) : expr =
             }
           in
           let body' = body_k env' in
-          if occurs x'.v_name body' then Let (NonRec (x', arg''), body')
+          if occurs x'.v_name body' then
+            match node with
+            | Some (Let (NonRec (x0, rhs0), body0) as node)
+              when x0 == x' && rhs0 == arg'' && body0 == body' ->
+                node
+            | _ -> Let (NonRec (x', arg''), body')
           else begin
             mark env Telemetry.Drop;
             body'
           end)
     in
-    unbind env x;
+    unbind env x x';
     e
   end
-
-(* [body_k] under the pending substitution of [arg'] for [x]. *)
-and substituting env (x : var) (arg' : expr) (body_k : env -> expr) : expr =
-  Ident.Tbl.add env.terms x.v_name arg';
-  let e = body_k env in
-  unbind env x;
-  e
 
 (* Give a constructor application trivial fields by let-binding any
    non-trivial ones. [k] receives the env (with unfoldings for the new
@@ -410,62 +532,14 @@ and anf_con env (e : expr) (k : env -> expr -> expr) : expr =
       go env [] Fun.id args
   | _ -> k env e
 
-and simpl_nonrec env (x : var) rhs body k =
-  let info = usage_of env x in
-  if info.count = 0 then begin
-    (* drop (dead code): never simplify nor emit the rhs. *)
-    mark env Telemetry.Drop;
-    simpl env body k
-  end
-  else
-    let rhs' = simpl env rhs Stop in
-    if is_trivial rhs' || once_inlinable info rhs' then begin
-      (* preInlineUnconditionally: substitute the simplified rhs. *)
-      if not (is_trivial rhs') then begin
-        mark env Telemetry.Pre_inline;
-        record_pre_inline x info ~fired:true
-      end;
-      substituting env x rhs' (fun env -> simpl env body k)
-    end
-    else begin
-      record_pre_inline x info ~fired:false;
-      bind_emit env x rhs' (fun env' -> simpl env' body k)
-    end
-
-(* Emit a let binding for [x] = [rhs'] (already simplified), recording
-   an unfolding, and continue with the body. The continuation [k] flows
-   into the body — the [float] axiom. *)
-and bind_emit env (x : var) (rhs' : expr) (body_k : env -> expr) : expr =
-  let x0 = clone_var env x in
-  let e =
-    anf_con env rhs' (fun env rhs'' ->
-        let env' =
-          {
-            env with
-            unf =
-              (if is_whnf rhs'' then Ident.Map.add x0.v_name rhs'' env.unf
-               else env.unf);
-          }
-        in
-        let body' = body_k env' in
-        if occurs x0.v_name body' then Let (NonRec (x0, rhs''), body')
-        else begin
-          mark env Telemetry.Drop;
-          body'
-        end)
-  in
-  unbind env x;
-  e
-
-
 (* ------------------------------------------------------------------ *)
 (* Join points                                                         *)
 (* ------------------------------------------------------------------ *)
 
 (* jfloat: the continuation is made duplicable, then copied into every
    right-hand side and the body. The join binder itself keeps its
-   bottom-returning type. *)
-and simpl_join env jb body k =
+   bottom-returning type. [node] is the [join] being simplified. *)
+and simpl_join env node jb body k =
   if not env.cfg.join_points then begin
     (* The baseline IR has no join points; demote defensively. *)
     Telemetry.tick Telemetry.Demote;
@@ -491,30 +565,30 @@ and simpl_join env jb body k =
           wrap (simpl env body kdup)
         end
         else
-          let d' = simpl_defn env d kdup in
+          let jv' = name_var env d.j_var in
+          let d' = simpl_defn env jv' d kdup in
           let body' = simpl env body kdup in
-          unbind env d.j_var;
-          if occurs d'.j_var.v_name body' then
-            wrap (Join (JNonRec d', body'))
+          unbind env d.j_var jv';
+          if occurs jv'.v_name body' then
+            wrap (if d' == d && body' == body then node else Join (JNonRec d', body'))
           else begin
             mark env Telemetry.Jdrop;
             wrap body'
           end
     | JRec ds ->
         let jvs = List.map (fun d -> d.j_var) ds in
-        let jvs' = clone_vars env jvs in
-        let ds' =
-          List.map2
-            (fun (jv' : var) d ->
-              let tvs', denv = clone_tyvars env d.j_tyvars in
-              let ps' = clone_vars denv d.j_params in
-              let rhs' = simpl denv d.j_rhs kdup in
-              unbind_all env d.j_params;
-              { j_var = jv'; j_tyvars = tvs'; j_params = ps'; j_rhs = rhs' })
-            jvs' ds
+        let jvs' = name_vars env jvs in
+        let rec defns ds jvs' =
+          match (ds, jvs') with
+          | d :: rest, jv' :: jvs' ->
+              let d' = simpl_defn env jv' d kdup in
+              let rest' = defns rest jvs' in
+              if d' == d && rest' == rest then ds else d' :: rest'
+          | _ -> []
         in
+        let ds' = defns ds jvs' in
         let body' = simpl env body kdup in
-        unbind_all env jvs;
+        unbind_all env jvs jvs';
         let live =
           List.exists
             (fun (jv' : var) ->
@@ -522,23 +596,24 @@ and simpl_join env jb body k =
               || List.exists (fun d -> occurs jv'.v_name d.j_rhs) ds')
             jvs'
         in
-        if live then wrap (Join (JRec ds', body'))
+        if live then
+          wrap (if ds' == ds && body' == body then node else Join (JRec ds', body'))
         else begin
           mark env Telemetry.Jdrop;
           wrap body'
         end
   end
 
-(* Simplify one non-recursive join definition under continuation [kdup];
-   returns the new definition, leaving the label's renaming pushed for
-   the body (the caller pops it). *)
-and simpl_defn env (d : join_defn) kdup =
-  let jv' = clone_var env d.j_var in
-  let tvs', denv = clone_tyvars env d.j_tyvars in
-  let ps' = clone_vars denv d.j_params in
+(* Simplify one join definition, whose label is already named [jv'],
+   under continuation [kdup]. *)
+and simpl_defn env jv' (d : join_defn) kdup =
+  let tvs', denv = name_tyvars env d.j_tyvars in
+  let ps' = name_vars denv d.j_params in
   let rhs' = simpl denv d.j_rhs kdup in
-  unbind_all env d.j_params;
-  { j_var = jv'; j_tyvars = tvs'; j_params = ps'; j_rhs = rhs' }
+  unbind_all env d.j_params ps';
+  if jv' == d.j_var && tvs' == d.j_tyvars && ps' == d.j_params && rhs' == d.j_rhs
+  then d
+  else { j_var = jv'; j_tyvars = tvs'; j_params = ps'; j_rhs = rhs' }
 
 (* ------------------------------------------------------------------ *)
 (* mk_dupable: prepare a continuation for duplication                   *)
@@ -549,24 +624,25 @@ and simpl_defn env (d : join_defn) kdup =
    case continuation with large alternatives, the alternatives are
    bound as join points (join mode) or let-bound functions (baseline
    mode — "as GHC does today", which is precisely what destroys the
-   optimisation and costs allocation, Sec. 2). *)
+   optimisation and costs allocation, Sec. 2). The frames it builds
+   hold produced code, so they re-enter it ({!reenter}). *)
 and mk_dupable env (k : cont) : (expr -> expr) * cont =
   match k with
   | Stop -> (Fun.id, Stop)
   | _ when cont_size k <= env.cfg.dup_threshold -> (Fun.id, k)
-  | CTyApp (t, k') ->
+  | CTyApp (t, k', node) ->
       let wrap, k'' = mk_dupable env k' in
-      (wrap, CTyApp (t, k''))
-  | CApp (aenv, arg, k') ->
+      (wrap, CTyApp (t, k'', node))
+  | CApp (aenv, arg, k', node) ->
       let wrap, k'' = mk_dupable env k' in
       let arg' = simpl aenv arg Stop in
-      if is_trivial arg' then (wrap, CApp (reenter env, arg', k''))
+      if is_trivial arg' then (wrap, CApp (reenter env, arg', k'', node))
       else
         let ty = match ty_of arg' with t -> t | exception _ -> Types.bottom () in
         let a = mk_var "arg" ty in
         let wrap' e = wrap (Let (NonRec (a, arg'), e)) in
-        (wrap', CApp (reenter env, Var a, k''))
-  | CCase (aenv, alts, k') ->
+        (wrap', CApp (reenter env, Var a, k'', node))
+  | CCase (aenv, alts, k', node) ->
       let wrap, k'' = mk_dupable env k' in
       (* Simplify each alternative under k'' — this is where the outer
          context is absorbed — then share any large result. *)
@@ -576,9 +652,9 @@ and mk_dupable env (k : cont) : (expr -> expr) * cont =
           (fun { alt_pat; alt_rhs } ->
             match alt_pat with
             | PCon (dc, xs) ->
-                let xs' = clone_vars aenv xs in
+                let xs' = name_vars aenv xs in
                 let rhs' = simpl aenv alt_rhs k'' in
-                unbind_all aenv xs;
+                unbind_all aenv xs xs';
                 share_alt env wraps (PCon (dc, xs')) xs' rhs'
             | (PLit _ | PDefault) as p ->
                 let rhs' = simpl aenv alt_rhs k'' in
@@ -588,7 +664,7 @@ and mk_dupable env (k : cont) : (expr -> expr) * cont =
       let wrap_all e =
         wrap (List.fold_left (fun e w -> w e) e !wraps)
       in
-      (wrap_all, CCase (reenter env, alts', Stop))
+      (wrap_all, CCase (reenter env, alts', Stop, node))
 
 (* Share one simplified alternative: small ones are kept inline; large
    ones become a join point (or, in baseline mode, a let-bound
@@ -654,19 +730,19 @@ and share_alt env wraps pat (xs : var list) (rhs' : expr) : alt =
 and rebuild env (e : expr) (k : cont) : expr =
   match k with
   | Stop -> e
-  | CApp (aenv, arg, k') -> (
+  | CApp (aenv, arg, k', node) -> (
       match e with
       | Lam _ -> simpl (reenter env) e k
       | _ ->
           let arg' = simpl aenv arg Stop in
-          rebuild env (App (e, arg')) k')
-  | CTyApp (t, k') -> (
+          rebuild env (app node e arg') k')
+  | CTyApp (t, k', node) -> (
       match e with
       | TyLam _ -> simpl (reenter env) e k
-      | _ -> rebuild env (TyApp (e, t)) k')
-  | CCase (aenv, alts, k') -> rebuild_case env e aenv alts k'
+      | _ -> rebuild env (ty_app node e t) k')
+  | CCase (aenv, alts, k', node) -> rebuild_case env e aenv alts k' node
 
-and rebuild_case env scrut aenv alts k' =
+and rebuild_case env scrut aenv alts k' node =
   match scrut with
   | Con (dc, _, args) -> (
       (* case-of-known-constructor *)
@@ -693,7 +769,7 @@ and rebuild_case env scrut aenv alts k' =
       | _ ->
           (* No alternative can match: this is dead code, but we have no
              way to express that; rebuild as-is. *)
-          rebuild_case_neutral env scrut aenv alts k')
+          rebuild_case_neutral env scrut aenv alts k' node)
   | Lit l -> (
       let pick { alt_pat; _ } =
         match alt_pat with PLit l' -> Literal.equal l l' | _ -> false
@@ -705,10 +781,10 @@ and rebuild_case env scrut aenv alts k' =
       | Some { alt_rhs; _ }, _ | None, Some { alt_rhs; _ } ->
           mark env Telemetry.Case_of_known;
           simpl aenv alt_rhs k'
-      | _ -> rebuild_case_neutral env scrut aenv alts k')
-  | _ -> rebuild_case_neutral env scrut aenv alts k'
+      | _ -> rebuild_case_neutral env scrut aenv alts k' node)
+  | _ -> rebuild_case_neutral env scrut aenv alts k' node
 
-and rebuild_case_neutral env scrut aenv alts k' =
+and rebuild_case_neutral env scrut aenv alts k' node =
   (* case-elim: [case x of _ -> rhs] when [x] is known evaluated. *)
   match (alts, scrut) with
   | [ { alt_pat = PDefault; alt_rhs } ], Var v
@@ -722,29 +798,36 @@ and rebuild_case_neutral env scrut aenv alts k' =
         Telemetry.tick Telemetry.Case_of_case;
         let wrap, kdup = mk_dupable env k' in
         let alts' = simpl_alts aenv alts kdup in
-        wrap (Case (scrut, alts'))
+        wrap (case node scrut alts')
       end
       else
         let alts' = simpl_alts aenv alts Stop in
-        rebuild env (Case (scrut, alts')) k'
+        rebuild env (case node scrut alts') k'
 
 and simpl_alts aenv alts k =
-  List.map
-    (fun { alt_pat; alt_rhs } ->
-      match alt_pat with
+  map_shared
+    (fun a ->
+      match a.alt_pat with
       | PCon (dc, xs) ->
-          let xs' = clone_vars aenv xs in
-          let rhs' = simpl aenv alt_rhs k in
-          unbind_all aenv xs;
-          { alt_pat = PCon (dc, xs'); alt_rhs = rhs' }
-      | (PLit _ | PDefault) as p ->
-          { alt_pat = p; alt_rhs = simpl aenv alt_rhs k })
+          let xs' = name_vars aenv xs in
+          let rhs' = simpl aenv a.alt_rhs k in
+          unbind_all aenv xs xs';
+          if xs' == xs && rhs' == a.alt_rhs then a
+          else
+            {
+              alt_pat = (if xs' == xs then a.alt_pat else PCon (dc, xs'));
+              alt_rhs = rhs';
+            }
+      | PLit _ | PDefault ->
+          let rhs' = simpl aenv a.alt_rhs k in
+          if rhs' == a.alt_rhs then a else { a with alt_rhs = rhs' })
     alts
 
 (* ------------------------------------------------------------------ *)
 (* Call-site inlining                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* [e] is the occurrence [Var v]. *)
 and consider_inline env (v : var) (e : expr) (k : cont) : expr =
   match Ident.Map.find_opt v.v_name env.unf with
   | None -> rebuild env e k
@@ -787,9 +870,10 @@ let run_pass (cfg : config) (e : expr) : expr * bool =
     {
       cfg;
       terms = Ident.Tbl.create 16;
+      seen = Ident.Tbl.create 32;
       tys = Ident.Map.empty;
       unf = Ident.Map.empty;
-      usage = Occur.census e;
+      usage = Some (Occur.census e);
       changed;
     }
   in

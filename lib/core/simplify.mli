@@ -26,5 +26,11 @@ val default_config :
   config
 
 (** Iterate one simplifier pass (interleaved with {!Cleanup.cleanup})
-    to a fixpoint or [max_iters]. *)
+    to a fixpoint or [max_iters]. A pass keeps each binder's unique the
+    first time it meets it and clones it only when it meets it again
+    (its code was copied, or is simplified a second time), so that the
+    output binds each unique once; code it produced is re-simplified
+    with conservative usage, since the census describes the input's
+    occurrences. A pass that rewrites nothing returns its input
+    itself. *)
 val simplify : ?max_iters:int -> config -> Syntax.expr -> Syntax.expr

@@ -2,12 +2,12 @@
 
     A substitution maps term variables to expressions and type variables
     to types. Every binder encountered is refreshed (given a new unique)
-    and recorded in the substitution, so the output never captures: this
-    is the "rapier" approach used by GHC's simplifier, simplified by
-    cloning unconditionally. A useful corollary is that
-    [subst empty e] is a {e freshening} of [e] — an alpha-copy sharing
-    no binders with the original — which is exactly what inlining a
-    definition at several sites requires. *)
+    and recorded in the substitution, so the output never captures. A
+    useful corollary is that [expr empty e] is a {e freshening} of [e]
+    — an alpha-copy sharing no binders with the original — which is
+    exactly what inlining a definition at several sites requires. The
+    simplifier walks terms with its own scoped table instead, and
+    renames only the binders it meets twice ({!Simplify}). *)
 
 open Syntax
 

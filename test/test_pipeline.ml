@@ -229,9 +229,9 @@ let minor_words pass e =
 
 (* Per-binder questions cost what they answer: doubling a chain of
    lets must not quadruple what Float In, contify, CSE, the
-   simplifier's binder census, Lint or cleanup allocate, as it did
-   while each [let] rebuilt a free-variable set, an occurrence map or
-   a printout of its whole scope. *)
+   simplifier's binder census, Lint, cleanup or the simplifier
+   allocate, as it did while each [let] rebuilt a free-variable set,
+   an occurrence map or a printout of its whole scope. *)
 let passes_allocate_linearly () =
   let n = 200 in
   let small = let_chain n and large = let_chain (2 * n) in
@@ -249,6 +249,7 @@ let passes_allocate_linearly () =
       ("census", run Occur.census);
       ("lint", run (Lint.lint_result dc));
       ("cleanup", run Cleanup.cleanup);
+      ("simplify", run (Simplify.simplify (Simplify.default_config ())));
     ]
 
 (* Cleanup runs after every simplifier iteration; where it finds
@@ -260,7 +261,7 @@ let cleanup_shares_unchanged () =
   Alcotest.(check bool) "unchanged" false changed;
   Alcotest.(check bool) "the same tree" true (e' == e)
 
-(* The sharing rule Guard's skipped re-check rests on: each of the six
+(* The sharing rule Guard's skipped re-check rests on: each of the seven
    passes returns its input itself exactly when its output equals it,
    on every pass input of the corpus, the examples and Gen seeds under
    all three modes (each program built under the supply its compile
@@ -274,6 +275,7 @@ let passes_share_exactly_when_unchanged () =
       ("demand", Demand.strictify);
       ("cse", Cse.run);
       ("float-out", Float_out.run);
+      ("simplify", Simplify.simplify (Simplify.default_config ()));
     ]
   in
   let shared = Hashtbl.create 8 and changed = Hashtbl.create 8 in
