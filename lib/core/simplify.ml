@@ -205,6 +205,16 @@ let rec name_tyvars env tvs =
       let rest', env = name_tyvars env rest in
       ((if a' == a && rest' == rest then tvs else a' :: rest'), env)
 
+(* [f] over [xs] and [ys] pairwise, first to last, returning [xs]
+   itself when [f] returned every element unchanged. *)
+let rec map2_shared f xs ys =
+  match (xs, ys) with
+  | x :: rest, y :: ys ->
+      let x' = f x y in
+      let rest' = map2_shared f rest ys in
+      if x' == x && rest' == rest then xs else x' :: rest'
+  | _ -> []
+
 (* The sharing rule for the nodes {!rebuild} makes from a frame. *)
 let app node f a =
   match node with
@@ -263,8 +273,6 @@ let tick_context_passed (k : cont) =
   | CCase _ -> Telemetry.tick Telemetry.Casefloat
   | CApp _ | CTyApp _ -> Telemetry.tick Telemetry.Commute
 
-let is_lit = function Lit _ -> true | _ -> false
-
 (* Every node is rebuilt only when a part of it changed: a walk that
    rewrites nothing returns its input itself. *)
 let rec simpl (env : env) (e : expr) (k : cont) : expr =
@@ -293,7 +301,7 @@ let rec simpl (env : env) (e : expr) (k : cont) : expr =
   | Prim (op, es) -> (
       let es' = map_shared (fun e -> simpl env e Stop) es in
       let folded =
-        if List.for_all is_lit es' then
+        if List.for_all (function Lit _ -> true | _ -> false) es' then
           let lits =
             List.filter_map (function Lit l -> Some l | _ -> None) es'
           in
@@ -379,16 +387,13 @@ let rec simpl (env : env) (e : expr) (k : cont) : expr =
            pairs);
       let xs = List.map fst pairs in
       let xs' = name_vars env xs in
-      let rec rhss pairs xs' =
-        match (pairs, xs') with
-        | ((x, rhs) as p) :: rest, x' :: xs' ->
+      let pairs' =
+        map2_shared
+          (fun ((x, rhs) as p) x' ->
             let rhs' = simpl env rhs Stop in
-            let rest' = rhss rest xs' in
-            if x' == x && rhs' == rhs && rest' == rest then pairs
-            else (if x' == x && rhs' == rhs then p else (x', rhs')) :: rest'
-        | _ -> []
+            if x' == x && rhs' == rhs then p else (x', rhs'))
+          pairs xs'
       in
-      let pairs' = rhss pairs xs' in
       (* The context passes the binding (the [float] axiom). *)
       let body' = simpl env body k in
       unbind_all env xs xs';
@@ -578,15 +583,7 @@ and simpl_join env node jb body k =
     | JRec ds ->
         let jvs = List.map (fun d -> d.j_var) ds in
         let jvs' = name_vars env jvs in
-        let rec defns ds jvs' =
-          match (ds, jvs') with
-          | d :: rest, jv' :: jvs' ->
-              let d' = simpl_defn env jv' d kdup in
-              let rest' = defns rest jvs' in
-              if d' == d && rest' == rest then ds else d' :: rest'
-          | _ -> []
-        in
-        let ds' = defns ds jvs' in
+        let ds' = map2_shared (fun d jv' -> simpl_defn env jv' d kdup) ds jvs' in
         let body' = simpl env body kdup in
         unbind_all env jvs jvs';
         let live =

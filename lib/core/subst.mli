@@ -1,10 +1,7 @@
 (** Capture-avoiding substitution: every binder passed is refreshed, so
     [expr empty e] is an alpha-copy sharing no binders with [e]. *)
 
-type t = {
-  terms : Syntax.expr Ident.Map.t;
-  types : Types.t Ident.Map.t;
-}
+type t
 
 val empty : t
 val add_term : Ident.t -> Syntax.expr -> t -> t
