@@ -31,7 +31,7 @@
     term, whose free variables were all met before, cannot be
     captured. This is GHC's rule: rename only what would shadow or is
     duplicated (Peyton Jones and Marlow, "Secrets of the GHC
-    inliner"). Cloning every binder instead copied every node of every
+    inliner"). Cloning every binder would copy every node of every
     iteration.
 
     {b Usage.} Each decision reads a binder's usage from the census of
@@ -39,8 +39,8 @@
     substitution, a lambda re-entered at a redex, the frames
     [mk_dupable] rebuilt) is re-entered with conservative usage, even
     where its binders kept their input uniques: the census describes
-    the input's occurrences, not those of the simplified copy. These
-    are the answers the pass read when it cloned every binder.
+    the input's occurrences, not those of the simplified copy. So each
+    decision is the one a pass cloning every binder would make.
 
     {b Sharing.} A node is rebuilt only when one of its parts changed;
     the continuation's frames carry the node they were taken from for
