@@ -182,14 +182,12 @@ let summary es =
 
 (* JSON *)
 
+(* A reason's integers, named, in the order both codecs write them. *)
 let reason_payload = function
   | Inline_too_big { size; threshold } | Dup_threshold_shared { size; threshold }
     ->
-      [
-        ("size", Telemetry.Json.Int size);
-        ("threshold", Telemetry.Json.Int threshold);
-      ]
-  | Occurs_many { count } -> [ ("count", Telemetry.Json.Int count) ]
+      [ ("size", size); ("threshold", threshold) ]
+  | Occurs_many { count } -> [ ("count", count) ]
   | _ -> []
 
 let event_json e =
@@ -205,7 +203,10 @@ let event_json e =
   match e.d_verdict with
   | Fired -> Obj base
   | Rejected r ->
-      Obj (base @ (("reason", Str (reason_name r)) :: reason_payload r))
+      Obj
+        (base
+        @ ("reason", Str (reason_name r))
+          :: List.map (fun (k, n) -> (k, Int n)) (reason_payload r))
 
 let summary_json es =
   let open Telemetry.Json in
@@ -231,6 +232,34 @@ let all_actions =
 let action_of_name name =
   List.find_opt (fun a -> String.equal (action_name a) name) all_actions
 
+(* What a reason's name says about its integers. *)
+type shape =
+  | Plain of reason
+  | Counted of (int -> reason)  (* count *)
+  | Sized of (int -> int -> reason)  (* size, then threshold *)
+
+(* The one name -> reason table, shared by both decoders. *)
+let reason_shape = function
+  | "inline_too_big" ->
+      Some (Sized (fun size threshold -> Inline_too_big { size; threshold }))
+  | "uninformative_context" -> Some (Plain Uninformative_context)
+  | "occurs_many" -> Some (Counted (fun count -> Occurs_many { count }))
+  | "escapes_under_lambda" -> Some (Plain Escapes_under_lambda)
+  | "loop_breaker" -> Some (Plain Loop_breaker)
+  | "dup_threshold_shared" ->
+      Some
+        (Sized (fun size threshold -> Dup_threshold_shared { size; threshold }))
+  | "not_all_tail_calls" -> Some (Plain Not_all_tail_calls)
+  | "shape_mismatch" -> Some (Plain Shape_mismatch)
+  | "rhs_arity_mismatch" -> Some (Plain Rhs_arity_mismatch)
+  | "nullary_candidate" -> Some (Plain Nullary_candidate)
+  | "scope_type_mismatch" -> Some (Plain Scope_type_mismatch)
+  | "already_whnf" -> Some (Plain Already_whnf)
+  | "no_common_constructor" -> Some (Plain No_common_constructor)
+  | "no_unique_use_site" -> Some (Plain No_unique_use_site)
+  | "mentions_lambda_binder" -> Some (Plain Mentions_lambda_binder)
+  | _ -> None
+
 let reason_of_json fields =
   let int k =
     match List.assoc_opt k fields with
@@ -239,33 +268,14 @@ let reason_of_json fields =
   in
   match List.assoc_opt "reason" fields with
   | Some (Telemetry.Json.Str name) -> (
-      match name with
-      | "inline_too_big" -> (
+      match reason_shape name with
+      | Some (Plain r) -> Some r
+      | Some (Counted f) -> Option.map f (int "count")
+      | Some (Sized f) -> (
           match (int "size", int "threshold") with
-          | Some size, Some threshold -> Some (Inline_too_big { size; threshold })
+          | Some size, Some threshold -> Some (f size threshold)
           | _ -> None)
-      | "uninformative_context" -> Some Uninformative_context
-      | "occurs_many" -> (
-          match int "count" with
-          | Some count -> Some (Occurs_many { count })
-          | None -> None)
-      | "escapes_under_lambda" -> Some Escapes_under_lambda
-      | "loop_breaker" -> Some Loop_breaker
-      | "dup_threshold_shared" -> (
-          match (int "size", int "threshold") with
-          | Some size, Some threshold ->
-              Some (Dup_threshold_shared { size; threshold })
-          | _ -> None)
-      | "not_all_tail_calls" -> Some Not_all_tail_calls
-      | "shape_mismatch" -> Some Shape_mismatch
-      | "rhs_arity_mismatch" -> Some Rhs_arity_mismatch
-      | "nullary_candidate" -> Some Nullary_candidate
-      | "scope_type_mismatch" -> Some Scope_type_mismatch
-      | "already_whnf" -> Some Already_whnf
-      | "no_common_constructor" -> Some No_common_constructor
-      | "no_unique_use_site" -> Some No_unique_use_site
-      | "mentions_lambda_binder" -> Some Mentions_lambda_binder
-      | _ -> None)
+      | None -> None)
   | _ -> None
 
 let event_of_json = function
@@ -286,6 +296,43 @@ let event_of_json = function
                 (reason_of_json fields)
           | _ -> None)
       | _ -> None)
+  | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Positional fields: the request cache's ledger records.             *)
+(* ------------------------------------------------------------------ *)
+
+let write_fields ~field ~int e =
+  field e.d_pass;
+  field (action_name e.d_action);
+  field e.d_site;
+  field (verdict_name e.d_verdict);
+  match e.d_verdict with
+  | Fired -> ()
+  | Rejected r ->
+      field (reason_name r);
+      List.iter (fun (_, n) -> int n) (reason_payload r)
+
+(* The reads are sequenced by [let]: each call consumes the next field. *)
+let read_fields ~field ~int =
+  let d_pass = field () in
+  let action = field () in
+  let d_site = field () in
+  let d_verdict =
+    match field () with
+    | "fired" -> Some Fired
+    | "rejected" -> (
+        match reason_shape (field ()) with
+        | Some (Plain r) -> Some (Rejected r)
+        | Some (Counted f) -> Some (Rejected (f (int ())))
+        | Some (Sized f) ->
+            let size = int () in
+            Some (Rejected (f size (int ())))
+        | None -> None)
+    | _ -> None
+  in
+  match (action_of_name action, d_verdict) with
+  | Some d_action, Some d_verdict -> Some { d_pass; d_action; d_site; d_verdict }
   | _ -> None
 
 (* Append a pre-built event verbatim (the cache-replay path). *)

@@ -164,9 +164,30 @@ val summary : event list -> (string * int) list
 val event_json : event -> Telemetry.Json.t
 
 (** The exact inverse of {!event_json}; [None] on an unknown shape.
-    Used by the content-addressed pass cache to round-trip ledger
-    entries through disk. *)
+    Used by the per-pass cache hook to round-trip ledger entries
+    through disk. *)
 val event_of_json : Telemetry.Json.t -> event option
 
 (** [{fired, rejected, counts: {key: n}}] over the given events. *)
 val summary_json : event list -> Telemetry.Json.t
+
+(** {1 Positional fields}
+
+    The request cache's ledger records ([Service]'s entry codec): an
+    event as a fixed sequence of fields, with no field names. The
+    caller owns the layout (separators, line ends, how an integer is
+    spelled); this module owns the order. Both decoders, this one and
+    {!event_of_json}, read a reason's name through one table. *)
+
+(** [write_fields ~field ~int e] writes [e]'s fields in order: pass,
+    action, site, verdict, and for a rejection the reason's
+    {!reason_name} and its integers (size then threshold, or
+    count). *)
+val write_fields : field:(string -> unit) -> int:(int -> unit) -> event -> unit
+
+(** The inverse of {!write_fields}: each call of [field] or [int]
+    returns the next field. [None] on an unknown action, verdict or
+    reason name; the caller checks that nothing follows the last
+    field. *)
+val read_fields :
+  field:(unit -> string) -> int:(unit -> int) -> event option

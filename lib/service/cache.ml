@@ -144,16 +144,16 @@ let find t ~key ~decode =
       miss ();
       None
   | content -> (
+      (* The payload is hashed and decoded where it lies, after the
+         digest's LF: never copied. *)
       let verified =
         match String.index_opt content '\n' with
         | None -> None
         | Some i ->
-            let sum = String.sub content 0 i in
-            let payload =
-              String.sub content (i + 1) (String.length content - i - 1)
-            in
-            if String.equal sum (Digest.to_hex (Digest.string payload)) then
-              decode payload
+            let pos = i + 1 in
+            let sum = Digest.substring content pos (String.length content - pos) in
+            if String.equal (String.sub content 0 i) (Digest.to_hex sum) then
+              decode content pos
             else None
       in
       match verified with
@@ -212,7 +212,8 @@ let pass_cache t ~fingerprint ~datacons =
   {
     Pipeline.cache_lookup =
       (fun ~pass ~supply ~input ->
-        find t ~key:(key ~pass ~supply ~input) ~decode:(payload_to ~datacons));
+        find t ~key:(key ~pass ~supply ~input) ~decode:(fun s pos ->
+            payload_to ~datacons (String.sub s pos (String.length s - pos))));
     cache_store =
       (fun ~pass ~supply ~input cp ->
         add t ~key:(key ~pass ~supply ~input) (payload_of cp));

@@ -11,13 +11,13 @@
     {b The request entry.} The service ([Service.process_one]) files
     one entry per request, keyed on [(format tag, configuration
     fingerprint at the Full rung, input kind (.fj or .sexp), source
-    bytes)]. The payload is the request's [attempt_ok] in the
-    [--isolate] codec: the output Sexp plus the ticks, decisions and
-    incidents its [.meta.json] carries. A hit skips the front end,
-    Lint and the whole pipeline. Only a clean result is stored: one
-    compiled at the Full rung with no Guard incidents. An incident
-    there can come from an armed pass fault, and it must not replay
-    into a later clean run.
+    bytes)]. The payload is what the request's artifacts carry, in
+    the service's own positional codec: a header line of counts, the
+    output Sexp verbatim, then one line per tick and one per ledger
+    event. A hit skips the front end, Lint and the whole pipeline.
+    Only a clean result is stored: one compiled at the Full rung with
+    no Guard incidents. An incident there can come from an armed pass
+    fault, and it must not replay into a later clean run.
 
     {b The per-pass hook.} {!pass_cache} files one entry per pipeline
     pass, keyed on [(format version, fingerprint, pass label, supply
@@ -49,9 +49,12 @@ type t
 val create : dir:string -> unit -> t
 
 (** [find t ~key ~decode] reads the entry filed under [key], checks
-    its digest and decodes it. A missing entry is a miss; a corrupt
-    one, or one [decode] refuses, is quarantined and is a miss too. *)
-val find : t -> key:string list -> decode:(string -> 'a option) -> 'a option
+    its digest and decodes it. The payload is not copied out of the
+    file's contents [s]: [decode s pos] reads it from [pos] to the end
+    of [s]. A missing entry is a miss; a corrupt one, or one [decode]
+    refuses, is quarantined and is a miss too. *)
+val find :
+  t -> key:string list -> decode:(string -> int -> 'a option) -> 'a option
 
 (** [add t ~key payload] files [payload] under [key], unless an entry
     is already there. *)

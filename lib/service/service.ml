@@ -9,12 +9,6 @@ let rung_name = function
   | Degraded -> "baseline"
   | Check_only -> "check-only"
 
-let rung_of_name = function
-  | "full" -> Some Full
-  | "baseline" -> Some Degraded
-  | "check-only" -> Some Check_only
-  | _ -> None
-
 type failure = {
   f_rung : string;
   f_attempt : int;
@@ -309,52 +303,6 @@ let attempt_in_process cfg ~rung ~path ~src : verdict =
   | exception Permanent (kind, detail) -> Error (`P (kind, detail))
   | exception exn -> Error (`T (transient_of_exn exn))
 
-(* The attempt result codec: the request cache's payload. *)
-let attempt_ok_json a =
-  Telemetry.Json.(
-    Obj
-      [
-        ("rung", Str (rung_name a.a_rung));
-        ("output", Str a.a_output);
-        ("output_size", Int a.a_output_size);
-        ("ticks", Telemetry.ticks_json a.a_ticks);
-        ("decisions", Arr (List.map Decision.event_json a.a_decisions));
-        ("incidents", Arr (List.map Guard.incident_json a.a_incidents));
-      ])
-
-(* All or nothing: a missing field or one element that does not decode
-   refuses the whole payload, so a short payload can never become a
-   .meta.json that differs from the in-process compile. *)
-let attempt_ok_of_json = function
-  | Telemetry.Json.Obj fields ->
-      let open Telemetry.Json in
-      let ( let* ) = Option.bind in
-      let field k = List.assoc_opt k fields in
-      let all decode l =
-        let xs = List.filter_map decode l in
-        if List.compare_lengths xs l = 0 then Some xs else None
-      in
-      let* a_rung =
-        match field "rung" with Some (Str r) -> rung_of_name r | _ -> None
-      in
-      let* a_output = match field "output" with Some (Str s) -> Some s | _ -> None in
-      let* a_output_size =
-        match field "output_size" with Some (Int n) -> Some n | _ -> None
-      in
-      let* a_ticks = Option.bind (field "ticks") Telemetry.ticks_of_json in
-      let* a_decisions =
-        match field "decisions" with
-        | Some (Arr es) -> all Decision.event_of_json es
-        | _ -> None
-      in
-      let* a_incidents =
-        match field "incidents" with
-        | Some (Arr is) -> all Guard.incident_of_json is
-        | _ -> None
-      in
-      Some { a_rung; a_output; a_output_size; a_ticks; a_decisions; a_incidents }
-  | _ -> None
-
 (* --- one attempt, isolated (fork) ---------------------------------- *)
 
 (* Read [fd] to end of file; [None] if [deadline] passes first. *)
@@ -443,6 +391,166 @@ let isolated_attempt cfg ~rung ~path ~src : verdict =
       | Some _, (Unix.WSIGNALED s | Unix.WSTOPPED s) ->
           Error (`T ("worker-crash", Fmt.str "child killed by signal %d" s)))
 
+(* --- the request cache ---------------------------------------------- *)
+
+(* The request entry's key: everything that decides what the [Full]
+   rung makes of this source. The tag names the payload layout below,
+   so an entry in an older layout is a miss, not a quarantine. *)
+let request_key cfg ~path src =
+  [
+    "fj-request/2";
+    fingerprint cfg Full;
+    (if is_sexp path then ".sexp" else ".fj");
+    src;
+  ]
+
+(* The entry's payload: LF-terminated lines of TAB-separated fields,
+   and the output verbatim.
+
+     OUTPUT_SIZE  OUTPUT_BYTES  TICKS  EVENTS
+     OUTPUT                                       (OUTPUT_BYTES bytes)
+     NAME  N                                      (TICKS lines)
+     PASS  ACTION  SITE  VERDICT  [REASON  INT*]  (EVENTS lines)
+
+   Only a clean result is stored, one compiled at [Full] with no Guard
+   incidents: a degraded rung or an incident records bad luck (a
+   deadline, an armed pass fault), not the source. So neither is
+   written, and the encoder refuses them. *)
+exception Unstorable
+
+let encode_attempt a =
+  let b =
+    Buffer.create
+      (String.length a.a_output + (64 * List.length a.a_decisions)
+      + (32 * List.length a.a_ticks) + 64)
+  in
+  (* Every field ends in a TAB; [end_line] turns the last into a LF. *)
+  let field s =
+    if String.exists (function '\t' | '\n' -> true | _ -> false) s then
+      raise Unstorable;
+    Buffer.add_string b s;
+    Buffer.add_char b '\t'
+  in
+  let int n = field (string_of_int n) in
+  let end_line () =
+    Buffer.truncate b (Buffer.length b - 1);
+    Buffer.add_char b '\n'
+  in
+  match
+    if a.a_rung <> Full || a.a_incidents <> [] then raise Unstorable;
+    int a.a_output_size;
+    int (String.length a.a_output);
+    int (List.length a.a_ticks);
+    int (List.length a.a_decisions);
+    end_line ();
+    Buffer.add_string b a.a_output;
+    Buffer.add_char b '\n';
+    List.iter
+      (fun (name, n) ->
+        field name;
+        int n;
+        end_line ())
+      a.a_ticks;
+    List.iter
+      (fun e ->
+        Decision.write_fields ~field ~int e;
+        end_line ())
+      a.a_decisions
+  with
+  | () -> Some (Buffer.contents b)
+  | exception Unstorable -> None
+
+exception Refused
+
+(* The integer [string_of_int] writes, and no other spelling of it: an
+   optional '-', then digits with no leading zero. Accumulated
+   negatively, so [min_int] reads back too. *)
+let int_between s i j =
+  let neg = i < j && s.[i] = '-' in
+  let d = if neg then i + 1 else i in
+  if d >= j || (s.[d] = '0' && (j - d > 1 || neg)) then raise Refused;
+  let n = ref 0 in
+  for k = d to j - 1 do
+    match s.[k] with
+    | '0' .. '9' as c ->
+        let v = Char.code c - 48 in
+        if !n < (min_int + v) / 10 then raise Refused;
+        n := (10 * !n) - v
+    | _ -> raise Refused
+  done;
+  if neg then !n else if !n = min_int then raise Refused else - !n
+
+(* The inverse of [encode_attempt] on the payload [s] holds from [pos]
+   on, in one scan. All or nothing: every count, length, name and
+   integer must read back, each line must end after the field its
+   reader takes last, and no byte may follow the last line; anything
+   else is [None], which the cache quarantines. *)
+let decode_attempt s pos =
+  let len = String.length s in
+  let i = ref pos in
+  (* Whether the field read last ended its line. *)
+  let line_ended = ref false in
+  let end_line () = if !line_ended then line_ended := false else raise Refused in
+  (* The end of the field at [!i]: its TAB or its line's LF. *)
+  let field_end () =
+    if !line_ended then raise Refused;
+    let j = ref !i in
+    while
+      !j < len
+      && match String.unsafe_get s !j with '\t' | '\n' -> false | _ -> true
+    do
+      incr j
+    done;
+    if !j = len then raise Refused;
+    line_ended := s.[!j] = '\n';
+    !j
+  in
+  let field () =
+    let j = field_end () in
+    let f = String.sub s !i (j - !i) in
+    i := j + 1;
+    f
+  in
+  let int () =
+    let j = field_end () in
+    let n = int_between s !i j in
+    i := j + 1;
+    n
+  in
+  let count () = match int () with n when n >= 0 -> n | _ -> raise Refused in
+  let rec lines n read =
+    if n = 0 then []
+    else
+      let x = read () in
+      end_line ();
+      x :: lines (n - 1) read
+  in
+  let tick () =
+    let name = field () in
+    (name, int ())
+  in
+  let event () =
+    match Decision.read_fields ~field ~int with
+    | Some e -> e
+    | None -> raise Refused
+  in
+  match
+    let a_output_size = int () in
+    let bytes = count () in
+    let n_ticks = count () in
+    let n_events = count () in
+    end_line ();
+    if bytes >= len - !i || s.[!i + bytes] <> '\n' then raise Refused;
+    let a_output = String.sub s !i bytes in
+    i := !i + bytes + 1;
+    let a_ticks = lines n_ticks tick in
+    let a_decisions = lines n_events event in
+    if !i <> len then raise Refused;
+    { a_rung = Full; a_output; a_output_size; a_ticks; a_decisions; a_incidents = [] }
+  with
+  | a -> Some a
+  | exception Refused -> None
+
 (* --- the retry/degrade ladder -------------------------------------- *)
 
 let next_rung = function
@@ -460,19 +568,6 @@ let run_attempt cfg ~rung ~path ~src : verdict =
     | v -> v
     | exception exn -> Error (`T (transient_of_exn exn))
   else attempt_in_process cfg ~rung ~path ~src
-
-(* The request entry's key: everything that decides what the [Full]
-   rung makes of this source. *)
-let request_key cfg ~path src =
-  [
-    "fj-request/1";
-    fingerprint cfg Full;
-    (if is_sexp path then ".sexp" else ".fj");
-    src;
-  ]
-
-let decode_attempt payload =
-  Option.bind (Result.to_option (Telemetry.Json.parse payload)) attempt_ok_of_json
 
 let process_one cfg ~id ~path : outcome =
   (* The worker-crash injection point: in domain mode the raise
@@ -528,13 +623,10 @@ let process_one cfg ~id ~path : outcome =
             | Some a -> Compiled a
             | None ->
                 let status = attempt ~src Full 0 in
-                (* Only a clean Full result is worth replaying: a
-                   degraded rung or a Guard incident records bad luck
-                   (a deadline, an armed pass fault), not the source. *)
+                (* [encode_attempt] refuses what must not replay. *)
                 (match status with
-                | Compiled ({ a_rung = Full; a_incidents = []; _ } as a) ->
-                    Cache.add cache ~key
-                      (Telemetry.Json.to_string (attempt_ok_json a))
+                | Compiled a ->
+                    Option.iter (Cache.add cache ~key) (encode_attempt a)
                 | _ -> ());
                 status))
   in

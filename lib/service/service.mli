@@ -103,12 +103,23 @@ val backoff_ms :
     flag that can change what a compile produces. *)
 val fingerprint : config -> rung -> string
 
-(** The [attempt_ok] codec: the request cache's payload. Decoding is
-    all-or-nothing: a missing field, or a single tick, decision or
-    incident that does not decode, refuses the whole document. *)
-val attempt_ok_json : attempt_ok -> Fj_core.Telemetry.Json.t
+(** The request cache's payload: LF-terminated lines of TAB-separated
+    fields. A header line holds [a_output_size], the output's length
+    in bytes and the tick and event counts; the output follows
+    verbatim on its own line, then one [NAME N] line per tick and one
+    line per ledger event ({!Fj_core.Decision.write_fields}).
 
-val attempt_ok_of_json : Fj_core.Telemetry.Json.t -> attempt_ok option
+    Only a clean result is stored, so [encode_attempt] is [None] for a
+    rung other than [Full], for any incident, and for a tick name,
+    pass or site holding a TAB or a LF. *)
+val encode_attempt : attempt_ok -> string option
+
+(** [decode_attempt s pos] decodes the payload that [s] holds from
+    [pos] on, rebuilding [a_rung = Full] and [a_incidents = []]. All
+    or nothing: every count, length, name and integer (as
+    [string_of_int] spells it) must read back, and no byte may follow
+    the last line; anything else is [None]. *)
+val decode_attempt : string -> int -> attempt_ok option
 
 (** Run one request through the retry/degrade ladder on the calling
     domain. The source is read once, and every attempt compiles those
@@ -157,6 +168,9 @@ val batch_exit_code : batch -> int
 (** A filesystem path squashed to a filename-safe request id
     (anything outside [[A-Za-z0-9._-]] becomes ['_']). *)
 val sanitize_id : string -> string
+
+(** The JSON document of one {!serve} response line. *)
+val response_json : outcome -> Fj_core.Telemetry.Json.t
 
 (** [serve cfg ~input ~output] runs the newline-delimited request
     protocol: each request line is [PATH] or [ID\tPATH]; each response

@@ -329,41 +329,206 @@ let cache_skips_incidents () =
   Alcotest.(check string) "clean rerun: no incidents" (sig_of clean) (sig_of rerun);
   Alcotest.(check int) "the clean result is stored" 1 (Cache.stats c).Cache.stores
 
-(* The attempt codec refuses a payload it cannot decode in full. *)
+(* The request cache's codec: every corpus attempt round-trips, and a
+   payload it cannot decode in full is refused. *)
+let compiled (o : Service.outcome) =
+  match o.Service.status with
+  | Service.Compiled a -> a
+  | st ->
+      Alcotest.failf "%s: expected compiled, got %s" o.Service.id
+        (Service.status_name st)
+
 let attempt_codec_all_or_nothing () =
+  let encode a =
+    match Service.encode_attempt a with
+    | Some p -> p
+    | None -> Alcotest.fail "a clean Full attempt was not encoded"
+  in
+  (* Every corpus attempt reads back equal, from any offset. *)
+  let reasons = Hashtbl.create 16 in
+  let corpus =
+    List.map
+      (fun (id, path) ->
+        let a = compiled (Service.process_one (config ()) ~id ~path) in
+        let p = encode a in
+        Alcotest.(check bool) (id ^ " round-trips") true
+          (Service.decode_attempt p 0 = Some a);
+        Alcotest.(check bool) (id ^ " round-trips at an offset") true
+          (Service.decode_attempt ("\n\t" ^ p) 2 = Some a);
+        List.iter
+          (fun e ->
+            match e.Decision.d_verdict with
+            | Decision.Rejected r -> Hashtbl.replace reasons (Decision.reason_name r) ()
+            | Decision.Fired -> ())
+          a.Service.a_decisions;
+        a)
+      (bench_corpus ())
+  in
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) ("the corpus rejects with " ^ r) true (Hashtbl.mem reasons r))
+    [ "inline_too_big"; "dup_threshold_shared"; "occurs_many" ];
+  (* No cut of a small payload is accepted. *)
+  let a = compiled (Service.process_one (config ()) ~id:"r" ~path:(one_request ())) in
+  let p = encode a in
+  Alcotest.(check (list int)) "no cut of the payload is accepted" []
+    (List.filter
+       (fun k -> Service.decode_attempt (String.sub p 0 k) 0 <> None)
+       (List.init (String.length p) Fun.id));
+  (* A corpus payload, mangled: the one with the most decisions. *)
   let a =
-    match (Service.process_one (config ()) ~id:"r" ~path:(one_request ())).Service.status with
-    | Service.Compiled a -> a
-    | st -> Alcotest.failf "expected compiled, got %s" (Service.status_name st)
+    List.fold_left
+      (fun b a ->
+        if List.length a.Service.a_decisions > List.length b.Service.a_decisions then a
+        else b)
+      a corpus
   in
-  Alcotest.(check bool) "has decisions" true (a.Service.a_decisions <> []);
-  let j = Service.attempt_ok_json a in
-  (match Service.attempt_ok_of_json j with
-  | Some a' ->
-      Alcotest.(check string)
-        "round-trips" (Telemetry.Json.to_string j)
-        (Telemetry.Json.to_string (Service.attempt_ok_json a'))
-  | None -> Alcotest.fail "a well-formed payload was refused");
-  let fields = match j with Telemetry.Json.Obj fs -> fs | _ -> assert false in
-  let with_field k v = Telemetry.Json.Obj ((k, v) :: List.remove_assoc k fields) in
-  let mangled =
-    match List.assoc "decisions" fields with
-    | Telemetry.Json.Arr (Telemetry.Json.Obj d :: rest) ->
-        with_field "decisions"
-          (Telemetry.Json.Arr
-             (Telemetry.Json.Obj
-                (("verdict", Telemetry.Json.Str "mangled") :: List.remove_assoc "verdict" d)
-             :: rest))
-    | _ -> Alcotest.fail "decisions are not an array of objects"
+  let p = encode a in
+  let refused what q =
+    Alcotest.(check bool) (what ^ " is refused") true (Service.decode_attempt q 0 = None)
   in
-  Alcotest.(check bool)
-    "one mangled verdict refuses the payload" true
-    (Service.attempt_ok_of_json mangled = None);
-  Alcotest.(check bool)
-    "a missing field refuses it too" true
-    (Service.attempt_ok_of_json
-       (Telemetry.Json.Obj (List.remove_assoc "incidents" fields))
-    = None)
+  let fields = String.split_on_char '\t' and tabs = String.concat "\t" in
+  let lines = String.split_on_char '\n' p in
+  (* Rewrite the first line [f] changes. *)
+  let with_line f =
+    let rec go = function
+      | [] -> Alcotest.fail "no line to mangle"
+      | l :: rest -> ( match f l with Some l' -> l' :: rest | None -> l :: go rest)
+    in
+    String.concat "\n" (go lines)
+  in
+  let header k f =
+    String.concat "\n"
+      (tabs
+         (List.mapi
+            (fun j x -> if j = k then string_of_int (f (int_of_string x)) else x)
+            (fields (List.hd lines)))
+      :: List.tl lines)
+  in
+  refused "a wrong output length" (header 1 succ);
+  refused "a negative output length" (header 1 (fun _ -> -1));
+  refused "a wrong tick count" (header 2 succ);
+  refused "a wrong event count" (header 3 succ);
+  let last = String.index p '\n' + String.length a.Service.a_output in
+  refused "a truncated output"
+    (String.sub p 0 last ^ String.sub p (last + 1) (String.length p - last - 1));
+  (* [event f] rewrites an event line's fields. *)
+  let event f l =
+    match fields l with
+    | pass :: action :: site :: verdict :: rest
+      when List.mem verdict [ "fired"; "rejected" ] ->
+        Option.map tabs (f pass action site verdict rest)
+    | _ -> None
+  in
+  refused "an unknown action"
+    (with_line (event (fun p _ s v r -> Some (p :: "inlined" :: s :: v :: r))));
+  refused "an unknown verdict"
+    (with_line (event (fun p a s _ r -> Some (p :: a :: s :: "maybe" :: r))));
+  let rejection f =
+    event (fun p a s v r ->
+        match r with
+        | reason :: ints when v = "rejected" ->
+            Option.map (fun r' -> p :: a :: s :: v :: r') (f reason ints)
+        | _ -> None)
+  in
+  refused "an unknown reason"
+    (with_line (rejection (fun _ ints -> Some ("too_big" :: ints))));
+  refused "a reason with one integer too many"
+    (with_line (rejection (fun reason ints -> Some ((reason :: ints) @ [ "1" ]))));
+  refused "a reason with one integer too few"
+    (with_line
+       (rejection (fun reason ints ->
+            match List.rev ints with
+            | [] -> None
+            | _ :: fewer -> Some (reason :: List.rev fewer))));
+  List.iter
+    (fun bad ->
+      refused (Fmt.str "the integer %S" bad)
+        (with_line (fun l ->
+             match fields l with
+             | [ name; n ] when int_of_string_opt n <> None -> Some (tabs [ name; bad ])
+             | _ -> None)))
+    [ "x"; "1.5"; ""; "+1"; "01"; "-0"; "0x1"; "1_0"; "99999999999999999999" ];
+  refused "two tick lines joined by a TAB"
+    (let tick l =
+       match fields l with [ _; n ] -> int_of_string_opt n <> None | _ -> false
+     in
+     let rec join = function
+       | l :: l' :: rest when tick l && tick l' -> (l ^ "\t" ^ l') :: rest
+       | l :: rest -> l :: join rest
+       | [] -> Alcotest.fail "no two tick lines"
+     in
+     String.concat "\n" (join lines));
+  refused "a byte after the last record" (p ^ "\n");
+  refused "a field after the last record"
+    (String.sub p 0 (String.length p - 1) ^ "\t1\n");
+  (* Only a clean Full result with plain names is stored. *)
+  let not_stored what a' =
+    Alcotest.(check bool) (what ^ " is not stored") true (Service.encode_attempt a' = None)
+  in
+  not_stored "a degraded rung" { a with Service.a_rung = Service.Degraded };
+  not_stored "an incident"
+    {
+      a with
+      Service.a_incidents =
+        [ { Guard.i_pass = "simplify"; i_cause = Guard.Exn "boom"; i_restored = "input" } ];
+    };
+  let site s =
+    {
+      a with
+      Service.a_decisions =
+        List.map (fun e -> { e with Decision.d_site = s }) a.Service.a_decisions;
+    }
+  in
+  not_stored "a TAB in a site" (site "a\tb");
+  not_stored "a LF in a site" (site "a\nb");
+  Alcotest.(check bool) "the extreme integers round-trip" true
+    (let a' =
+       { a with Service.a_output_size = min_int; a_ticks = [ ("beta", max_int) ] }
+     in
+     Service.decode_attempt (encode a') 0 = Some a')
+
+(* A payload in the JSON layout the request cache used to write, found
+   under the current key with a valid digest, is quarantined and
+   recompiled, never served. *)
+let cache_refuses_json_entry () =
+  let path = one_request () in
+  let dir = fresh_dir "cache" in
+  let c = Cache.create ~dir () in
+  let cfg = config ~cache:c () in
+  let a = compiled (Service.process_one cfg ~id:"r" ~path) in
+  let entry =
+    let objects = Filename.concat dir "objects" in
+    match Sys.readdir objects with
+    | [| fan |] -> (
+        let fan = Filename.concat objects fan in
+        match Sys.readdir fan with
+        | [| e |] -> Filename.concat fan e
+        | _ -> Alcotest.fail "expected one entry")
+    | _ -> Alcotest.fail "expected one entry"
+  in
+  let json =
+    Telemetry.Json.(
+      to_string
+        (Obj
+           [
+             ("rung", Str "full");
+             ("output", Str a.Service.a_output);
+             ("output_size", Int a.Service.a_output_size);
+             ("ticks", Telemetry.ticks_json a.Service.a_ticks);
+             ("decisions", Arr (List.map Decision.event_json a.Service.a_decisions));
+             ("incidents", Arr []);
+           ]))
+  in
+  write_file entry (Digest.to_hex (Digest.string json) ^ "\n" ^ json);
+  let again = Service.process_one cfg ~id:"r" ~path in
+  let s = Cache.stats c in
+  Alcotest.(check int) "quarantined" 1 s.Cache.quarantined;
+  Alcotest.(check int) "never served" 0 s.Cache.hits;
+  Alcotest.(check bool) "recompiled = the first compile" true (compiled again = a);
+  let healed = Service.process_one cfg ~id:"r" ~path in
+  Alcotest.(check int) "the restored entry hits" 1 (Cache.stats c).Cache.hits;
+  Alcotest.(check string) "and serves the same" (sig_of again) (sig_of healed)
 
 let cache_quarantines_corruption () =
   let dir = fresh_dir "cache" in
@@ -932,4 +1097,6 @@ let tests =
       sexp_input_linted;
     Alcotest.test_case "batch: .sexp that rebinds a unique is refused" `Quick
       sexp_rebinding_refused;
+    Alcotest.test_case "cache: a JSON entry under the new key is quarantined"
+      `Quick cache_refuses_json_entry;
   ]

@@ -400,9 +400,9 @@ let old_json_parse (s : string) : (Telemetry.Json.t, string) result =
   | v -> Ok v
   | exception Old_bad msg -> Error msg
 
-(* A real request-cache payload: what the compile service stores for
-   one program. *)
-let cache_payload () =
+(* A real document with escapes: the [fjc serve] response line for one
+   program, which carries the output Sexp as a JSON string. *)
+let serve_response () =
   let path = Filename.temp_file "fj-json" ".fj" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -413,20 +413,20 @@ let cache_payload () =
         \  let rec go n acc = if n == 0 then acc else go (n - 1) (acc + n)\n\
         \  in go 10 0\n";
       close_out oc;
-      match
-        (Fj_service.Service.process_one
-           (Fj_service.Service.default_config ())
-           ~id:"json" ~path)
-          .Fj_service.Service.status
-      with
-      | Fj_service.Service.Compiled a ->
-          Telemetry.Json.to_string (Fj_service.Service.attempt_ok_json a)
+      let o =
+        Fj_service.Service.process_one
+          (Fj_service.Service.default_config ())
+          ~id:"json" ~path
+      in
+      match o.Fj_service.Service.status with
+      | Fj_service.Service.Compiled _ ->
+          Telemetry.Json.to_string (Fj_service.Service.response_json o)
       | st ->
           Alcotest.failf "payload program did not compile: %s"
             (Fj_service.Service.status_name st))
 
 let json_parse_matches_oracle () =
-  let payload = cache_payload () in
+  let payload = serve_response () in
   let same what s =
     let expected = old_json_parse s in
     if Telemetry.Json.parse s <> expected then
