@@ -169,12 +169,10 @@ let rec aeval st (env : aval Ident.Map.t) (e : expr) : aval =
         with
         | None -> Top
         | Some ls -> (
-            match Primop.fold_bool op ls with
-            | Some b -> Shape ((Datacon.of_bool b).Datacon.name, [])
-            | None -> (
-                match Primop.fold_lit op ls with
-                | Some l -> Const l
-                | None -> Top)))
+            match Primop.fold op ls with
+            | Lit l -> Const l
+            | Bool b -> Shape ((Datacon.of_bool b).Datacon.name, [])
+            | Stuck -> Top))
   | App (f, a) -> (
       let vf = aeval st env f in
       let _ = aeval st env a in
@@ -654,9 +652,7 @@ let missed ~decisions e' =
                  | _ -> None)
                es (Some [])
            with
-          | Some ls
-            when Primop.fold_lit op ls <> None
-                 || Primop.fold_bool op ls <> None ->
+          | Some ls when Primop.fold op ls <> Stuck ->
               warn "missed-constant-fold" ~site
                 (Fmt.str
                    "primop %s applied to provably constant arguments (%a) \

@@ -13,6 +13,17 @@
     join re-enters its right-hand side while thunks built by the
     previous iteration still hold theirs.
 
+    An operand, what a binding or a constructor field holds, is itself
+    a [value]. Only a heap cell adds a [VCell]: a thunk (later its
+    value) or a recursive binding's object. An evaluated value is bound
+    as it is, and [ret] never returns a cell. A primop takes its
+    operation from {!Primop.impl} once, when it is translated: an
+    [Int2], [Div2] or [Cmp2] node reads its two [VLit (Int _)]
+    arguments directly, and a comparison returns one of two static
+    [True] and [False] values. So a step allocates on the OCaml heap
+    only what its transition builds: a frame, a binding, a counted
+    object, a thunk's update, or a primop's literal.
+
     Call-by-name is Fig. 3 exactly; call-by-need, which benchmarks use
     since the paper measures GHC, adds standard update frames. A [join]
     binding captures the current stack and a [jump] truncates the stack
@@ -40,23 +51,22 @@ type stats = Mstats.t = {
 
 let pp_stats = Mstats.pp
 
-type operand = Imm of Literal.t | Ptr of cell ref
-
-and value =
+type value =
   | VLit of Literal.t
-  | VCon of Datacon.t * operand list
-  | VFun of string * code * operand array * operand list * string list
+  | VCon of Datacon.t * value list
+  | VFun of string * code * value array * value list * string list
       (** Site, body, captures, arguments bound so far (innermost first)
           and sites of the parameters still unbound: consecutive value
           binders form one closure ({e manifest arity}, GHC's eval/apply),
           and a partial application (a PAP) keeps the bound prefix. *)
   | VTyFun of string * env * code
+  | VCell of cell ref  (** An operand only: a heap cell. *)
 
 and cell = Thunk of env * code * string | Value of value | Blackhole
 
 and env = {
-  captures : operand array;  (** The enclosing lambda's free variables. *)
-  locals : operand list;  (** Bound since that lambda, innermost first. *)
+  captures : value array;  (** The enclosing lambda's free variables. *)
+  locals : value list;  (** Bound since that lambda, innermost first. *)
   joins : jpoint list;  (** Join points in scope, innermost first. *)
 }
 
@@ -71,8 +81,9 @@ and frame =
   | FArg of env * arg  (** [[] e]: apply the value to argument [e]. *)
   | FTyArg  (** [[] tau]: instantiate (types are erased). *)
   | FCase of env * alts  (** [case [] of alts]. *)
-  | FPrim of Primop.t * value list * env * code list
-      (** Primop with evaluated prefix (reversed) and pending args. *)
+  | FPrim1 of (value -> value)  (** [op []]. *)
+  | FPrimL of (value -> value -> value) * env * code  (** [op [] e]. *)
+  | FPrimR of (value -> value -> value) * value  (** [op v []]. *)
   | FUpdate of cell ref * string * string
       (** Call-by-need update: cell, thunk site, cost centre to restore. *)
   | FStrict of env * code  (** Strict let: bind the value, run the body. *)
@@ -89,7 +100,7 @@ and config = {
    operand, charging any allocation to the given site. [alts] selects
    and runs an alternative for the scrutinee's value. *)
 and code = config -> string -> env -> frame list -> int -> value
-and arg = config -> string -> env -> operand
+and arg = config -> string -> env -> value
 and alts = config -> string -> env -> value -> frame list -> int -> value
 
 exception Stuck of string
@@ -128,30 +139,51 @@ let push_all ops env =
   | [] -> env
   | _ -> { env with locals = List.rev_append ops env.locals }
 
-(* An already-evaluated (and already-counted) value as an operand. *)
-let operand_of_value = function VLit l -> Imm l | v -> Ptr (ref (Value v))
-
 let thunk cfg site c =
   count2 cfg ~site Profile.Thunk;
-  Ptr (ref c)
+  VCell (ref c)
 
 exception Not_cheap
 
-(* A primop's result, or [Not_cheap] when an argument is not a literal
-   or the operation is undefined on them. *)
-let fold_prim op vs =
-  let lit = function VLit l -> l | _ -> raise_notrace Not_cheap in
-  let lits = List.map lit vs in
-  match Primop.fold_lit op lits with
-  | Some l -> VLit l
-  | None -> (
-      match Primop.fold_bool op lits with
-      | Some b -> VCon (Datacon.of_bool b, [])
-      | None -> raise_notrace Not_cheap)
+let v_true = VCon (Datacon.of_bool true, [])
+let v_false = VCon (Datacon.of_bool false, [])
 
-let apply_prim op vs =
-  try fold_prim op vs
-  with Not_cheap -> stuck "primop %s applied to bad arguments" (Primop.name op)
+(* A primop resolved at translation: its result on its arguments'
+   values, raising [Not_cheap] where an argument is not a literal or
+   the operation is stuck. [Bad]: a number of arguments no operation
+   takes, which Lint rejects. *)
+type prim = P1 of (value -> value) | P2 of (value -> value -> value) | Bad
+
+let lit = function VLit l -> l | _ -> raise_notrace Not_cheap
+
+let of_folded : Primop.folded -> value = function
+  | Lit l -> VLit l
+  | Bool b -> if b then v_true else v_false
+  | Stuck -> raise_notrace Not_cheap
+
+let resolve_prim op arity =
+  match (Primop.impl op, arity) with
+  | Int2 f, 2 ->
+      P2
+        (fun a b ->
+          match (a, b) with
+          | VLit (Int x), VLit (Int y) -> VLit (Int (f x y))
+          | _ -> raise_notrace Not_cheap)
+  | Div2 f, 2 ->
+      P2
+        (fun a b ->
+          match (a, b) with
+          | VLit (Int x), VLit (Int y) when y <> 0 -> VLit (Int (f x y))
+          | _ -> raise_notrace Not_cheap)
+  | Cmp2 f, 2 ->
+      P2
+        (fun a b ->
+          match (a, b) with
+          | VLit (Int x), VLit (Int y) -> if f x y then v_true else v_false
+          | _ -> raise_notrace Not_cheap)
+  | General g, 1 -> P1 (fun a -> of_folded (g [ lit a ]))
+  | General g, 2 -> P2 (fun a b -> of_folded (g [ lit a; lit b ]))
+  | _ -> Bad
 
 (* Return a value to the topmost frame. *)
 let rec ret cfg site (v : value) (stack : frame list) (depth : int) : value =
@@ -162,8 +194,7 @@ let rec ret cfg site (v : value) (stack : frame list) (depth : int) : value =
       cfg.stats.updates <- cfg.stats.updates + 1;
       p_update cfg tsite;
       ret cfg restore v rest (depth - 1)
-  | FStrict (senv, body) :: rest ->
-      body cfg site (push (operand_of_value v) senv) rest (depth - 1)
+  | FStrict (senv, body) :: rest -> body cfg site (push v senv) rest (depth - 1)
   | FArg _ :: _ -> (
       match v with
       | VFun (fsite, body, caps, bound, params) ->
@@ -178,12 +209,9 @@ let rec ret cfg site (v : value) (stack : frame list) (depth : int) : value =
           body cfg fsite cenv rest (depth - 1)
       | _ -> stuck "type-applying a non-type-function")
   | FCase (cenv, alts) :: rest -> alts cfg site cenv v rest (depth - 1)
-  | FPrim (op, done_, penv, pending) :: rest -> (
-      let done_ = v :: done_ in
-      match pending with
-      | [] -> ret cfg site (apply_prim op (List.rev done_)) rest (depth - 1)
-      | pe :: pending' ->
-          pe cfg site penv (FPrim (op, done_, penv, pending') :: rest) depth)
+  | FPrim1 f :: rest -> ret cfg site (f v) rest (depth - 1)
+  | FPrimL (f, penv, b) :: rest -> b cfg site penv (FPrimR (f, v) :: rest) depth
+  | FPrimR (f, x) :: rest -> ret cfg site (f x v) rest (depth - 1)
 
 (* The [beta] rule: bind as many pending arguments as the closure has
    parameters, each thunk charged to its parameter; a leftover parameter
@@ -202,10 +230,9 @@ and enter cfg site fsite body caps bound params stack depth =
       ret cfg site (VFun (fsite, body, caps, bound, params)) stack depth
 
 (* The [look] rule. *)
-let look cfg site op stack depth =
-  match op with
-  | Imm l -> ret cfg site (VLit l) stack depth
-  | Ptr cell -> (
+let look cfg site v stack depth =
+  match v with
+  | VCell cell -> (
       match !cell with
       | Value v -> ret cfg site v stack depth
       | Blackhole -> stuck "<<loop>> (blackhole entered)"
@@ -221,6 +248,7 @@ let look cfg site op stack depth =
               code cfg tsite tenv
                 (FUpdate (cell, tsite, site) :: stack)
                 (depth + 1)))
+  | v -> ret cfg site v stack depth
 
 (* Operands of [args], left to right; a jump's pushed on [locals]. *)
 let rec operands cfg site env = function
@@ -291,7 +319,10 @@ let rec resolve sc x =
               Capture k))
 
 let read env = function
-  | Local i -> List.nth env.locals i
+  | Local i -> (
+      match (i, env.locals) with
+      | 0, v :: _ | 1, _ :: v :: _ -> v
+      | _, locals -> List.nth locals i)
   | Capture k -> env.captures.(k)
   | Unbound x -> stuck "unbound variable %a" Ident.pp x
 
@@ -307,12 +338,6 @@ let read env = function
 let speculation_budget = 8
 let no_spec (_ : env) : value = raise_notrace Not_cheap
 
-let rec spec_args env = function
-  | [] -> []
-  | a :: rest ->
-      let v = a env in
-      v :: spec_args env rest
-
 let rec spec sc used e : env -> value =
   (match e with Prim _ | Let ((NonRec _ | Strict _), _) -> incr used | _ -> ());
   if !used > speculation_budget then no_spec
@@ -327,18 +352,24 @@ let rec spec sc used e : env -> value =
         | slot -> (
             fun env ->
               match read env slot with
-              | Imm l -> VLit l
-              | Ptr { contents = Value v } -> v
-              | Ptr _ -> raise_notrace Not_cheap))
-    | Prim (op, args) ->
+              | VCell { contents = Value v } -> v
+              | VCell _ -> raise_notrace Not_cheap
+              | v -> v))
+    | Prim (op, args) -> (
         let args = List.map (spec sc used) args in
-        fun env -> fold_prim op (spec_args env args)
+        match (resolve_prim op (List.length args), args) with
+        | P1 f, [ a ] -> fun env -> f (a env)
+        | P2 f, [ a; b ] ->
+            fun env ->
+              let x = a env in
+              f x (b env)
+        | _ -> no_spec)
     | Let ((NonRec (x, rhs) | Strict (x, rhs)), body) ->
         (* Look through cheap bindings (e.g. demand-analysis wrappers)
            so they do not defeat speculation. *)
         let rhs = spec sc used rhs in
         let body = spec (bind sc x) used body in
-        fun env -> body (push (operand_of_value (rhs env)) env)
+        fun env -> body (push (rhs env) env)
     | TyApp (f, _) -> spec sc used f
     | _ -> no_spec
 
@@ -380,7 +411,7 @@ let rec tr sc (e : expr) : code =
       fun cfg site env stack depth ->
         tick cfg site depth;
         match cheap env with
-        | v -> body cfg site (push (operand_of_value v) env) stack depth
+        | v -> body cfg site (push v env) stack depth
         | exception Not_cheap ->
             rhs cfg site env (FStrict (env, body) :: stack) (depth + 1))
   | Let ((NonRec (x, rhs) | Strict (x, rhs)), body) ->
@@ -412,7 +443,7 @@ let rec tr sc (e : expr) : code =
           ref Blackhole
         in
         let cells = List.map cell rhss in
-        let env = List.fold_left (fun env c -> push (Ptr c) env) env cells in
+        let env = List.fold_left (fun env c -> push (VCell c) env) env cells in
         List.iter2 (fun (_, fill) c -> c := fill cfg env) rhss cells;
         body cfg site env stack depth
   | Case (scrut, alts) ->
@@ -478,42 +509,54 @@ let rec tr sc (e : expr) : code =
 and arg sc e : arg =
   match e with
   | Lit l ->
-      let op = Imm l in
-      fun _ _ _ -> op
+      let v = VLit l in
+      fun _ _ _ -> v
   | Var v ->
       let slot = resolve sc v.v_name in
       fun _ _ env -> read env slot
   | Con _ | Lam _ | TyLam _ ->
       (* A WHNF argument is built directly: no thunk around it. *)
-      let w = build sc e in
-      fun cfg site env -> Ptr (ref (Value (w cfg site env)))
+      build sc e
   | Prim _ | TyApp _ | Let ((NonRec _ | Strict _), _) -> (
       let cheap = spec sc (ref 0) e in
       let code = shared sc cheap e in
       fun cfg site env ->
         match cheap env with
-        | VLit l -> Imm l
-        (* Nullary constructors are static: no allocation. *)
-        | VCon (_, []) as v -> Ptr (ref (Value v))
-        | v -> thunk cfg site (Value v)
+        (* Literals and nullary constructors are unboxed or static. *)
+        | (VLit _ | VCon (_, [])) as v -> v
+        | v ->
+            (* Counted as the thunk it stands for, already updated. *)
+            count2 cfg ~site Profile.Thunk;
+            v
         | exception Not_cheap -> thunk cfg site (Thunk (env, code, site)))
   | _ ->
       let code = tr sc e in
       fun cfg site env -> thunk cfg site (Thunk (env, code, site))
 
 (* A primop speculates first; failing that, it evaluates its arguments
-   in turn on [FPrim] frames. *)
+   in turn on [FPrim1], or [FPrimL] then [FPrimR], frames. *)
 and prim sc cheap op args : code =
-  let args = List.map (tr sc) args in
-  fun cfg site env stack depth ->
-    tick cfg site depth;
-    match cheap env with
-    | v -> ret cfg site v stack depth
-    | exception Not_cheap -> (
-        match args with
-        | a :: rest ->
-            a cfg site env (FPrim (op, [], env, rest) :: stack) (depth + 1)
-        | [] -> ret cfg site (apply_prim op []) stack depth)
+  let bad () = stuck "primop %s applied to bad arguments" (Primop.name op) in
+  match (resolve_prim op (List.length args), List.map (tr sc) args) with
+  | P1 f, [ a ] -> (
+      let f x = try f x with Not_cheap -> bad () in
+      fun cfg site env stack depth ->
+        tick cfg site depth;
+        match cheap env with
+        | v -> ret cfg site v stack depth
+        | exception Not_cheap -> a cfg site env (FPrim1 f :: stack) (depth + 1))
+  | P2 f, [ a; b ] -> (
+      let f x y = try f x y with Not_cheap -> bad () in
+      fun cfg site env stack depth ->
+        tick cfg site depth;
+        match cheap env with
+        | v -> ret cfg site v stack depth
+        | exception Not_cheap ->
+            a cfg site env (FPrimL (f, env, b) :: stack) (depth + 1))
+  | _ ->
+      fun cfg site _ _ depth ->
+        tick cfg site depth;
+        bad ()
 
 (* The code of [e], whose speculation is [cheap]: a primop's code shares
    it, as its step speculates first. *)
@@ -533,9 +576,9 @@ and build ?(counted = true) sc e : config -> string -> env -> value =
   | Con (dc, _, args) ->
       let args = List.map (arg sc) args and words = 1 + List.length args in
       fun cfg site env ->
-        let ops = operands cfg site env args in
+        let vs = operands cfg site env args in
         if counted then count cfg ~site ~kind:Profile.Con ~words;
-        VCon (dc, ops)
+        VCon (dc, vs)
   | Lam _ ->
       (* Collect the manifest arity: one closure for the whole chain. *)
       let rec collect acc = function
@@ -573,8 +616,11 @@ and select sc alts : alts =
 and pick default cfg site env v stack depth = function
   | (p, c) :: rest -> (
       match (p, v) with
-      | PCon (d, _), VCon (dc, ops) when Datacon.equal d dc ->
-          c cfg site (push_all ops env) stack depth
+      (* Names are unique in an environment, so equal names mean equal
+         tags: the tag rejects most alternatives at once. *)
+      | PCon (d, _), VCon (dc, vs)
+        when d.Datacon.tag = dc.Datacon.tag && Datacon.equal d dc ->
+          c cfg site (push_all vs env) stack depth
       | PLit l, VLit l' when Literal.equal l l' -> c cfg site env stack depth
       | _ -> pick default cfg site env v stack depth rest)
   | [] -> (
@@ -615,13 +661,12 @@ type tree = TLit of Literal.t | TCon of string * tree list | TFun
 
 let rec force_deep ?(depth = 1_000_000) ?(fuel = max_int) (v : value) : tree =
   match v with
+  | VCell c -> force_deep ~depth ~fuel (observe_cell ~fuel c)
   | _ when depth <= 0 -> TFun
   | VLit l -> TLit l
   | VFun _ | VTyFun _ -> TFun
-  | VCon (dc, ops) ->
-      let field = function Imm l -> VLit l | Ptr c -> observe_cell ~fuel c in
-      let force op = force_deep ~depth:(depth - 1) ~fuel (field op) in
-      TCon (dc.name, List.map force ops)
+  | VCon (dc, vs) ->
+      TCon (dc.name, List.map (force_deep ~depth:(depth - 1) ~fuel) vs)
 
 and observe_cell ~fuel (cell : cell ref) : value =
   match !cell with

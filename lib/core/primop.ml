@@ -63,35 +63,57 @@ let name = function
 let equal (a : t) (b : t) = a = b
 let pp ppf op = Fmt.string ppf (name op)
 
-(** Constant-fold a saturated application to literal arguments.
-    Returns [None] when the operation is stuck (e.g. division by zero)
-    or the result is a [Bool] (which is a datatype value, handled by the
-    caller via {!fold_bool}). *)
-let fold_lit op (args : Literal.t list) : Literal.t option =
-  match (op, args) with
-  | Add, [ Int a; Int b ] -> Some (Int (a + b))
-  | Sub, [ Int a; Int b ] -> Some (Int (a - b))
-  | Mul, [ Int a; Int b ] -> Some (Int (a * b))
-  | Div, [ Int _; Int 0 ] -> None
-  | Div, [ Int a; Int b ] -> Some (Int (a / b))
-  | Mod, [ Int _; Int 0 ] -> None
-  | Mod, [ Int a; Int b ] -> Some (Int (a mod b))
-  | Neg, [ Int a ] -> Some (Int (-a))
-  | Ord, [ Char c ] -> Some (Int (Char.code c))
-  | Chr, [ Int n ] when n >= 0 && n < 256 -> Some (Char (Char.chr n))
-  | StrLen, [ String s ] -> Some (Int (String.length s))
-  | StrIdx, [ String s; Int i ] when i >= 0 && i < String.length s ->
-      Some (Char s.[i])
-  | _ -> None
+(** What a saturated application to literals gives: a literal, a
+    boolean (the caller builds [True] or [False]) or nothing, where the
+    operation is stuck. *)
+type folded = Lit of Literal.t | Bool of bool | Stuck
 
-(** Constant-fold operations with a boolean result. *)
-let fold_bool op (args : Literal.t list) : bool option =
-  match (op, args) with
-  | Eq, [ Int a; Int b ] -> Some (a = b)
-  | Ne, [ Int a; Int b ] -> Some (a <> b)
-  | Lt, [ Int a; Int b ] -> Some (a < b)
-  | Le, [ Int a; Int b ] -> Some (a <= b)
-  | Gt, [ Int a; Int b ] -> Some (a > b)
-  | Ge, [ Int a; Int b ] -> Some (a >= b)
-  | CharEq, [ Char a; Char b ] -> Some (a = b)
-  | _ -> None
+(** How an operation computes, for a caller that resolves it once and
+    applies it many times. *)
+type impl =
+  | Int2 of (int -> int -> int)  (** Two [Int]s to an [Int]. *)
+  | Div2 of (int -> int -> int)
+      (** As [Int2], but stuck when the second argument is 0. *)
+  | Cmp2 of (int -> int -> bool)  (** Two [Int]s to a [Bool]. *)
+  | General of (Literal.t list -> folded)  (** Any other operation. *)
+
+(* Each operation's arithmetic, written once. *)
+let impl = function
+  | Add -> Int2 ( + )
+  | Sub -> Int2 ( - )
+  | Mul -> Int2 ( * )
+  | Div -> Div2 ( / )
+  | Mod -> Div2 ( mod )
+  | Eq -> Cmp2 (fun (a : int) b -> a = b)
+  | Ne -> Cmp2 (fun (a : int) b -> a <> b)
+  | Lt -> Cmp2 (fun (a : int) b -> a < b)
+  | Le -> Cmp2 (fun (a : int) b -> a <= b)
+  | Gt -> Cmp2 (fun (a : int) b -> a > b)
+  | Ge -> Cmp2 (fun (a : int) b -> a >= b)
+  | Neg -> General (function [ Int a ] -> Lit (Int (-a)) | _ -> Stuck)
+  | CharEq ->
+      General (function [ Char a; Char b ] -> Bool (a = b) | _ -> Stuck)
+  | Ord -> General (function [ Char c ] -> Lit (Int (Char.code c)) | _ -> Stuck)
+  | Chr ->
+      General
+        (function
+        | [ Int n ] when n >= 0 && n < 256 -> Lit (Char (Char.chr n))
+        | _ -> Stuck)
+  | StrLen ->
+      General
+        (function [ String s ] -> Lit (Int (String.length s)) | _ -> Stuck)
+  | StrIdx ->
+      General
+        (function
+        | [ String s; Int i ] when i >= 0 && i < String.length s ->
+            Lit (Char s.[i])
+        | _ -> Stuck)
+
+(** Constant-fold a saturated application to literal arguments. *)
+let fold op (args : Literal.t list) : folded =
+  match (impl op, args) with
+  | Int2 f, [ Int a; Int b ] -> Lit (Int (f a b))
+  | Div2 f, [ Int a; Int b ] when b <> 0 -> Lit (Int (f a b))
+  | Cmp2 f, [ Int a; Int b ] -> Bool (f a b)
+  | General g, args -> g args
+  | (Int2 _ | Div2 _ | Cmp2 _), _ -> Stuck

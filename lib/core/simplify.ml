@@ -305,12 +305,10 @@ let rec simpl (env : env) (e : expr) (k : cont) : expr =
           let lits =
             List.filter_map (function Lit l -> Some l | _ -> None) es'
           in
-          match Primop.fold_lit op lits with
-          | Some l -> Some (Lit l)
-          | None -> (
-              match Primop.fold_bool op lits with
-              | Some b -> Some (Con (Datacon.of_bool b, [], []))
-              | None -> None)
+          match Primop.fold op lits with
+          | Primop.Lit l -> Some (Lit l)
+          | Bool b -> Some (Con (Datacon.of_bool b, [], []))
+          | Stuck -> None
         else None
       in
       match folded with

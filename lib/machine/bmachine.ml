@@ -69,6 +69,8 @@ exception Out_of_fuel
 let stuck fmt = Fmt.kstr (fun m -> raise (Stuck m)) fmt
 
 let empty_env = { vars = Ident.Map.empty; blocks = Ident.Map.empty }
+let v_true = VCon ("True", 1, [||])
+let v_false = VCon ("False", 0, [||])
 
 type frame = { fr_var : Ident.t; fr_cont : block_expr; fr_env : env }
 
@@ -99,25 +101,20 @@ let run_machine ?(fuel = max_int) ?profile (p : program) : value * stats =
     | AVar x -> lookup env x
   in
   let bind env x v = { env with vars = Ident.Map.add x v env.vars } in
+  let rec lits env op = function
+    | [] -> []
+    | a :: rest -> (
+        match atom env a with
+        | VLit l -> l :: lits env op rest
+        | _ -> stuck "primop %s applied to non-literal" (Primop.name op))
+  in
   let eval_rhs ~label env = function
     | RAtom a -> atom env a
     | RPrim (op, args) -> (
-        let vals = List.map (atom env) args in
-        let lits =
-          List.filter_map (function VLit l -> Some l | _ -> None) vals
-        in
-        if List.length lits <> List.length vals then
-          stuck "primop %s applied to non-literal" (Primop.name op)
-        else
-          match Primop.fold_lit op lits with
-          | Some l -> VLit l
-          | None -> (
-              match Primop.fold_bool op lits with
-              | Some b ->
-                  let name = if b then "True" else "False" in
-                  let tag = if b then 1 else 0 in
-                  VCon (name, tag, [||])
-              | None -> stuck "primop %s is stuck" (Primop.name op)))
+        match Primop.fold op (lits env op args) with
+        | Primop.Lit l -> VLit l
+        | Bool b -> if b then v_true else v_false
+        | Stuck -> stuck "primop %s is stuck" (Primop.name op))
     | RAllocCon (c, tag, fields) ->
         let vs = Array.of_list (List.map (atom env) fields) in
         if Array.length vs > 0 then

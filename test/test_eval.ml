@@ -259,6 +259,115 @@ let join_thunks_keep_their_parameters () =
   Alcotest.(check int) "five suspended calls, forced once each" 5 s.Eval.calls;
   Alcotest.(check int) "words" 37 s.Eval.words
 
+(* Every primop over a literal grid, four ways: the Fig. 3 machine's
+   speculation (literal arguments), its frame path (each argument
+   behind a [case], which does not speculate), [Primop.fold] and the
+   block machine. Each gives the fold's value, or crashes exactly where
+   the fold is stuck. *)
+let primop_differential () =
+  let ints = [ min_int; -7; -1; 0; 1; 2; 7; 255; 256; max_int ] in
+  let grid ty =
+    if Types.equal ty Types.int then List.map (fun n -> Literal.Int n) ints
+    else if Types.equal ty Types.char then
+      List.map (fun c -> Literal.Char c) [ '\000'; 'a'; 'b'; '\255' ]
+    else List.map (fun s -> Literal.String s) [ ""; "ab" ]
+  in
+  let rec product = function
+    | [] -> [ [] ]
+    | ty :: tys ->
+        let rest = product tys in
+        List.concat_map (fun l -> List.map (List.cons l) rest) (grid ty)
+  in
+  let eval e =
+    match Eval.run_outcome ~fuel:1_000 e with
+    | Eval.Finished (t, _) -> Some t
+    | Eval.Crashed _ -> None
+    | Eval.Fuel_exhausted -> Alcotest.fail "a primop ran out of fuel"
+  in
+  let machine e =
+    let module M = Fj_machine.Bmachine in
+    match M.run ~fuel:1_000 (Fj_machine.Lower.lower_program e) with
+    | v, _ -> Some (M.tree_of_value v)
+    | exception M.Stuck _ -> None
+  in
+  let folded op lits =
+    match Primop.fold op lits with
+    | Lit l -> Some (Eval.TLit l)
+    | Bool b -> Some (Eval.TCon ((if b then "True" else "False"), []))
+    | Stuck -> None
+  in
+  let show = function
+    | Some t -> Fmt.str "%a" Eval.pp_tree t
+    | None -> "stuck"
+  in
+  let behind_case l =
+    Case (Lit l, [ { alt_pat = PDefault; alt_rhs = Lit l } ])
+  in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun lits ->
+          let want = folded op lits in
+          let direct = Prim (op, List.map (fun l -> Lit l) lits) in
+          List.iter
+            (fun (how, got) ->
+              if not (Option.equal Eval.equal_tree want got) then
+                Alcotest.failf "%s %a: fold gives %s, %s %s" (Primop.name op)
+                  Fmt.(list ~sep:sp Literal.pp)
+                  lits (show want) how (show got))
+            [
+              ("speculated", eval direct);
+              ("framed", eval (Prim (op, List.map behind_case lits)));
+              ("block machine", machine direct);
+            ])
+        (product (fst (Primop.signature op))))
+    Primop.all;
+  (* The grid holds each stuck case, and OCaml's [min_int / -1]. *)
+  List.iter
+    (fun (op, lits, want) ->
+      Alcotest.(check string)
+        (Fmt.str "%s %a" (Primop.name op) Fmt.(list ~sep:sp Literal.pp) lits)
+        want
+        (show (folded op lits)))
+    Literal.
+      [
+        (Primop.Div, [ Int 7; Int 0 ], "stuck");
+        (Mod, [ Int 7; Int 0 ], "stuck");
+        (Chr, [ Int (-1) ], "stuck");
+        (Chr, [ Int 256 ], "stuck");
+        (StrIdx, [ String "ab"; Int 2 ], "stuck");
+        (StrIdx, [ String "ab"; Int (-1) ], "stuck");
+        (StrIdx, [ String ""; Int 0 ], "stuck");
+        (Div, [ Int min_int; Int (-1) ], string_of_int min_int);
+        (Mod, [ Int min_int; Int (-1) ], "0");
+      ]
+
+(* What a step allocates on the OCaml heap beyond the objects the
+   machine counts: over the corpus's [Join_points] outputs, translation,
+   run and observation together stay under 12 minor words per machine
+   step (9.2 when written). Primops that fold through argument lists
+   exceed it (15.5), and so does re-boxing each evaluated operand as a
+   cell as well (20.5). *)
+let allocation_per_step () =
+  let words = ref 0. and steps = ref 0 in
+  List.iter
+    (fun (_, src) ->
+      Context.with_fresh (fun () ->
+          let datacons, e = Fj_surface.Prelude.compile src in
+          let cfg =
+            Pipeline.default_config ~mode:Pipeline.Join_points ~datacons ()
+          in
+          let out = Pipeline.run cfg e in
+          let before = Gc.minor_words () in
+          let _, s = run out in
+          words := !words +. (Gc.minor_words () -. before);
+          steps := !steps + s.Eval.steps))
+    (nofib ());
+  let per_step = !words /. float_of_int !steps in
+  if per_step > 12. then
+    Alcotest.failf "%.2f minor words per step (%.0f words, %d steps)" per_step
+      !words !steps
+
 let tests =
   [
     test "arithmetic" arith;
@@ -279,4 +388,7 @@ let tests =
     test "recursive closures (even/odd)" letrec_closures;
     test "join thunks keep their own parameters"
       join_thunks_keep_their_parameters;
+    test "primops agree: speculated, framed, folded, block machine"
+      primop_differential;
+    test "a machine step allocates under 12 words" allocation_per_step;
   ]
