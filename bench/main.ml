@@ -189,10 +189,6 @@ type measurement = {
   join_report : Pipeline.report;  (** Optimizer telemetry, join points. *)
   base_eval_ms : float list;  (** Measured eval wall-clock samples. *)
   join_eval_ms : float list;
-  analysis_errors : int;  (** {!Absint.verify} errors on the input. *)
-  analysis_missed : int;
-      (** Missed-optimization diagnostics on the join-points output. *)
-  analysis_iters : int;  (** Fixpoint rounds of the missed-opt scan. *)
 }
 
 let opt_config mode denv =
@@ -237,19 +233,6 @@ let measure (prog : program) : measurement option =
       ignore (check_tree ~what:(prog.name ^ " (join-points)") t0 tj);
       let base_eval_ms = timed_samples (fun () -> run base) in
       let join_eval_ms = timed_samples (fun () -> run joins) in
-      (* The static-analysis row of the trajectory: discipline errors
-         on the input (always 0 on a healthy corpus), missed-opt
-         findings surviving the join-points pipeline, and the
-         fixpoint cost of proving them. *)
-      let analysis_errors =
-        List.length (List.filter Diagnostic.is_error (Absint.verify core))
-      in
-      let analysis_missed, analysis_iters =
-        let ds, iters =
-          Absint.missed ~decisions:(Pipeline.decisions join_report) joins
-        in
-        (List.length ds, iters)
-      in
       let delta_pct =
         if sb.words = 0 then 0.0
         else
@@ -270,9 +253,6 @@ let measure (prog : program) : measurement option =
           join_report;
           base_eval_ms;
           join_eval_ms;
-          analysis_errors;
-          analysis_missed;
-          analysis_iters;
         }
       with Skip_row -> None)
 
@@ -738,15 +718,6 @@ let bench_json ~quick ~metrics ~service (groups : (string * measurement list) li
             [
               ("base", Pipeline.summary_json m.base_report);
               ("join", Pipeline.summary_json m.join_report);
-            ] );
-        (* Additive fj-bench/1 field: the static-analysis verdicts —
-           informational only (Bench_diff never gates on them). *)
-        ( "analysis",
-          Obj
-            [
-              ("errors", Int m.analysis_errors);
-              ("missed_opt", Int m.analysis_missed);
-              ("fixpoint_iterations", Int m.analysis_iters);
             ] );
       ]
   in

@@ -2,10 +2,6 @@
 
     Subcommands:
 
-    - [fjc check FILE...] — static analysis: the join-discipline verifier,
-      constant/shape propagation, liveness, and the missed-optimization
-      report; [--json] emits the [fj-check/1] schema (exit 3 on
-      discipline errors; [--require-clean] gates on warnings too);
     - [fjc run FILE]    — compile and evaluate [main] (choose the
       optimisation mode with [--mode]); prints the result and the
       abstract machine's allocation statistics;
@@ -242,148 +238,6 @@ let report_incidents (r : Pipeline.report) =
   List.iter
     (fun i -> Fmt.epr "fjc: incident: %a@." Guard.pp_incident i)
     (Pipeline.incidents r)
-
-(* ------------------------------------------------------------------ *)
-(* check                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let check_cmd =
-  let doc =
-    "Statically analyse programs: the join-point discipline verifier, \
-     constant/shape propagation, liveness, and the missed-optimization \
-     report (sites the analysis proves foldable or dead that survived the \
-     Join_points pipeline, each naming the pass that declined and its \
-     ledger reason)."
-  in
-  (* One row per input file. Surface files elaborate through the usual
-     front end; [.sexp] files are read as raw Core so a deliberately
-     ill-formed tree reaches the verifier (and exits 3 as a finding)
-     instead of dying in the front end. *)
-  let run files no_prelude iters inline_threshold dup_threshold json_out
-      require_clean =
-    let check_file file =
-      if Filename.check_suffix file ".sexp" then
-        match Sexp.read Datacon.builtins (read_file file) with
-        | exception exn ->
-            Error
-              (Diagnostic.error "unreadable" ~site:"<top>"
-                 (Printexc.to_string exn))
-        | core -> Ok (Datacon.builtins, core)
-      else
-        let l = load ~no_prelude file in
-        Ok (l.denv, l.core)
-    in
-    let results =
-      List.map
-        (fun file ->
-          match check_file file with
-          | Error d ->
-              ( file,
-                {
-                  Absint.c_diagnostics = [ d ];
-                  c_errors = 1;
-                  c_warnings = 0;
-                  c_iterations = 0;
-                  c_value = Absint.Top;
-                } )
-          | Ok (denv, core) ->
-              let cfg =
-                pipeline_config ~inline_threshold ~dup_threshold
-                  Pipeline.Join_points iters { denv; core }
-              in
-              (file, Absint.check ~config:cfg core))
-        files
-    in
-    let total_errors, total_warnings =
-      List.fold_left
-        (fun (e, w) (_, (r : Absint.check_result)) ->
-          (e + r.Absint.c_errors, w + r.Absint.c_warnings))
-        (0, 0) results
-    in
-    (* With [--json -] the payload owns stdout (the cover/diff rule). *)
-    if json_out <> Some "-" then
-      List.iter
-        (fun (file, (r : Absint.check_result)) ->
-          Fmt.pr "%s: %d error(s), %d warning(s), %d fixpoint round(s), \
-                  value %s@."
-            file r.Absint.c_errors r.Absint.c_warnings r.Absint.c_iterations
-            (Absint.aval_to_string r.Absint.c_value);
-          List.iter
-            (fun d -> Fmt.pr "  %a@." Diagnostic.pp d)
-            r.Absint.c_diagnostics)
-        results;
-    let json_rc =
-      match json_out with
-      | None -> 0
-      | Some dest ->
-          let file_json (file, (r : Absint.check_result)) =
-            Telemetry.Json.(
-              Obj
-                [
-                  ("file", Str file);
-                  ("errors", Int r.Absint.c_errors);
-                  ("warnings", Int r.Absint.c_warnings);
-                  ("fixpoint_iterations", Int r.Absint.c_iterations);
-                  ("abstract", Str (Absint.aval_to_string r.Absint.c_value));
-                  ( "diagnostics",
-                    Arr (List.map Diagnostic.to_json r.Absint.c_diagnostics)
-                  );
-                ])
-          in
-          write_output ~what:"check report" dest
-            (Telemetry.Json.to_string
-               Telemetry.Json.(
-                 Obj
-                   [
-                     ("schema", Str "fj-check/1");
-                     ("files", Arr (List.map file_json results));
-                     ("errors", Int total_errors);
-                     ("warnings", Int total_warnings);
-                   ]))
-    in
-    if total_errors > 0 || (require_clean && total_warnings > 0) then 3
-    else json_rc
-  in
-  let files_arg =
-    Arg.(
-      non_empty & pos_all file []
-      & info [] ~docv:"FILE"
-          ~doc:
-            "Surface-language source files, or raw Core s-expressions \
-             ($(b,.sexp)).")
-  in
-  let json_flag =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:
-            "Write the diagnostics (schema $(b,fj-check/1), one element \
-             per diagnostic round-trippable through the $(b,Diagnostic) \
-             JSON codec) to $(docv); $(b,-) for stdout (suppresses the \
-             console report).")
-  in
-  let require_clean_flag =
-    Arg.(
-      value & flag
-      & info [ "require-clean" ]
-          ~doc:
-            "Exit 3 on $(i,any) diagnostic, warnings included — the CI \
-             posture; by default only discipline errors gate.")
-  in
-  let exits =
-    Cmd.Exit.info 3
-      ~doc:
-        "the analysis found discipline errors (or, with \
-         $(b,--require-clean), any diagnostic)."
-    :: Cmd.Exit.defaults
-  in
-  Cmd.v
-    (Cmd.info "check" ~doc ~exits)
-    Term.(
-      const run $ files_arg $ no_prelude_flag $ iters_flag
-      $ inline_threshold_flag $ dup_threshold_flag $ json_flag
-      $ require_clean_flag)
 
 (* ------------------------------------------------------------------ *)
 (* run                                                                 *)
@@ -1127,7 +981,7 @@ let fuzz_cmd =
      strategies, the zero-allocation join invariant)."
   in
   let run seed count size fuel out verbose heartbeat flight want_cover
-      guided absint cover_out corpus_out faults =
+      guided cover_out corpus_out faults =
     arm_faults faults;
     (* A soak must die gracefully: the first SIGINT/SIGTERM finishes the
        case in flight, flushes the flight recorder and any partial
@@ -1173,8 +1027,7 @@ let fuzz_cmd =
             mode
     in
     let s =
-      Fuzz.run ~size ~fuel ~on_case ?recorder ?cover ~guided ~absint
-        ~on_interesting
+      Fuzz.run ~size ~fuel ~on_case ?recorder ?cover ~guided ~on_interesting
         ~should_stop:(fun () -> Fj_service.Shutdown.requested () <> None)
         ~seed ~count ()
     in
@@ -1316,16 +1169,6 @@ let fuzz_cmd =
              of the later cases mutate a retained seed instead of \
              generating fresh.")
   in
-  let absint_flag =
-    Arg.(
-      value & flag
-      & info [ "absint" ]
-          ~doc:
-            "Also run the analysis-soundness oracle on every case: the \
-             $(b,Absint) discipline verifier must be clean and the \
-             concrete result must lie in the concretization of the \
-             abstract one, on the seed and on every optimised output.")
-  in
   let cover_out_flag =
     Arg.(
       value
@@ -1362,7 +1205,7 @@ let fuzz_cmd =
     Term.(
       const run $ seed_flag $ count_flag $ size_flag $ fuel_flag $ out_flag
       $ verbose_flag $ heartbeat_flag $ flight_flag $ cover_flag
-      $ cover_guided_flag $ absint_flag $ cover_out_flag $ corpus_out_flag
+      $ cover_guided_flag $ cover_out_flag $ corpus_out_flag
       $ fault_flag)
 
 (* ------------------------------------------------------------------ *)
@@ -1406,8 +1249,8 @@ let pass_fuel_flag =
     & opt (some int) None
     & info [ "pass-fuel" ] ~docv:"N"
         ~doc:
-          "Per-pass tick budget (the Guard fuel limit); default as \
-           $(b,fjc check).")
+          "Per-pass tick budget (the Guard fuel limit); default: \
+           Guard's own.")
 
 let attempts_flag =
   Arg.(
@@ -1859,6 +1702,6 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.group ~default info
-          [ check_cmd; run_cmd; dump_cmd; trace_cmd; stats_cmd; profile_cmd;
-            explain_cmd; erase_cmd; lower_cmd; cps_cmd; sexp_cmd; cover_cmd;
-            fuzz_cmd; batch_cmd; serve_cmd; bench_cmd ]))
+          [ run_cmd; dump_cmd; trace_cmd; stats_cmd; profile_cmd; explain_cmd;
+            erase_cmd; lower_cmd; cps_cmd; sexp_cmd; cover_cmd; fuzz_cmd;
+            batch_cmd; serve_cmd; bench_cmd ]))

@@ -157,14 +157,6 @@ let prog_metrics gate_pct po pn =
       (fun () ->
         compare_path gate_pct ~kind:Info "optimizer.join.total_gc.minor_words"
           po pn);
-      (* Static-analysis verdicts (Absint): informational only — a
-         missed-opt count moving is a lead, not a regression gate. *)
-      (fun () -> compare_path gate_pct ~kind:Info "analysis.errors" po pn);
-      (fun () ->
-        compare_path gate_pct ~kind:Info "analysis.missed_opt" po pn);
-      (fun () ->
-        compare_path gate_pct ~kind:Info "analysis.fixpoint_iterations" po
-          pn);
     ]
 
 let label j file =

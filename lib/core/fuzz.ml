@@ -43,30 +43,7 @@ let optimize ?cover mode (e : expr) : (expr, string) result =
           | None -> ());
           Ok e')
 
-(* The analysis-soundness oracle ([--absint]): the discipline verifier
-   must be clean on a Lint-clean tree, and the concrete machine result
-   must lie in the concretization of the abstract one. Runs on the
-   seed and on every optimised output, so the differential fuzzer
-   doubles as a fuzzer for the analysis itself. *)
-let absint_verdict ~absint mname (e : expr) (t : Eval.tree) : verdict option
-    =
-  if not absint then None
-  else
-    Span.with_span ~cat:"fuzz" ("absint " ^ mname) @@ fun () ->
-    match List.filter Diagnostic.is_error (Absint.verify e) with
-    | d :: _ ->
-        Some (fail mname "absint-discipline" (Fmt.str "%a" Diagnostic.pp d))
-    | [] ->
-        let r = Absint.analyze e in
-        if Absint.concretizes r.Absint.r_value t then None
-        else
-          Some
-            (fail mname "absint-unsound"
-               (Fmt.str "machine result outside the concretization of %s"
-                  (Absint.aval_to_string r.Absint.r_value)))
-
-let check_program ?(fuel = default_fuel) ?cover ?(absint = false) (e : expr)
-    : verdict =
+let check_program ?(fuel = default_fuel) ?cover (e : expr) : verdict =
   if not (Lint.well_typed dc e) then
     fail "seed" "generator-ill-typed" "generated program does not lint"
   else
@@ -78,9 +55,6 @@ let check_program ?(fuel = default_fuel) ?cover ?(absint = false) (e : expr)
     | Eval.Fuel_exhausted -> Skip "seed program exhausts the fuel budget"
     | Eval.Crashed m -> fail "seed" "seed-stuck" m
     | Eval.Finished (t0, _) -> (
-        match absint_verdict ~absint "seed" e t0 with
-        | Some v -> v
-        | None -> (
         (* Sites (of any kind) that already allocate in the unoptimised
            run. A join body is free to allocate — its result value is
            the program's allocation, not the machinery's — and contify
@@ -135,9 +109,6 @@ let check_program ?(fuel = default_fuel) ?cover ?(absint = false) (e : expr)
                                  mname)
                         | Eval.Crashed m -> fail mname "output-stuck" m
                         | Eval.Finished (t, _) -> (
-                            match absint_verdict ~absint mname e' t with
-                            | Some v -> v
-                            | None -> (
                             match Eval.tree_mismatch t0 t with
                             | Some where ->
                                 fail mname "result-mismatch" where
@@ -155,9 +126,9 @@ let check_program ?(fuel = default_fuel) ?cover ?(absint = false) (e : expr)
                                     fail mname "join-site-allocated"
                                       (Fmt.str "join site %s allocated %d words"
                                          s.site_label s.s_words)
-                                | None -> modes rest)))))
+                                | None -> modes rest))))
             in
-            modes configurations)))
+            modes configurations))
 
 (* ------------------------------------------------------------------ *)
 (* Counterexamples                                                     *)
@@ -339,7 +310,7 @@ let pool_cap = 32
 
 let run ?(size = Gen.default_size) ?(fuel = default_fuel)
     ?(on_case = fun _ _ -> ()) ?recorder ?cover ?(guided = false)
-    ?(absint = false) ?(on_interesting = fun _ _ -> ())
+    ?(on_interesting = fun _ _ -> ())
     ?(should_stop = fun () -> false) ~seed ~count () : summary =
   let passed = ref 0 and skipped = ref 0 and failures = ref [] in
   let ran = ref 0 in
@@ -381,7 +352,7 @@ let run ?(size = Gen.default_size) ?(fuel = default_fuel)
       let v, case_ms =
         Span.with_span_timed ~cat:"fuzz" (Fmt.str "case %d" case_seed)
           (fun () ->
-            let v = check_program ~fuel ?cover ~absint e in
+            let v = check_program ~fuel ?cover e in
             Span.annotate "verdict"
               (Telemetry.Json.Str
                  (match v with
@@ -421,7 +392,7 @@ let run ?(size = Gen.default_size) ?(fuel = default_fuel)
           let failing e =
             Lint.well_typed dc e
             &&
-            match check_program ~fuel ~absint e with
+            match check_program ~fuel e with
             | Fail _ -> true
             | _ -> false
           in

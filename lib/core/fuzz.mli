@@ -25,23 +25,14 @@ type verdict =
           [kind] a stable failure class: ["generator-ill-typed"],
           ["seed-stuck"], ["strategy-disagree"], ["pass-aborted"],
           ["output-ill-typed"], ["output-stuck"], ["result-mismatch"],
-          ["join-site-allocated"] — plus, with the [--absint] oracle
-          armed, ["absint-discipline"] (the {!Absint.verify} verifier
-          errored on a Lint-clean tree) and ["absint-unsound"] (the
-          machine result fell outside the concretization of the
-          abstract result). *)
+          ["join-site-allocated"]. *)
 
 (** Run the full oracle on one (closed, generated) program. [fuel]
     bounds each evaluation (default 200_000 machine steps). [cover]
     (if given) accumulates the optimization coverage of the three
     compiles — every tick, ledger outcome, and incident cause — into
-    the map ({!Coverage.observe_report}). [absint] additionally runs
-    the analysis-soundness oracle on the seed and on every optimised
-    output: {!Absint.verify} must report no errors, and the concrete
-    {!Eval} result must lie in the concretization
-    ({!Absint.concretizes}) of the {!Absint.analyze} result. *)
-val check_program :
-  ?fuel:int -> ?cover:Coverage.t -> ?absint:bool -> Syntax.expr -> verdict
+    the map ({!Coverage.observe_report}). *)
+val check_program : ?fuel:int -> ?cover:Coverage.t -> Syntax.expr -> verdict
 
 (** A minimized counterexample. *)
 type failure = {
@@ -162,10 +153,6 @@ val flight_json : ?cover:Coverage.t -> recorder -> Telemetry.Json.t
     guided run replays exactly. Shrinking never pollutes the map:
     minimization re-checks without [cover].
 
-    [absint] arms the analysis-soundness oracle (see
-    {!check_program}) on every case — including during minimization,
-    so a counterexample shrinks while preserving {e some} failure.
-
     [should_stop] is polled before each case; returning [true] ends
     the run gracefully — the case in flight is never abandoned, the
     flight recorder still gets its final heartbeat, and the summary
@@ -178,7 +165,6 @@ val run :
   ?recorder:recorder ->
   ?cover:Coverage.t ->
   ?guided:bool ->
-  ?absint:bool ->
   ?on_interesting:(int -> Syntax.expr -> unit) ->
   ?should_stop:(unit -> bool) ->
   seed:int ->

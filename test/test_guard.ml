@@ -83,7 +83,23 @@ let ill_typed_tripped_by_lint_gate () =
             "lint" (Guard.cause_name i.i_cause));
       let _ = lints ~env:denv e in
       same_result core e)
-    Fault.pass_points
+    Fault.pass_points;
+  (* The service points never see a tree in a compile, but the tree
+     they would corrupt must fail Lint too. *)
+  let denv, core = compile src in
+  List.iter
+    (fun point ->
+      if not (List.mem point Fault.pass_points) then
+        let corrupted =
+          Fault.with_armed
+            [ (point, Fault.Ill_typed) ]
+            (fun () -> Fault.point point core)
+        in
+        Alcotest.(check bool)
+          (point ^ " breaks lint")
+          false
+          (Lint.well_typed denv corrupted))
+    Fault.points
 
 let burn_fuel_tripped_by_budget () =
   let denv, core, e, report, _ =

@@ -234,7 +234,14 @@ let join_as_value_rejected () =
   let jv = mk_join_var "j" [] [ x ] in
   let defn = { j_var = jv; j_tyvars = []; j_params = [ x ]; j_rhs = Var x } in
   let e = Join (JNonRec defn, Var jv) in
-  fails_lint ~message:"join point j_3 used as a first-class value" e
+  fails_lint ~message:"join point j_3 used as a first-class value" e;
+  (* Nor may a join binder carry a value type. *)
+  let j = mk_var "j" Types.int in
+  fails_lint
+    ~message:"join binder j_5 has type Int, should be Int -> (forall r_6. r_6)"
+    (Join
+       ( JNonRec { defn with j_var = j },
+         mk_jump j [] [ B.int 0 ] Types.int ))
 
 (* Scope: a jump outside the join's body is unbound. *)
 let jump_out_of_scope_rejected () =

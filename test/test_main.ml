@@ -37,6 +37,5 @@ let () =
       ("coverage", Test_coverage.tests);
       ("corpus", Test_corpus.tests);
       ("properties", Test_qcheck.tests);
-      ("absint", Test_absint.tests);
       ("service", Test_service.tests);
     ]
