@@ -41,9 +41,11 @@ let counter_value () = !(counter ())
     higher keys are still alive. *)
 let restore_counter n = counter () := n
 
-(** [fresh name] allocates a brand-new identifier with hint [name]. *)
+(** [fresh name] allocates a brand-new identifier with hint [name].
+    A supply at [max_int] fails rather than wrap to a key in use. *)
 let fresh name =
   let c = counter () in
+  if !c = max_int then failwith "Ident.fresh: the unique supply is exhausted";
   incr c;
   { name; id = !c }
 
@@ -97,4 +99,7 @@ let unsafe_reset_counter () = counter () := 0
     loaded uniques can never collide with newly allocated ones. *)
 let ensure_above n =
   let c = counter () in
-  if !c <= n then c := n + 1
+  if !c <= n then begin
+    if n = max_int then invalid_arg "Ident.ensure_above: no key above max_int";
+    c := n + 1
+  end

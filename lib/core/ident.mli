@@ -3,7 +3,9 @@
 
 type t = { name : string; id : int }
 
-(** Allocate a brand-new identifier with the given name hint. *)
+(** Allocate a brand-new identifier with the given name hint. Fails
+    ([Failure]) when the supply stands at [max_int], rather than wrap
+    to a key that may be in use. *)
 val fresh : string -> t
 
 (** New identifier with the same name hint but a distinct key. *)
@@ -60,5 +62,7 @@ val restore_counter : int -> unit
 (** Reset the current supply — tests only. *)
 val unsafe_reset_counter : unit -> unit
 
-(** Ensure future {!fresh} keys exceed [n] (used by deserialisers). *)
+(** Ensure future {!fresh} keys exceed [n] (used by deserialisers).
+    [Invalid_argument] when [n] is [max_int] and the supply is below
+    it: no key lies above. *)
 val ensure_above : int -> unit

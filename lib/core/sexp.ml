@@ -19,260 +19,6 @@ open Syntax
 
 type t = Atom of string | List of t list
 
-(* The writer's layout is exactly what [Format.asprintf] made of an
-   [@[<hov 1>(...)@]] box per list with [@ ] between elements, which is
-   what every artifact was written with; test_sexp keeps that Format
-   printer as an oracle and compares byte for byte. [Layout] is a port
-   of Stdlib.Format's engine cut down to that token stream: text, a hov
-   box of indent 1, and [break 1 0], under asprintf's geometry (margin
-   78, max indent 68) inside an always-open hov system box, and its
-   functions keep the names of the Format functions they port. A
-   closed-form fits test would not reproduce it: a box whose size is
-   still unknown counts as infinitely large once the queued text
-   reaches the space left, and a box opened past column 68 breaks its
-   parent. *)
-module Layout = struct
-  let margin = 78
-  let max_indent = 68
-  let pp_infinity = 1000000010
-
-  (* Token kinds. The system box is the hov box of indent 0 that
-     encloses everything. *)
-  let k_text = 0
-  let k_open = 1
-  let k_sys = 2
-  let k_close = 3
-  let k_break = 4
-
-  type state = {
-    out : Buffer.t;
-    (* The token queue: a ring of flat arrays, slot [n land mask] for
-       token number [n]; tokens [head .. tail - 1] are queued. Sizes
-       are negative while unknown. *)
-    mutable kind : int array;
-    mutable size : int array;
-    mutable length : int array;
-    mutable text : string array;
-    mutable mask : int;
-    mutable head : int;
-    mutable tail : int;
-    (* The scan stack: per entry, [pp_right_total] when it was pushed,
-       the token number and its kind. Entry 0 is the sentinel. *)
-    mutable scan_left : int array;
-    mutable scan_tok : int array;
-    mutable scan_kind : int array;
-    mutable scan_top : int;
-    (* The format stack: the open boxes being printed. *)
-    mutable box_width : int array;
-    mutable box_fits : bool array;
-    mutable box_top : int;
-    mutable space_left : int;
-    mutable left_total : int;
-    mutable right_total : int;
-  }
-
-  let grow a fill = Array.append a (Array.make (Array.length a) fill)
-
-  (* Returns the token's number. *)
-  let pp_enqueue st kind size length text =
-    if st.tail - st.head > st.mask then begin
-      (* Full: unroll the ring into arrays twice the size. *)
-      let cap = st.mask + 1 in
-      let unroll a fill =
-        Array.init (2 * cap) (fun j ->
-            if j < cap then a.((st.head + j) land st.mask) else fill)
-      in
-      st.kind <- unroll st.kind 0;
-      st.size <- unroll st.size 0;
-      st.length <- unroll st.length 0;
-      st.text <- unroll st.text "";
-      st.tail <- st.tail - st.head;
-      (* Scan entries name tokens by number: renumber them too. *)
-      for j = 1 to st.scan_top - 1 do
-        st.scan_tok.(j) <- st.scan_tok.(j) - st.head
-      done;
-      st.head <- 0;
-      st.mask <- (2 * cap) - 1
-    end;
-    let n = st.tail in
-    let i = n land st.mask in
-    st.kind.(i) <- kind;
-    st.size.(i) <- size;
-    st.length.(i) <- length;
-    st.text.(i) <- text;
-    st.tail <- n + 1;
-    st.right_total <- st.right_total + length;
-    n
-
-  let break_new_line st width =
-    Buffer.add_char st.out '\n';
-    let indent = Int.min max_indent (margin - width) in
-    st.space_left <- margin - indent;
-    for _ = 1 to indent do
-      Buffer.add_char st.out ' '
-    done
-
-  let break_same_line st =
-    st.space_left <- st.space_left - 1;
-    Buffer.add_char st.out ' '
-
-  let pp_force_break_line st =
-    if st.box_top = 0 then Buffer.add_char st.out '\n'
-    else
-      let top = st.box_top - 1 in
-      let width = st.box_width.(top) in
-      if width > st.space_left && not st.box_fits.(top) then
-        break_new_line st width
-
-  let format_pp_token st i size =
-    let kind = st.kind.(i) in
-    if kind = k_text then begin
-      st.space_left <- st.space_left - size;
-      Buffer.add_string st.out st.text.(i)
-    end
-    else if kind = k_break then begin
-      if st.box_top > 0 then begin
-        let top = st.box_top - 1 in
-        if st.box_fits.(top) || size <= st.space_left then break_same_line st
-        else break_new_line st st.box_width.(top)
-      end
-    end
-    else if kind = k_close then begin
-      if st.box_top > 0 then st.box_top <- st.box_top - 1
-    end
-    else begin
-      if margin - st.space_left > max_indent then pp_force_break_line st;
-      let off = if kind = k_sys then 0 else 1 in
-      if st.box_top = Array.length st.box_width then begin
-        st.box_width <- grow st.box_width 0;
-        st.box_fits <- grow st.box_fits false
-      end;
-      st.box_width.(st.box_top) <- st.space_left - off;
-      st.box_fits.(st.box_top) <- size <= st.space_left;
-      st.box_top <- st.box_top + 1
-    end
-
-  let rec advance_left st =
-    if st.head < st.tail then begin
-      let i = st.head land st.mask in
-      let size = st.size.(i) in
-      if size >= 0 || st.right_total - st.left_total >= st.space_left then begin
-        st.head <- st.head + 1;
-        format_pp_token st i (if size >= 0 then size else pp_infinity);
-        st.left_total <- st.length.(i) + st.left_total;
-        advance_left st
-      end
-    end
-
-  let initialize_scan_stack st =
-    st.scan_left.(0) <- -1;
-    st.scan_top <- 1
-
-  let scan_stack_push st left tok kind =
-    if st.scan_top = Array.length st.scan_left then begin
-      st.scan_left <- grow st.scan_left 0;
-      st.scan_tok <- grow st.scan_tok 0;
-      st.scan_kind <- grow st.scan_kind 0
-    end;
-    st.scan_left.(st.scan_top) <- left;
-    st.scan_tok.(st.scan_top) <- tok;
-    st.scan_kind.(st.scan_top) <- kind;
-    st.scan_top <- st.scan_top + 1
-
-  (* [set_size st true] fixes the size of the break on top of the scan
-     stack, [false] that of the box; either pops it. A token already
-     printed is left alone: Format would write a size nobody reads. *)
-  let set_size st ty =
-    let top = st.scan_top - 1 in
-    if st.scan_left.(top) < st.left_total then initialize_scan_stack st
-    else if (st.scan_kind.(top) = k_break) = ty then begin
-      let tok = st.scan_tok.(top) in
-      if tok >= st.head then begin
-        let i = tok land st.mask in
-        st.size.(i) <- st.right_total + st.size.(i)
-      end;
-      st.scan_top <- top
-    end
-
-  let scan_push st b kind length =
-    let tok = pp_enqueue st kind (-st.right_total) length "" in
-    if b then set_size st true;
-    scan_stack_push st st.right_total tok kind
-
-  (* The system box is queued with unknown size and scanned above the
-     sentinel. *)
-  let pp_make_formatter () =
-    let st =
-      {
-        out = Buffer.create 1024;
-        kind = Array.make 64 0;
-        size = Array.make 64 0;
-        length = Array.make 64 0;
-        text = Array.make 64 "";
-        mask = 63;
-        head = 0;
-        tail = 0;
-        scan_left = Array.make 32 0;
-        scan_tok = Array.make 32 0;
-        scan_kind = Array.make 32 0;
-        scan_top = 0;
-        box_width = Array.make 32 0;
-        box_fits = Array.make 32 false;
-        box_top = 0;
-        space_left = margin;
-        left_total = 1;
-        right_total = 1;
-      }
-    in
-    let sys = pp_enqueue st k_sys (-1) 0 "" in
-    initialize_scan_stack st;
-    scan_stack_push st 1 sys k_sys;
-    st
-
-  let pp_print_string st s =
-    let n = String.length s in
-    ignore (pp_enqueue st k_text n n s);
-    advance_left st
-
-  let pp_open_box st = scan_push st false k_open 0
-  let pp_print_space st = scan_push st true k_break 1
-
-  let pp_close_box st =
-    ignore (pp_enqueue st k_close 0 0 "");
-    set_size st true;
-    set_size st false
-
-  (* Every box but the system one is closed. *)
-  let pp_flush_queue st =
-    st.right_total <- pp_infinity;
-    advance_left st
-end
-
-let to_string s =
-  let st = Layout.pp_make_formatter () in
-  let rec emit = function
-    | Atom a -> Layout.pp_print_string st a
-    | List xs ->
-        Layout.pp_open_box st;
-        Layout.pp_print_string st "(";
-        (match xs with
-        | [] -> ()
-        | x :: rest ->
-            emit x;
-            emit_rest rest);
-        Layout.pp_print_string st ")";
-        Layout.pp_close_box st
-  and emit_rest = function
-    | [] -> ()
-    | x :: rest ->
-        Layout.pp_print_space st;
-        emit x;
-        emit_rest rest
-  in
-  emit s;
-  Layout.pp_flush_queue st;
-  Buffer.contents st.Layout.out
-
 exception Parse_error of string
 
 (* A small reader: atoms are runs of non-delimiter characters; strings
@@ -343,85 +89,294 @@ let parse_string (src : string) : t =
   if !pos <> n then error "trailing input at offset %d" !pos;
   s
 
+(* The integer [string_of_int] writes for [s]'s bytes [i .. j - 1],
+   and no other spelling of it: an optional '-', then digits with no
+   leading zero. Accumulated negatively, so [min_int] reads back too. *)
+let int_between s i j =
+  let refuse () = raise (Parse_error "not string_of_int's spelling") in
+  let neg = i < j && s.[i] = '-' in
+  let d = if neg then i + 1 else i in
+  if d >= j || (s.[d] = '0' && (j - d > 1 || neg)) then refuse ();
+  let n = ref 0 in
+  for k = d to j - 1 do
+    match s.[k] with
+    | '0' .. '9' as c ->
+        let v = Char.code c - 48 in
+        if !n < (min_int + v) / 10 then refuse ();
+        n := (10 * !n) - v
+    | _ -> refuse ()
+  done;
+  if neg then !n else if !n = min_int then refuse () else - !n
+
+(* ------------------------------------------------------------------ *)
+(* Layout                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The writer's layout is what [Format.asprintf] made of an
+   [@[<hov 1>(...)@]] box per list with [@ ] between elements, which
+   every artifact was written with; test_sexp keeps that Format
+   printer as an oracle and compares byte for byte. For this one token
+   shape Format's queue machine has a closed form. With |L| = 2 +
+   Σ|xᵢ| + (n − 1) the flat size of a list of n elements and r the
+   columns left on the line (margin 78):
+   - Fit: a list fits, and every break in it is a space, iff |L| < r
+     where it opens, before any forced break. Strict, because Format
+     counts a box whose size it does not know yet as infinitely large
+     once the queued text reaches r.
+   - Break: in a list that does not fit, the break before xᵢ starts a
+     new line iff |xᵢ| + 2 > r, or |xᵢ| + 2 ≥ r when xᵢ is the last
+     element. The new line is indented min(68, column of the list's
+     '(' + 1).
+   - Forced break: a list opened past column 68 inside a parent that
+     does not fit first breaks the parent's line, if the parent's
+     width (r at its '(', minus 1) exceeds r.
+   One engine applies it, and an emitter drives it twice: the first
+   walk records each list's flat size in preorder, the second prints.
+   An element is its list's last when no flat size of the list is left
+   after it, so no element count is kept. *)
+
+let margin = 78
+let max_indent = 68
+let newline_spaces = "\n" ^ String.make max_indent ' '
+
+type st = {
+  mutable buf : Buffer.t;
+  mutable measuring : bool;
+  (* Per list, numbered in preorder: its flat size. While measuring, a
+     running sum of its elements' sizes plus one each. *)
+  mutable sizes : int array;
+  mutable next : int;
+  (* The open lists, two slots each. While measuring, the list's
+     number. While printing, only the lists that do not fit: the
+     column of the list's '(' and the flat size of its elements still
+     to come, separators included. *)
+  mutable stack : int array;
+  mutable top : int;
+  mutable col : int;
+  (* How many lists deep the printer is inside a list that fits. *)
+  mutable flat : int;
+  (* The next element is the first of its list. *)
+  mutable first : bool;
+}
+
+let grow a =
+  let b = Array.make (2 * Array.length a) 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Count an element of flat size [size] in the open list (measuring). *)
+let add_size st size =
+  if st.top > 0 then begin
+    let i = st.stack.(2 * (st.top - 1)) in
+    st.sizes.(i) <- st.sizes.(i) + size + 1
+  end
+
+let space st =
+  Buffer.add_char st.buf ' ';
+  st.col <- st.col + 1
+
+let newline st indent =
+  Buffer.add_substring st.buf newline_spaces 0 (indent + 1);
+  st.col <- indent
+
+(* The break before an element of flat size [size] (printing). *)
+let separate st size =
+  if st.flat = 0 && st.top > 0 then begin
+    let f = (2 * st.top) - 1 in
+    let left = st.stack.(f) - size - if st.first then 0 else 1 in
+    st.stack.(f) <- left;
+    if not st.first then
+      let r = margin - st.col in
+      if size + 2 > r || (size + 2 = r && left = 0) then
+        newline st (Int.min max_indent (st.stack.(f - 1) + 1))
+      else space st
+  end
+  else if not st.first then space st;
+  st.first <- false
+
+let atom st s =
+  let len = String.length s in
+  if st.measuring then add_size st len
+  else begin
+    separate st len;
+    Buffer.add_string st.buf s;
+    st.col <- st.col + len
+  end
+
+let open_ st =
+  let i = st.next in
+  st.next <- i + 1;
+  if st.measuring then begin
+    if i = Array.length st.sizes then st.sizes <- grow st.sizes;
+    st.sizes.(i) <- 0;
+    if (2 * st.top) + 1 >= Array.length st.stack then st.stack <- grow st.stack;
+    st.stack.(2 * st.top) <- i;
+    st.top <- st.top + 1
+  end
+  else begin
+    let size = st.sizes.(i) in
+    separate st size;
+    if st.flat > 0 then st.flat <- st.flat + 1
+    else begin
+      let fits = size < margin - st.col in
+      (if st.col > max_indent && st.top > 0 then
+         let parent = st.stack.((2 * st.top) - 2) in
+         if st.col > parent + 1 then
+           newline st (Int.min max_indent (parent + 1)));
+      if fits then st.flat <- 1
+      else begin
+        (* Measuring pushed every list, so the stack is deep enough. *)
+        st.stack.(2 * st.top) <- st.col;
+        st.stack.((2 * st.top) + 1) <- size - 2;
+        st.top <- st.top + 1
+      end
+    end;
+    Buffer.add_char st.buf '(';
+    st.col <- st.col + 1;
+    st.first <- true
+  end
+
+let close st =
+  if st.measuring then begin
+    st.top <- st.top - 1;
+    let i = st.stack.(2 * st.top) in
+    (* Every element added at least one. *)
+    let size = if st.sizes.(i) = 0 then 2 else st.sizes.(i) + 1 in
+    st.sizes.(i) <- size;
+    add_size st size
+  end
+  else begin
+    Buffer.add_char st.buf ')';
+    st.col <- st.col + 1;
+    st.first <- false;
+    if st.flat > 0 then st.flat <- st.flat - 1 else st.top <- st.top - 1
+  end
+
+(* Lay out what [emit] emits: measure, then print. The state starts
+   small and grows; the output buffer is sized from the measured flat
+   size. *)
+let layout emit =
+  let st =
+    {
+      buf = Buffer.create 16;
+      measuring = true;
+      sizes = Array.make 32 0;
+      next = 0;
+      stack = Array.make 32 0;
+      top = 0;
+      col = 0;
+      flat = 0;
+      first = true;
+    }
+  in
+  emit st;
+  if st.next > 0 then st.buf <- Buffer.create (st.sizes.(0) * 3 / 2);
+  st.measuring <- false;
+  st.next <- 0;
+  emit st;
+  Buffer.contents st.buf
+
+let rec each st item = function [] -> () | x :: xs -> item st x; each st item xs
+
+let rec emit_sexp st = function
+  | Atom a -> atom st a
+  | List xs -> open_ st; each st emit_sexp xs; close st
+
+let to_string s = layout (fun st -> emit_sexp st s)
+
 (* ------------------------------------------------------------------ *)
 (* Writers                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let of_ident (i : Ident.t) = Atom (Ident.name i ^ "." ^ string_of_int (Ident.id i))
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
 
-let rec of_ty (t : Types.t) : t =
-  match t with
-  | Types.Var a -> List [ Atom "tv"; of_ident a ]
-  | Types.Con c -> List [ Atom "tc"; Atom c ]
-  | Types.App (f, a) -> List [ Atom "tapp"; of_ty f; of_ty a ]
-  | Types.Arrow (a, b) -> List [ Atom "->"; of_ty a; of_ty b ]
-  | Types.Forall (a, b) -> List [ Atom "forall"; of_ident a; of_ty b ]
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
 
-let of_var (v : var) : t = List [ of_ident v.v_name; of_ty v.v_ty ]
+(* The atom [prefix ^ string_of_int n], written without building it;
+   an ident's prefix is its name and a dot. *)
+let number st prefix ~dot n =
+  if n < 0 then atom st (prefix ^ (if dot then "." else "") ^ string_of_int n)
+  else
+    let len = String.length prefix + (if dot then 1 else 0) + digits n in
+    if st.measuring then add_size st len
+    else begin
+      separate st len;
+      Buffer.add_string st.buf prefix;
+      if dot then Buffer.add_char st.buf '.';
+      add_digits st.buf n;
+      st.col <- st.col + len
+    end
 
-let of_lit (l : Literal.t) : t =
-  match l with
-  | Literal.Int n -> List [ Atom "int"; Atom (string_of_int n) ]
-  | Literal.Char c -> List [ Atom "char"; Atom (string_of_int (Char.code c)) ]
-  | Literal.String s -> List [ Atom "string"; Atom (Fmt.str "%S" s) ]
+let ident st (i : Ident.t) = number st i.name ~dot:true i.id
 
-let rec of_expr (e : expr) : t =
-  match e with
-  | Var v -> List [ Atom "var"; of_var v ]
-  | Lit l -> List [ Atom "lit"; of_lit l ]
+let rec ty st (t : Types.t) =
+  open_ st;
+  (match t with
+  | Types.Var a -> atom st "tv"; ident st a
+  | Types.Con c -> atom st "tc"; atom st c
+  | Types.App (f, a) -> atom st "tapp"; ty st f; ty st a
+  | Types.Arrow (a, b) -> atom st "->"; ty st a; ty st b
+  | Types.Forall (a, b) -> atom st "forall"; ident st a; ty st b);
+  close st
+
+(* A list of [item]s. *)
+let items st item xs = open_ st; each st item xs; close st
+
+let var st (v : var) = open_ st; ident st v.v_name; ty st v.v_ty; close st
+
+let lit st (l : Literal.t) =
+  open_ st;
+  (match l with
+  | Literal.Int n -> atom st "int"; number st "" ~dot:false n
+  | Literal.Char c -> atom st "char"; number st "" ~dot:false (Char.code c)
+  | Literal.String s -> atom st "string"; atom st (Fmt.str "%S" s));
+  close st
+
+let rec expr st (e : expr) =
+  open_ st;
+  (match e with
+  | Var v -> atom st "var"; var st v
+  | Lit l -> atom st "lit"; lit st l
   | Con (dc, phis, es) ->
-      List
-        (Atom "con" :: Atom dc.name
-        :: List (List.map of_ty phis)
-        :: List.map of_expr es)
-  | Prim (op, es) ->
-      List (Atom "prim" :: Atom (Primop.name op) :: List.map of_expr es)
-  | App (f, a) -> List [ Atom "app"; of_expr f; of_expr a ]
-  | TyApp (f, t) -> List [ Atom "tyapp"; of_expr f; of_ty t ]
-  | Lam (x, b) -> List [ Atom "lam"; of_var x; of_expr b ]
-  | TyLam (a, b) -> List [ Atom "tylam"; of_ident a; of_expr b ]
+      atom st "con"; atom st dc.name; items st ty phis; each st expr es
+  | Prim (op, es) -> atom st "prim"; atom st (Primop.name op); each st expr es
+  | App (f, a) -> atom st "app"; expr st f; expr st a
+  | TyApp (f, t) -> atom st "tyapp"; expr st f; ty st t
+  | Lam (x, b) -> atom st "lam"; var st x; expr st b
+  | TyLam (a, b) -> atom st "tylam"; ident st a; expr st b
   | Let (NonRec (x, rhs), body) ->
-      List [ Atom "let"; of_var x; of_expr rhs; of_expr body ]
+      atom st "let"; var st x; expr st rhs; expr st body
   | Let (Strict (x, rhs), body) ->
-      List [ Atom "let!"; of_var x; of_expr rhs; of_expr body ]
+      atom st "let!"; var st x; expr st rhs; expr st body
   | Let (Rec pairs, body) ->
-      List
-        [
-          Atom "letrec";
-          List
-            (List.map (fun (x, rhs) -> List [ of_var x; of_expr rhs ]) pairs);
-          of_expr body;
-        ]
-  | Case (scrut, alts) ->
-      List (Atom "case" :: of_expr scrut :: List.map of_alt alts)
-  | Join (JNonRec d, body) ->
-      List [ Atom "join"; of_defn d; of_expr body ]
-  | Join (JRec ds, body) ->
-      List [ Atom "joinrec"; List (List.map of_defn ds); of_expr body ]
-  | Jump (j, phis, es, ty) ->
-      List
-        (Atom "jump" :: of_var j
-        :: List (List.map of_ty phis)
-        :: of_ty ty :: List.map of_expr es)
+      atom st "letrec"; items st pair pairs; expr st body
+  | Case (scrut, alts) -> atom st "case"; expr st scrut; each st alt alts
+  | Join (JNonRec d, body) -> atom st "join"; defn st d; expr st body
+  | Join (JRec ds, body) -> atom st "joinrec"; items st defn ds; expr st body
+  | Jump (j, phis, es, t) ->
+      atom st "jump"; var st j; items st ty phis; ty st t; each st expr es);
+  close st
 
-and of_alt { alt_pat; alt_rhs } =
-  match alt_pat with
-  | PCon (dc, xs) ->
-      List
-        (Atom "pcon" :: Atom dc.name
-        :: List (List.map of_var xs)
-        :: [ of_expr alt_rhs ])
-  | PLit l -> List [ Atom "plit"; of_lit l; of_expr alt_rhs ]
-  | PDefault -> List [ Atom "pdefault"; of_expr alt_rhs ]
+and pair st (x, rhs) = open_ st; var st x; expr st rhs; close st
 
-and of_defn (d : join_defn) =
-  List
-    [
-      of_var d.j_var;
-      List (List.map of_ident d.j_tyvars);
-      List (List.map of_var d.j_params);
-      of_expr d.j_rhs;
-    ]
+and alt st { alt_pat; alt_rhs } =
+  open_ st;
+  (match alt_pat with
+  | PCon (dc, xs) -> atom st "pcon"; atom st dc.name; items st var xs
+  | PLit l -> atom st "plit"; lit st l
+  | PDefault -> atom st "pdefault");
+  expr st alt_rhs;
+  close st
+
+and defn st (d : join_defn) =
+  open_ st;
+  var st d.j_var;
+  items st ident d.j_tyvars;
+  items st var d.j_params;
+  expr st d.j_rhs;
+  close st
 
 (* ------------------------------------------------------------------ *)
 (* Readers                                                             *)
@@ -429,17 +384,19 @@ and of_defn (d : join_defn) =
 
 let error fmt = Fmt.kstr (fun m -> raise (Parse_error m)) fmt
 
+(* The largest unique the reader takes. Far below [max_int], so the
+   supply it raises keeps room for 2^62 - 2^48 more draws. *)
+let max_unique = 1 lsl 48
+
 let to_ident = function
   | Atom s -> (
       match String.rindex_opt s '.' with
-      | Some i ->
-          let name = String.sub s 0 i in
-          let id =
-            try int_of_string (String.sub s (i + 1) (String.length s - i - 1))
-            with _ -> error "bad ident %s" s
-          in
-          Ident.ensure_above id;
-          ({ Ident.name; id } : Ident.t)
+      | Some i -> (
+          match int_between s (i + 1) (String.length s) with
+          | id when id >= 0 && id <= max_unique ->
+              Ident.ensure_above id;
+              ({ Ident.name = String.sub s 0 i; id } : Ident.t)
+          | _ | (exception Parse_error _) -> error "bad ident %s" s)
       | None -> error "bad ident %s" s)
   | List _ -> error "expected an ident atom"
 
@@ -535,7 +492,7 @@ and to_defn env = function
 (* ------------------------------------------------------------------ *)
 
 (** Serialise an expression to a string. *)
-let write (e : expr) : string = to_string (of_expr e)
+let write (e : expr) : string = layout (fun st -> expr st e)
 
 (** Parse an expression back (constructors resolved in [env]). *)
 let read (env : Datacon.env) (src : string) : expr =

@@ -462,29 +462,13 @@ let encode_attempt a =
 
 exception Refused
 
-(* The integer [string_of_int] writes, and no other spelling of it: an
-   optional '-', then digits with no leading zero. Accumulated
-   negatively, so [min_int] reads back too. *)
-let int_between s i j =
-  let neg = i < j && s.[i] = '-' in
-  let d = if neg then i + 1 else i in
-  if d >= j || (s.[d] = '0' && (j - d > 1 || neg)) then raise Refused;
-  let n = ref 0 in
-  for k = d to j - 1 do
-    match s.[k] with
-    | '0' .. '9' as c ->
-        let v = Char.code c - 48 in
-        if !n < (min_int + v) / 10 then raise Refused;
-        n := (10 * !n) - v
-    | _ -> raise Refused
-  done;
-  if neg then !n else if !n = min_int then raise Refused else - !n
-
 (* The inverse of [encode_attempt] on the payload [s] holds from [pos]
    on, in one scan. All or nothing: every count, length, name and
-   integer must read back, each line must end after the field its
-   reader takes last, and no byte may follow the last line; anything
-   else is [None], which the cache quarantines. *)
+   integer must read back (an integer in [string_of_int]'s spelling
+   only, by [Sexp.int_between], which reads idents' uniques too), each
+   line must end after the field its reader takes last, and no byte
+   may follow the last line; anything else is [None], which the cache
+   quarantines. *)
 let decode_attempt s pos =
   let len = String.length s in
   let i = ref pos in
@@ -513,7 +497,7 @@ let decode_attempt s pos =
   in
   let int () =
     let j = field_end () in
-    let n = int_between s !i j in
+    let n = Sexp.int_between s !i j in
     i := j + 1;
     n
   in
@@ -549,7 +533,7 @@ let decode_attempt s pos =
     { a_rung = Full; a_output; a_output_size; a_ticks; a_decisions; a_incidents = [] }
   with
   | a -> Some a
-  | exception Refused -> None
+  | exception (Refused | Sexp.Parse_error _) -> None
 
 (* --- the retry/degrade ladder -------------------------------------- *)
 

@@ -161,6 +161,25 @@ let strictify_preserves_surface_results () =
       "def main = case mHead [1,2,3] of { Just x -> x; Nothing -> 0 }";
     ]
 
+(* j is strict in a only, so the jump forces (2 * 3) and leaves
+   (4 * 5), the argument of the lazy b, unforced. *)
+let jump_forces_masked_args () =
+  let e =
+    B.join1 "j"
+      [ ("a", Types.int); ("b", Types.int) ]
+      (fun ps -> B.add (List.hd ps) (B.int 1))
+      (fun jump ->
+        jump [ B.mul (B.int 2) (B.int 3); B.mul (B.int 4) (B.int 5) ] Types.int)
+  in
+  let e' = Demand.strictify e in
+  (match e' with
+  | Join (_, Let (Strict (s, Prim _), Jump (_, _, [ Var a; Prim _ ], _)))
+    when Ident.equal s.v_name a.v_name -> ()
+  | _ ->
+      Alcotest.failf "expected only the first argument forced: %a" Pretty.pp
+        e');
+  same_result e e'
+
 let tests =
   [
     test "a variable is strict in itself" var_is_strict;
@@ -173,6 +192,7 @@ let tests =
     test "fixpoint finds loop accumulators" fixpoint_loop_params;
     test "accumulator thunks eliminated end-to-end"
       accumulator_thunks_eliminated;
+    test "a jump forces only its strict arguments" jump_forces_masked_args;
     test "strict let preserves semantics" strict_let_semantics;
     test "strict let forces; never dropped" strict_let_forces;
     test "strictify preserves surface programs" strictify_preserves_surface_results;

@@ -141,6 +141,25 @@ let sink_into_argument () =
   | App (_, Let _) -> ()
   | e' -> Alcotest.failf "expected let in argument, got %a" Pretty.pp e'
 
+(* A binding is never pushed under a lambda, whose body may run many
+   times: neither at the top nor once the let has sunk into a call's
+   head. *)
+let no_sink_under_lambda () =
+  let rhs () = B.add (B.int 1) (B.int 2) in
+  let top =
+    B.let_ "x" (rhs ()) (fun x -> B.lam "y" Types.int (fun y -> B.add x y))
+  in
+  (match float_in top with
+  | Let (NonRec _, Lam _) -> ()
+  | e' -> Alcotest.failf "the let moved: %a" Pretty.pp e');
+  let call =
+    B.let_ "x" (rhs ()) (fun x ->
+        App (B.lam "y" Types.int (fun y -> B.add x y), B.int 5))
+  in
+  match float_in call with
+  | App (Let (NonRec _, Lam _), _) -> ()
+  | e' -> Alcotest.failf "expected the let above the lambda: %a" Pretty.pp e'
+
 let tests =
   [
     test "sink into single branch" sink_into_branch;
@@ -151,4 +170,5 @@ let tests =
     test "float out respects scope" float_out_respects_scope;
     test "float out leaves join bindings (Sec. 7)" float_out_keeps_joins;
     test "sink into application argument" sink_into_argument;
+    test "no sink under a lambda" no_sink_under_lambda;
   ]

@@ -1041,6 +1041,30 @@ let sexp_rebinding_refused () =
   | _ -> Alcotest.fail "expected one rejected outcome");
   Alcotest.(check int) "exit 1" 1 (Service.batch_exit_code b)
 
+(* Uniques the reader must not take: [max_int] would wrap the supply
+   it raises, and [0x10] is not [string_of_int]'s spelling of 16. Each
+   request is refused as bad-sexp before anything compiles. *)
+let sexp_bad_unique_refused () =
+  let dir = fresh_dir "req" in
+  let request name id =
+    let p = Filename.concat dir (name ^ ".sexp") in
+    write_file p
+      (Printf.sprintf "(lam (x.%s (tc Int)) (var (x.%s (tc Int))))\n" id id);
+    (name, p)
+  in
+  let b =
+    Service.run_batch (config ())
+      [ request "wrap" (string_of_int max_int); request "hex" "0x10" ]
+  in
+  Alcotest.(check int) "two outcomes" 2 (List.length b.Service.b_outcomes);
+  List.iter
+    (function
+      | { Service.status = Service.Rejected { kind; _ }; failures; _ } ->
+          Alcotest.(check string) "kind" "bad-sexp" kind;
+          Alcotest.(check int) "no failures" 0 (List.length failures)
+      | _ -> Alcotest.fail "expected a rejected outcome")
+    b.Service.b_outcomes
+
 let tests =
   [
     Alcotest.test_case "backoff: deterministic, jittered, capped" `Quick
@@ -1097,6 +1121,8 @@ let tests =
       sexp_input_linted;
     Alcotest.test_case "batch: .sexp that rebinds a unique is refused" `Quick
       sexp_rebinding_refused;
+    Alcotest.test_case "batch: .sexp with an unreadable unique is refused"
+      `Quick sexp_bad_unique_refused;
     Alcotest.test_case "cache: a JSON entry under the new key is quarantined"
       `Quick cache_refuses_json_entry;
   ]

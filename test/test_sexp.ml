@@ -118,6 +118,34 @@ let parse_errors () =
       | _ -> Alcotest.failf "expected a parse error for %S" src)
     bad
 
+(* A loaded unique must leave the supply room to draw from: the reader
+   takes an id only in [string_of_int]'s spelling and only up to
+   2^48, and the supply fails rather than wrap. *)
+let loaded_uniques_cannot_wrap () =
+  Ident.with_supply (Ident.new_supply ()) @@ fun () ->
+  let var id = Fmt.str "(var (x.%s (tc Int)))" id in
+  List.iter
+    (fun id ->
+      match Sexp.read dc (var id) with
+      | exception Sexp.Parse_error _ -> ()
+      | _ -> Alcotest.failf "expected a parse error for %s" (var id))
+    [
+      string_of_int max_int; string_of_int ((1 lsl 48) + 1); "0x10"; "010";
+      "-1"; "-0"; "+5"; "1_000"; "";
+    ];
+  Alcotest.(check int) "supply untouched" 0 (Ident.counter_value ());
+  ignore (Sexp.read dc (var (string_of_int (1 lsl 48))));
+  Alcotest.(check int) "the bound itself reads" ((1 lsl 48) + 1)
+    (Ident.counter_value ());
+  Ident.restore_counter max_int;
+  (match Ident.fresh "x" with
+  | exception Failure _ -> ()
+  | x -> Alcotest.failf "fresh wrapped to %d" (Ident.id x));
+  Ident.restore_counter 0;
+  match Ident.ensure_above max_int with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.failf "ensure_above max_int left %d" (Ident.counter_value ())
+
 (* The Format printer every artifact was written with, kept as the
    oracle for [Sexp.to_string]'s layout engine: one hov box of indent
    1 per list, a space break between elements, under [asprintf]. *)
@@ -135,15 +163,25 @@ let same_layout what s =
     Alcotest.failf "%s: layout differs from Format's@.%s@.--- got ---@.%s"
       what expected got
 
+(* Written Core, which has no tree of its own: Format gets the tree the
+   text parses back to, and [to_string] of that tree must agree. *)
+let same_written what e =
+  let text = Sexp.write e in
+  let s = Sexp.parse_string text in
+  let expected = format_to_string s in
+  if not (String.equal expected text) then
+    Alcotest.failf "%s: layout differs from Format's@.%s@.--- got ---@.%s"
+      what expected text;
+  Alcotest.(check string) "to_string of the parsed text" text
+    (Sexp.to_string s)
+
 let layout_gen_programs () =
   List.iter
     (fun size ->
       for seed = 1 to 150 do
-        let e = Gen.program_of_seed ~size seed in
-        let s = Sexp.of_expr e in
-        same_layout (Fmt.str "Gen seed %d size %d" seed size) s;
-        Alcotest.(check string) "write = to_string of_expr"
-          (Sexp.to_string s) (Sexp.write e)
+        same_written
+          (Fmt.str "Gen seed %d size %d" seed size)
+          (Gen.program_of_seed ~size seed)
       done)
     [ 5; 20; 40; 120; 400 ]
 
@@ -153,7 +191,7 @@ let layout_pass_boundaries () =
   let seen = ref 0 in
   let check what e =
     incr seen;
-    same_layout what (Sexp.of_expr e)
+    same_written what e
   in
   List.iter
     (fun mode ->
@@ -177,6 +215,57 @@ let layout_pass_boundaries () =
         (nofib ()))
     [ Pipeline.Join_points; Pipeline.Baseline; Pipeline.No_cc ];
   Alcotest.(check bool) "pass boundaries seen" true (!seen > 1000)
+
+(* Each comparison of the layout rule at its boundary, on hand-built
+   trees: the expected text and Format's must agree. *)
+let pinned what s expected =
+  same_layout what s;
+  Alcotest.(check string) what expected (Sexp.to_string s)
+
+let atom n c = Sexp.Atom (String.make n c)
+
+(* [s] [k] singleton lists deep, so it starts at column [k]. *)
+let rec wrap k s = if k = 0 then s else Sexp.List [ wrap (k - 1) s ]
+let parens k = String.make k '(', String.make k ')'
+
+(* |L| = 2 + 20 + 20 + 24 + 2 = 68. Opened at column 10, r = 68: it
+   does not fit, and its last element, with |x| + 2 = 26 = r, starts a
+   new line. At column 9 it fits. Taking |L| <= r as fitting, or
+   dropping the last element's >=, prints both flat. *)
+let fit_boundary () =
+  let l = Sexp.List [ atom 20 'a'; atom 20 'b'; atom 24 'c' ] in
+  let o, c = parens 10 in
+  pinned "|L| = r breaks" (wrap 10 l)
+    (Printf.sprintf "%s(%s %s\n%s%s)%s" o (String.make 20 'a')
+       (String.make 20 'b') (String.make 11 ' ') (String.make 24 'c') c);
+  let o, c = parens 9 in
+  pinned "|L| = r - 1 fits" (wrap 9 l)
+    (Printf.sprintf "%s(%s %s %s)%s" o (String.make 20 'a')
+       (String.make 20 'b') (String.make 24 'c') c)
+
+(* (p x q z) at column 0 does not fit. Before x (not last), r = 67 =
+   |x| + 2: x stays on the line. q then starts line 2, and before z
+   (last), r = 67 = |z| + 2: z starts line 3. Dropping the last
+   element's >= keeps z on line 2; taking >= for every element moves
+   x to line 2. *)
+let break_boundary () =
+  let s = Sexp.List [ atom 10 'p'; atom 65 'x'; atom 10 'q'; atom 65 'z' ] in
+  pinned "|x| + 2 = r" s
+    (Printf.sprintf "(%s %s\n %s\n %s)" (String.make 10 'p')
+       (String.make 65 'x') (String.make 10 'q') (String.make 65 'z'))
+
+(* (x (b c) y) at column 0 does not fit, and (b c) would fit after x
+   at column 69, past 68: the parent's line breaks first, after the
+   space already printed. The last element then has |y| + 2 = r and
+   takes a line of its own. *)
+let forced_break () =
+  let s =
+    Sexp.List
+      [ atom 67 'x'; Sexp.List [ Sexp.Atom "b"; Sexp.Atom "c" ]; atom 70 'y' ]
+  in
+  pinned "opened past column 68" s
+    (Printf.sprintf "(%s \n (b c)\n %s)" (String.make 67 'x')
+       (String.make 70 'y'))
 
 (* Random trees past the engine's edges: atoms longer than the space
    a box opened at the maximum indent has left, nesting deeper than the
@@ -209,8 +298,6 @@ let layout_random_trees () =
     | Sexp.Atom _ -> 0
     | Sexp.List xs -> 1 + List.fold_left (fun d x -> Int.max d (depth x)) 0 xs
   in
-  (* A bushy tree [k] singleton lists deep, so it starts at column [k]. *)
-  let rec wrap k s = if k = 0 then s else Sexp.List [ wrap (k - 1) s ] in
   for i = 1 to 10_000 do
     let s =
       match i mod 3 with
@@ -236,6 +323,10 @@ let tests =
     test "optimised core round trips" optimised_program;
     test "fresh uniques stay disjoint" fresh_uniques_safe;
     test "parse errors are reported" parse_errors;
+    test "a loaded unique cannot wrap the supply" loaded_uniques_cannot_wrap;
+    test "layout: the fit test at |L| = r" fit_boundary;
+    test "layout: the break test at |x| + 2 = r" break_boundary;
+    test "layout: a list opened past column 68" forced_break;
     test "layout = Format's on Gen programs" layout_gen_programs;
     test "layout = Format's at every pass boundary" layout_pass_boundaries;
     test "layout = Format's on random trees" layout_random_trees;
